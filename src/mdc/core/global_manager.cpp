@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 #include <map>
+#include <optional>
+#include <string>
+#include <utility>
 
 namespace mdc {
 
@@ -42,51 +45,88 @@ PodManager& GlobalManager::createPod(const std::vector<ServerId>& servers) {
   return *pods_.back();
 }
 
-Status GlobalManager::deployApp(AppId app, std::uint32_t instances,
-                                double perInstanceRps) {
-  MDC_EXPECT(!pods_.empty(), "deployApp before any pod exists");
-  MDC_EXPECT(instances > 0, "deployApp needs at least one instance");
+Status GlobalManager::deployApps(std::span<const AppDeployment> deployments) {
+  MDC_EXPECT(!pods_.empty(), "deployApps before any pod exists");
 
-  for (std::uint32_t v = 0; v < options_.vipsPerApp; ++v) {
-    const auto vip = viprip_->createVipNow(app);
-    if (!vip.ok()) return Status::fail(vip.error().code, vip.error().detail);
+  // Each instance goes to the first server of its pod (in pod order) with
+  // the strictly smallest utilization among the up servers it fits.  One
+  // min-heap per pod on (utilization, position) finds it without a scan:
+  // the first popped server the slice fits is that server.  No simulated
+  // event runs inside this call (VMs activate later), so utilization
+  // changes only through createVm below, and each placement re-keys its
+  // server; crashed servers stay down and are left out.
+  using Slot = std::pair<double, std::uint32_t>;  // (utilization, position)
+  const auto minFirst = std::greater<Slot>{};
+  std::vector<std::vector<Slot>> heaps(pods_.size());
+  for (std::size_t p = 0; p < pods_.size(); ++p) {
+    const std::vector<ServerId>& servers = pods_[p]->servers();
+    for (std::uint32_t pos = 0; pos < servers.size(); ++pos) {
+      if (!hosts_.serverUp(servers[pos])) continue;
+      heaps[p].emplace_back(hosts_.serverUtilization(servers[pos]), pos);
+    }
+    std::make_heap(heaps[p].begin(), heaps[p].end(), minFirst);
   }
+  std::vector<Slot> skipped;
 
-  const AppSla& sla = apps_.app(app).sla;
-  const CapacityVec slice = sla.sliceFor(perInstanceRps, options_.pod.headroom);
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    // Round-robin over pods, emptiest feasible server within the pod.
-    bool placed = false;
-    const std::size_t attempts = options_.pinAppsToPods ? 1 : pods_.size();
-    for (std::size_t attempt = 0; attempt < attempts && !placed; ++attempt) {
-      PodManager& pod = options_.pinAppsToPods
-                            ? *pods_[app.index() % pods_.size()]
-                            : *pods_[nextDeployPod_ % pods_.size()];
-      ++nextDeployPod_;
-      ServerId best;
-      double bestUtil = std::numeric_limits<double>::infinity();
-      for (ServerId s : pod.servers()) {
-        if (!hosts_.serverUp(s)) continue;
-        if (!slice.fitsWithin(hosts_.freeCapacity(s))) continue;
-        const double u = hosts_.serverUtilization(s);
-        if (u < bestUtil) {
-          bestUtil = u;
-          best = s;
+  for (const AppDeployment& d : deployments) {
+    MDC_EXPECT(d.instances > 0, "deployApps needs at least one instance");
+    const AppId app = d.app;
+    for (std::uint32_t v = 0; v < options_.vipsPerApp; ++v) {
+      const auto vip = viprip_->createVipNow(app);
+      if (!vip.ok()) return Status::fail(vip.error().code, vip.error().detail);
+    }
+
+    const AppSla& sla = apps_.app(app).sla;
+    const CapacityVec slice =
+        sla.sliceFor(d.perInstanceRps, options_.pod.headroom);
+    for (std::uint32_t i = 0; i < d.instances; ++i) {
+      // Round-robin over pods, emptiest feasible server within the pod.
+      bool placed = false;
+      const std::size_t attempts = options_.pinAppsToPods ? 1 : pods_.size();
+      for (std::size_t attempt = 0; attempt < attempts && !placed;
+           ++attempt) {
+        const std::size_t p = options_.pinAppsToPods
+                                  ? app.index() % pods_.size()
+                                  : nextDeployPod_ % pods_.size();
+        ++nextDeployPod_;
+        const std::vector<ServerId>& servers = pods_[p]->servers();
+        std::vector<Slot>& heap = heaps[p];
+        std::optional<Slot> best;
+        skipped.clear();
+        while (!heap.empty()) {
+          std::pop_heap(heap.begin(), heap.end(), minFirst);
+          const Slot top = heap.back();
+          heap.pop_back();
+          if (slice.fitsWithin(hosts_.freeCapacity(servers[top.second]))) {
+            best = top;
+            break;
+          }
+          skipped.push_back(top);
+        }
+        for (const Slot& slot : skipped) {
+          heap.push_back(slot);
+          std::push_heap(heap.begin(), heap.end(), minFirst);
+        }
+        if (!best) continue;
+        const ServerId server = servers[best->second];
+        auto created = hosts_.createVm(
+            app, server, slice, /*clone=*/true,
+            [this, app, rps = d.perInstanceRps](VmId vm) {
+              // Bootstrap path: bind the RIP synchronously on activation.
+              (void)viprip_->createRipNow(app, vm, rps);
+            });
+        heap.emplace_back(hosts_.serverUtilization(server), best->second);
+        std::push_heap(heap.begin(), heap.end(), minFirst);
+        if (created.ok()) {
+          apps_.addInstance(app, created.value());
+          placed = true;
         }
       }
-      if (!best.valid()) continue;
-      auto created = hosts_.createVm(
-          app, best, slice, /*clone=*/true,
-          [this, app, perInstanceRps](VmId vm) {
-            // Bootstrap path: bind the RIP synchronously on activation.
-            (void)viprip_->createRipNow(app, vm, perInstanceRps);
-          });
-      if (created.ok()) {
-        apps_.addInstance(app, created.value());
-        placed = true;
+      if (!placed) {
+        return Status::fail("insufficient_capacity",
+                            "app " + std::to_string(app.value()));
       }
     }
-    if (!placed) return Status::fail("insufficient_capacity");
   }
   return Status::okStatus();
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mdc/core/interpod_balancer.hpp"
@@ -80,12 +81,22 @@ class GlobalManager final : public RipRequestSink {
   /// Creates a pod manager owning `servers`.  Call before start().
   PodManager& createPod(const std::vector<ServerId>& servers);
 
-  /// Deploys an application synchronously (bootstrap path): creates its
-  /// VIPs immediately, spreads `instances` VMs across pods (fast-clone
-  /// boot), and binds a RIP to each VM as it activates.
-  /// `perInstanceRps` sizes each VM's slice and initial RIP weight.
-  Status deployApp(AppId app, std::uint32_t instances,
-                   double perInstanceRps);
+  /// One application of a bootstrap deployment.
+  struct AppDeployment {
+    AppId app;
+    std::uint32_t instances = 0;
+    /// Sizes each VM's slice and initial RIP weight.
+    double perInstanceRps = 0.0;
+  };
+
+  /// Deploys applications synchronously and in order (bootstrap path):
+  /// for each app, creates its VIPs immediately, spreads its instances
+  /// round-robin across pods onto each pod's emptiest feasible server
+  /// (fast-clone boot), and binds a RIP to each VM as it activates.
+  /// Stops at the first app that does not fit with
+  /// "insufficient_capacity" (the detail names the app); the apps before
+  /// it stay deployed.
+  Status deployApps(std::span<const AppDeployment> deployments);
 
   /// Registers every periodic control loop on the simulation.
   void start();

@@ -201,12 +201,10 @@ void PodManager::runControlLoop() {
     input.servers.push_back(PlacementServer{topo_.server(s).capacity});
   }
 
-  // Current assignments from live VMs; also interns their apps.
-  std::unordered_map<ServerId, std::uint32_t> serverIndex;
-  for (std::uint32_t i = 0; i < serverIds.size(); ++i) {
-    serverIndex.emplace(serverIds[i], i);
-  }
-  std::map<std::pair<std::uint32_t, std::uint32_t>, VmId> existingVm;
+  // Current assignments from live VMs; also interns their apps.  The
+  // (app, server) -> VM map is what applyAssignment diffs against: only
+  // the pure place() call runs in between, so it is still current there.
+  ExistingVms existing;
   for (std::uint32_t si = 0; si < serverIds.size(); ++si) {
     for (VmId vm : hosts_.vmsOn(serverIds[si])) {
       if (!hosts_.vmExists(vm)) continue;
@@ -217,7 +215,7 @@ void PodManager::runControlLoop() {
       const double rps = apps_.app(rec.app).sla.servableRps(rec.slice) /
                          options_.headroom;
       input.current.push_back(Assignment{ai, si, rps});
-      existingVm[{ai, si}] = vm;
+      existing[{ai, si}] = vm;
     }
   }
   for (const auto& [app, rps] : demand_) {
@@ -238,43 +236,19 @@ void PodManager::runControlLoop() {
   stats_.decisionSeconds =
       std::chrono::duration<double>(t1 - t0).count();
 
-  applyAssignment(input, result, appIds, serverIds);
+  applyAssignment(input, result, appIds, serverIds, existing);
   updateStats(result);
-
-  // Keep the map bounded: stale VMs were handled, fresh demand arrives
-  // next epoch.
-  (void)existingVm;
 }
 
 void PodManager::applyAssignment(const PlacementInput& input,
                                  const PlacementResult& result,
                                  const std::vector<AppId>& appIds,
-                                 const std::vector<ServerId>& serverIds) {
+                                 const std::vector<ServerId>& serverIds,
+                                 const ExistingVms& existing) {
   // Desired (app, server) -> rps.
   std::map<std::pair<std::uint32_t, std::uint32_t>, double> desired;
   for (const Assignment& a : result.assignment) {
     if (a.rps > 1e-9) desired[{a.app, a.server}] = a.rps;
-  }
-  // Existing (app, server) -> vm.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, VmId> existing;
-  std::unordered_map<ServerId, std::uint32_t> serverIndex;
-  for (std::uint32_t i = 0; i < serverIds.size(); ++i) {
-    serverIndex.emplace(serverIds[i], i);
-  }
-  std::unordered_map<AppId, std::uint32_t> appIndex;
-  for (std::uint32_t i = 0; i < appIds.size(); ++i) {
-    appIndex.emplace(appIds[i], i);
-  }
-  for (std::uint32_t si = 0; si < serverIds.size(); ++si) {
-    for (VmId vm : hosts_.vmsOn(serverIds[si])) {
-      if (!hosts_.vmExists(vm)) continue;
-      const VmRecord& rec = hosts_.vm(vm);
-      if (rec.server != serverIds[si]) continue;
-      if (!isManagedInstance(rec.app, vm)) continue;
-      const auto ai = appIndex.find(rec.app);
-      if (ai == appIndex.end()) continue;
-      existing[{ai->second, si}] = vm;
-    }
   }
 
   // Create or resize.

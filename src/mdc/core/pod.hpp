@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -179,10 +180,14 @@ class PodManager {
   [[nodiscard]] std::vector<AppId> coveredApps() const;
 
  private:
+  /// (app index, server index) of the placement problem -> resident VM.
+  using ExistingVms = std::map<std::pair<std::uint32_t, std::uint32_t>, VmId>;
+
   void applyAssignment(const PlacementInput& input,
                        const PlacementResult& result,
                        const std::vector<AppId>& appIds,
-                       const std::vector<ServerId>& serverIds);
+                       const std::vector<ServerId>& serverIds,
+                       const ExistingVms& existing);
   void updateStats(const PlacementResult& result);
   /// True when `vm` is still listed as an instance of `app` (VMs pending
   /// retirement are detached first and must not be re-managed).

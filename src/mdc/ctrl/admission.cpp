@@ -1,6 +1,8 @@
 #include "mdc/ctrl/admission.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <utility>
 
 #include "mdc/util/expect.hpp"
@@ -64,13 +66,22 @@ SimTime AdmissionController::budgetFor(AdmissionClass cls) const noexcept {
   return 0.0;
 }
 
-void AdmissionController::insertSorted(Entry entry) {
+void AdmissionController::enqueue(Entry entry) {
+  Lane& lane = lanes_[entry.req.priority];
+  MDC_EXPECT(lane.empty() || lane.back().submitted <= entry.submitted,
+             "admission offers must not go back in time");
   ++classDepth_[static_cast<std::size_t>(entry.cls)];
-  const auto pos = std::find_if(
-      queue_.begin(), queue_.end(), [&](const Entry& other) {
-        return other.req.priority < entry.req.priority;
-      });
-  queue_.insert(pos, std::move(entry));
+  ++depth_;
+  if (entry.req.op == VipRipOp::SetWeight) {
+    setWeights_.insert(weightKey(entry));
+  }
+  lane.push_back(std::move(entry));
+}
+
+void AdmissionController::noteRemoved(const Entry& e) {
+  --classDepth_[static_cast<std::size_t>(e.cls)];
+  --depth_;
+  if (e.req.op == VipRipOp::SetWeight) setWeights_.erase(weightKey(e));
 }
 
 SubmitResult AdmissionController::offer(VipRipRequest&& req, SimTime now,
@@ -84,7 +95,7 @@ SubmitResult AdmissionController::offer(VipRipRequest&& req, SimTime now,
 
   const std::size_t bound = options_.maxQueueDepth;
   if (bound == 0) {
-    insertSorted(std::move(entry));
+    enqueue(std::move(entry));
     ++admitted_;
     return SubmitResult{};
   }
@@ -100,14 +111,21 @@ SubmitResult AdmissionController::offer(VipRipRequest&& req, SimTime now,
   switch (entry.cls) {
     case AdmissionClass::Critical: {
       // Never shed.  A full queue evicts its newest bulk entry — the
-      // displaced resize retries after the storm; the repair cannot.
-      if (queue_.size() >= bound &&
+      // last one in queue order, found walking the lanes from the back;
+      // the displaced resize retries after the storm, the repair cannot.
+      if (depth_ >= bound &&
           classDepth_[static_cast<std::size_t>(AdmissionClass::Bulk)] > 0) {
-        for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-          if (it->cls != AdmissionClass::Bulk) continue;
+        for (auto lane = lanes_.rbegin(); lane != lanes_.rend(); ++lane) {
+          Lane& q = lane->second;
+          const auto it =
+              std::find_if(q.rbegin(), q.rend(), [](const Entry& e) {
+                return e.cls == AdmissionClass::Bulk;
+              });
+          if (it == q.rend()) continue;
           Entry evicted = std::move(*it);
-          queue_.erase(std::next(it).base());
-          noteRemoved(AdmissionClass::Bulk);
+          noteRemoved(evicted);
+          q.erase(std::next(it).base());
+          if (q.empty()) lanes_.erase(std::next(lane).base());
           ++evictions_;
           ++shedByClass_[static_cast<std::size_t>(AdmissionClass::Bulk)];
           ++pendingShed_;
@@ -118,13 +136,13 @@ SubmitResult AdmissionController::offer(VipRipRequest&& req, SimTime now,
       break;
     }
     case AdmissionClass::Capacity: {
-      if (queue_.size() >= bound) return shedThis();
+      if (depth_ >= bound) return shedThis();
       break;
     }
     case AdmissionClass::Bulk: {
       const auto bulkCap = static_cast<std::size_t>(
           options_.bulkShare * static_cast<double>(bound));
-      if (queue_.size() >= bound ||
+      if (depth_ >= bound ||
           classDepth_[static_cast<std::size_t>(AdmissionClass::Bulk)] >=
               std::max<std::size_t>(1, bulkCap)) {
         return shedThis();
@@ -132,26 +150,31 @@ SubmitResult AdmissionController::offer(VipRipRequest&& req, SimTime now,
       break;
     }
   }
-  insertSorted(std::move(entry));
+  enqueue(std::move(entry));
   ++admitted_;
   return SubmitResult{};
 }
 
 bool AdmissionController::coalesceSetWeight(VmId vm, double weight) {
-  for (Entry& other : queue_) {
-    if (other.req.op == VipRipOp::SetWeight && other.req.vm == vm) {
-      other.req.weight = weight;
-      ++coalesced_;
-      return true;
-    }
-  }
-  return false;
+  const auto key = setWeights_.lower_bound(
+      WeightKey{vm, std::numeric_limits<std::int64_t>::min(), 0});
+  if (key == setWeights_.end() || std::get<0>(*key) != vm) return false;
+  Lane& lane = lanes_.at(static_cast<int>(-std::get<1>(*key)));
+  const std::uint64_t seq = std::get<2>(*key);
+  const auto it = std::lower_bound(
+      lane.begin(), lane.end(), seq,
+      [](const Entry& e, std::uint64_t s) { return e.seq < s; });
+  MDC_ENSURE(it != lane.end() && it->seq == seq,
+             "SetWeight index out of sync with its lane");
+  it->req.weight = weight;
+  ++coalesced_;
+  return true;
 }
 
 AdmissionController::Round AdmissionController::formRound(
     SimTime now, const FootprintFn& footprintOf) {
   Round round;
-  if (queue_.empty()) return round;
+  if (depth_ == 0) return round;
   const std::size_t cap = effectiveBatchSize();
   const double scale = brownout_ ? options_.brownoutDeadlineFactor : 1.0;
   // One claimed set covers both batched and deferred footprints: a
@@ -159,28 +182,32 @@ AdmissionController::Round AdmissionController::formRound(
   // overtake an earlier request on a shared key.
   FootprintSet claimed;
   FootprintSet fp;
-  for (auto it = queue_.begin();
-       it != queue_.end() && round.batch.size() < cap;) {
-    if (it->budget > 0.0 && now - it->submitted > it->budget * scale) {
-      noteRemoved(it->cls);
-      ++deadlineExpired_;
-      round.expired.push_back(std::move(*it));
-      it = queue_.erase(it);
-      continue;
-    }
-    fp.clear();
-    if (footprintOf) footprintOf(it->req, fp);
-    if (options_.pipelined && fp.conflictsWith(claimed)) {
+  for (auto lane = lanes_.begin();
+       lane != lanes_.end() && round.batch.size() < cap;) {
+    Lane& q = lane->second;
+    for (auto it = q.begin(); it != q.end() && round.batch.size() < cap;) {
+      if (it->budget > 0.0 && now - it->submitted > it->budget * scale) {
+        noteRemoved(*it);
+        ++deadlineExpired_;
+        round.expired.push_back(std::move(*it));
+        it = q.erase(it);
+        continue;
+      }
+      fp.clear();
+      if (footprintOf) footprintOf(it->req, fp);
+      if (options_.pipelined && fp.conflictsWith(claimed)) {
+        claimed.merge(fp);
+        ++round.deferred;
+        ++conflictDeferred_;
+        ++it;
+        continue;
+      }
       claimed.merge(fp);
-      ++round.deferred;
-      ++conflictDeferred_;
-      ++it;
-      continue;
+      noteRemoved(*it);
+      round.batch.push_back(std::move(*it));
+      it = q.erase(it);
     }
-    claimed.merge(fp);
-    noteRemoved(it->cls);
-    round.batch.push_back(std::move(*it));
-    it = queue_.erase(it);
+    lane = q.empty() ? lanes_.erase(lane) : std::next(lane);
   }
   if (!round.batch.empty() || !round.expired.empty()) ++rounds_;
   return round;
@@ -213,15 +240,19 @@ void AdmissionController::observeSender(std::uint64_t commandsSent,
 }
 
 std::vector<AdmissionController::Entry> AdmissionController::drain() {
-  std::vector<Entry> out(std::make_move_iterator(queue_.begin()),
-                         std::make_move_iterator(queue_.end()));
-  queue_.clear();
-  for (std::size_t& d : classDepth_) d = 0;
+  std::vector<Entry> out;
+  out.reserve(depth_);
+  for (auto& [priority, lane] : lanes_) {
+    std::move(lane.begin(), lane.end(), std::back_inserter(out));
+  }
+  clearSilently();
   return out;
 }
 
 void AdmissionController::clearSilently() {
-  queue_.clear();
+  lanes_.clear();
+  setWeights_.clear();
+  depth_ = 0;
   for (std::size_t& d : classDepth_) d = 0;
 }
 
@@ -230,9 +261,10 @@ std::uint32_t AdmissionController::takeShedDelta() noexcept {
 }
 
 SimTime AdmissionController::oldestAgeSeconds(SimTime now) const noexcept {
+  // Each lane's front is its oldest entry (offers never go back in time).
   SimTime oldest = 0.0;
-  for (const Entry& e : queue_) {
-    oldest = std::max(oldest, now - e.submitted);
+  for (const auto& [priority, lane] : lanes_) {
+    oldest = std::max(oldest, now - lane.front().submitted);
   }
   return oldest;
 }
@@ -245,13 +277,13 @@ std::size_t AdmissionController::effectiveBatchSize() const noexcept {
 
 bool AdmissionController::overloaded() const noexcept {
   if (options_.maxQueueDepth == 0) return false;
-  return queue_.size() * 5 >= options_.maxQueueDepth * 4;
+  return depth_ * 5 >= options_.maxQueueDepth * 4;
 }
 
 SimTime AdmissionController::retryAfterHint() const noexcept {
   const auto eff = static_cast<double>(effectiveBatchSize());
   const double roundsToDrain =
-      static_cast<double>(queue_.size()) / std::max(1.0, eff) + 1.0;
+      static_cast<double>(depth_) / std::max(1.0, eff) + 1.0;
   return std::clamp(roundsToDrain * options_.roundSeconds,
                     options_.minRetryAfterSeconds,
                     options_.maxRetryAfterSeconds);

@@ -30,15 +30,22 @@
 //    pushing a wider batch at them only grows the retry storm).
 //
 // Everything here runs on the single-threaded simulation loop and is a
-// pure function of the submission sequence: batch formation iterates a
-// deterministically ordered deque and the per-round admission counts are
-// journaled by the owning VipRipManager, so recovery replays to a
-// bit-identical state hash.
+// pure function of the submission sequence: batch formation walks the
+// queue in a deterministic (priority desc, submit order) and the
+// per-round admission counts are journaled by the owning VipRipManager,
+// so recovery replays to a bit-identical state hash.
+//
+// The queue is one FIFO lane per priority plus an ordered index of the
+// queued SetWeights, so a submission costs O(log n) however deep the
+// backlog grows (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -198,11 +205,13 @@ class AdmissionController {
 
   /// Admits or sheds one request.  On shed (and for any bulk entry
   /// evicted to make room for a critical arrival) `onShed` runs before
-  /// this returns.
+  /// this returns.  `now` is simulation time and must not decrease from
+  /// one call to the next.
   SubmitResult offer(VipRipRequest&& req, SimTime now, const ShedFn& onShed);
 
-  /// Coalesces a newer SetWeight for the same VM onto a queued one;
-  /// returns true if absorbed (the new request should be settled "ok").
+  /// Coalesces a newer SetWeight for the same VM onto the first queued
+  /// one in queue order; returns true if absorbed (the new request should
+  /// be settled "ok").
   bool coalesceSetWeight(VmId vm, double weight);
 
   /// Forms the next batch: drops expired entries, admits footprint-
@@ -228,7 +237,7 @@ class AdmissionController {
 
   // --- gauges -------------------------------------------------------------
 
-  [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t depthOf(AdmissionClass cls) const noexcept {
     return classDepth_[static_cast<std::size_t>(cls)];
   }
@@ -263,16 +272,26 @@ class AdmissionController {
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
-  void insertSorted(Entry entry);
-  void noteRemoved(AdmissionClass cls) noexcept {
-    --classDepth_[static_cast<std::size_t>(cls)];
+  /// One FIFO lane per priority; seq and submit time ascend within it.
+  using Lane = std::deque<Entry>;
+  /// (vm, -priority, seq) of one queued SetWeight: a VM's smallest key is
+  /// its first SetWeight in queue order.
+  using WeightKey = std::tuple<VmId, std::int64_t, std::uint64_t>;
+
+  [[nodiscard]] static WeightKey weightKey(const Entry& e) noexcept {
+    return {e.req.vm, -static_cast<std::int64_t>(e.req.priority), e.seq};
   }
+  void enqueue(Entry entry);
+  /// Unaccounts an entry leaving the queue (the caller erases it).
+  void noteRemoved(const Entry& e);
   [[nodiscard]] SimTime budgetFor(AdmissionClass cls) const noexcept;
 
   Options options_;
-  /// Sorted by (priority desc, seq asc): a stable priority queue that
-  /// processes equal priorities FIFO.
-  std::deque<Entry> queue_;
+  /// Walked in (priority desc, seq asc) order: a stable priority queue
+  /// that processes equal priorities FIFO.  Empty lanes are erased.
+  std::map<int, Lane, std::greater<>> lanes_;
+  std::set<WeightKey> setWeights_;
+  std::size_t depth_ = 0;
   std::size_t classDepth_[kAdmissionClassCount] = {0, 0, 0};
   std::uint64_t nextSeq_ = 0;
 

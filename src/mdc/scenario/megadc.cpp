@@ -455,6 +455,8 @@ void MegaDc::setDemandModel(std::unique_ptr<DemandModel> model) {
 }
 
 void MegaDc::deployAllApps() {
+  std::vector<GlobalManager::AppDeployment> deployments;
+  deployments.reserve(apps.all().size());
   for (const Application& a : apps.all()) {
     // Enough instances that each initial slice fits comfortably within
     // one server (at most ~half a server per instance).
@@ -467,10 +469,11 @@ void MegaDc::deployAllApps() {
                     (0.5 * perServerRps)));
       instances = std::max(instances, needed);
     }
-    const Status s =
-        manager->deployApp(a.id, instances, a.baseRps / instances);
-    MDC_ENSURE(s.ok(), "deployApp failed: " + s.error().code);
+    deployments.push_back({a.id, instances, a.baseRps / instances});
   }
+  const Status s = manager->deployApps(deployments);
+  MDC_ENSURE(s.ok(), "deployApps failed: " + s.error().code + " (" +
+                         s.error().detail + ")");
 }
 
 void MegaDc::start() {

@@ -4,11 +4,15 @@
 // admission aggregates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mdc/core/viprip_manager.hpp"
 #include "mdc/ctrl/admission.hpp"
+#include "mdc/sim/rng.hpp"
 
 namespace mdc {
 namespace {
@@ -252,6 +256,302 @@ TEST(AdmissionController, CoalescesQueuedSetWeight) {
   ASSERT_EQ(round.batch.size(), 1u);
   EXPECT_DOUBLE_EQ(round.batch[0].req.weight, 9.0);
   EXPECT_EQ(adm.coalesced(), 1u);
+}
+
+// --- lanes vs. the sorted-deque reference ---------------------------------
+
+/// Test-local reference: the admission queue as one deque sorted by
+/// (priority desc, submit order).  An offer inserts before the first lower
+/// priority, a coalesce scans front to back, a critical eviction scans
+/// back to front, and oldestAgeSeconds visits every entry.  Brownout is
+/// not modelled: offer (for the retry-after hint) and formRound take the
+/// controller's effective batch size, formRound its deadline scale.
+class SortedDequeModel {
+ public:
+  using Entry = AdmissionController::Entry;
+  using Shed = std::vector<std::pair<Entry, SimTime>>;
+
+  explicit SortedDequeModel(AdmissionController::Options o) : opt_(o) {}
+
+  SubmitResult offer(VipRipRequest req, SimTime now, std::size_t batch,
+                     Shed& shed) {
+    Entry entry;
+    entry.cls = classify(req);
+    entry.req = std::move(req);
+    entry.seq = nextSeq_++;
+    entry.submitted = now;
+    entry.budget = entry.cls == AdmissionClass::Bulk
+                       ? opt_.bulkDeadlineSeconds
+                       : entry.cls == AdmissionClass::Capacity
+                             ? opt_.capacityDeadlineSeconds
+                             : 0.0;
+    const std::size_t bound = opt_.maxQueueDepth;
+    if (bound != 0) {
+      const SimTime retryAfter = std::clamp(
+          (static_cast<double>(queue_.size()) / static_cast<double>(batch) +
+           1.0) * opt_.roundSeconds,
+          opt_.minRetryAfterSeconds, opt_.maxRetryAfterSeconds);
+      const std::size_t bulkCap = std::max<std::size_t>(
+          1, static_cast<std::size_t>(opt_.bulkShare *
+                                      static_cast<double>(bound)));
+      const bool full = queue_.size() >= bound;
+      if ((entry.cls == AdmissionClass::Capacity && full) ||
+          (entry.cls == AdmissionClass::Bulk &&
+           (full || depthOf(AdmissionClass::Bulk) >= bulkCap))) {
+        shed.emplace_back(std::move(entry), retryAfter);
+        return SubmitResult{false, true, retryAfter, "overloaded"};
+      }
+      if (entry.cls == AdmissionClass::Critical && full) {
+        for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
+          if (it->cls != AdmissionClass::Bulk) continue;
+          shed.emplace_back(std::move(*it), retryAfter);
+          queue_.erase(std::next(it).base());
+          break;
+        }
+      }
+    }
+    const auto pos = std::find_if(
+        queue_.begin(), queue_.end(), [&](const Entry& other) {
+          return other.req.priority < entry.req.priority;
+        });
+    queue_.insert(pos, std::move(entry));
+    return SubmitResult{};
+  }
+
+  bool coalesceSetWeight(VmId vm, double weight) {
+    for (Entry& e : queue_) {
+      if (e.req.op == VipRipOp::SetWeight && e.req.vm == vm) {
+        e.req.weight = weight;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  AdmissionController::Round formRound(
+      SimTime now, const AdmissionController::FootprintFn& footprintOf,
+      std::size_t cap, double scale) {
+    AdmissionController::Round round;
+    FootprintSet claimed;
+    FootprintSet fp;
+    for (auto it = queue_.begin();
+         it != queue_.end() && round.batch.size() < cap;) {
+      if (it->budget > 0.0 && now - it->submitted > it->budget * scale) {
+        round.expired.push_back(std::move(*it));
+        it = queue_.erase(it);
+        continue;
+      }
+      fp.clear();
+      footprintOf(it->req, fp);
+      if (opt_.pipelined && fp.conflictsWith(claimed)) {
+        claimed.merge(fp);
+        ++round.deferred;
+        ++it;
+        continue;
+      }
+      claimed.merge(fp);
+      round.batch.push_back(std::move(*it));
+      it = queue_.erase(it);
+    }
+    return round;
+  }
+
+  std::vector<Entry> drain() {
+    std::vector<Entry> out(std::make_move_iterator(queue_.begin()),
+                           std::make_move_iterator(queue_.end()));
+    queue_.clear();
+    return out;
+  }
+  void clearSilently() { queue_.clear(); }
+
+  [[nodiscard]] std::size_t depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t depthOf(AdmissionClass cls) const {
+    return static_cast<std::size_t>(
+        std::count_if(queue_.begin(), queue_.end(),
+                      [cls](const Entry& e) { return e.cls == cls; }));
+  }
+  [[nodiscard]] SimTime oldestAgeSeconds(SimTime now) const {
+    SimTime oldest = 0.0;
+    for (const Entry& e : queue_) oldest = std::max(oldest, now - e.submitted);
+    return oldest;
+  }
+
+ private:
+  [[nodiscard]] AdmissionClass classify(const VipRipRequest& r) const {
+    if (r.op == VipRipOp::RestoreVip || r.priority >= opt_.criticalPriority) {
+      return AdmissionClass::Critical;
+    }
+    return r.op == VipRipOp::SetWeight ? AdmissionClass::Bulk
+                                       : AdmissionClass::Capacity;
+  }
+
+  AdmissionController::Options opt_;
+  std::deque<Entry> queue_;
+  std::uint64_t nextSeq_ = 0;
+};
+
+/// Everything of an entry the two queues must agree on.
+auto entryKey(const AdmissionController::Entry& e) {
+  return std::make_tuple(e.seq, static_cast<int>(e.req.op), e.req.priority,
+                         e.req.app.value(), e.req.vm.value(), e.req.weight,
+                         static_cast<int>(e.cls), e.submitted, e.budget);
+}
+using EntryKey = decltype(entryKey(AdmissionController::Entry{}));
+
+std::vector<EntryKey> keysOf(
+    const std::vector<AdmissionController::Entry>& entries) {
+  std::vector<EntryKey> out;
+  for (const auto& e : entries) out.push_back(entryKey(e));
+  return out;
+}
+
+std::vector<std::pair<EntryKey, SimTime>> keysOf(
+    const SortedDequeModel::Shed& shed) {
+  std::vector<std::pair<EntryKey, SimTime>> out;
+  for (const auto& [e, retryAfter] : shed) {
+    out.emplace_back(entryKey(e), retryAfter);
+  }
+  return out;
+}
+
+/// Drives the controller and the reference with one seeded random
+/// operation sequence and compares every observable after every step.
+void expectMatchesSortedDeque(AdmissionController::Options opt,
+                              std::uint64_t seed, int ops) {
+  AdmissionController adm{opt};
+  SortedDequeModel model{opt};
+  Rng rng{seed};
+  constexpr int kPriorities[] = {0, 1, 5, 10, 12};
+  constexpr VipRipOp kOps[] = {VipRipOp::NewVip,    VipRipOp::DeleteVip,
+                               VipRipOp::NewRip,    VipRipOp::DeleteRip,
+                               VipRipOp::SetWeight, VipRipOp::SetWeight,
+                               VipRipOp::SetWeight, VipRipOp::RestoreVip};
+  // Small id ranges so requests collide on VMs and apps.
+  const auto footprint = [](const VipRipRequest& r, FootprintSet& fp) {
+    fp.write(Kind::Vm, r.vm.value());
+    if (r.op == VipRipOp::NewVip || r.op == VipRipOp::DeleteVip) {
+      fp.write(Kind::App, r.app.value());
+    } else {
+      fp.read(Kind::App, r.app.value());
+    }
+  };
+  SimTime now = 0.0;
+  std::uint64_t sent = 0;
+  std::uint64_t timeouts = 0;
+  for (int step = 0; step < ops; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                 std::to_string(step));
+    const std::uint64_t pick = rng.uniformInt(1000);
+    if (pick < 550) {
+      VipRipRequest req;
+      req.op = kOps[rng.uniformInt(std::size(kOps))];
+      req.priority = kPriorities[rng.uniformInt(std::size(kPriorities))];
+      req.app = AppId{static_cast<std::uint32_t>(rng.uniformInt(6))};
+      req.vm = VmId{static_cast<std::uint32_t>(rng.uniformInt(12))};
+      req.weight = rng.uniform(0.0, 100.0);
+      // Half the SetWeights take the manager's path (coalesce first); the
+      // rest queue directly, leaving duplicates for one VM.
+      bool coalesced = false;
+      if (req.op == VipRipOp::SetWeight && rng.bernoulli(0.5)) {
+        coalesced = adm.coalesceSetWeight(req.vm, req.weight);
+        ASSERT_EQ(coalesced, model.coalesceSetWeight(req.vm, req.weight));
+      }
+      if (!coalesced) {
+        SortedDequeModel::Shed shed;
+        SortedDequeModel::Shed want;
+        const SubmitResult ref =
+            model.offer(req, now, adm.effectiveBatchSize(), want);
+        const SubmitResult got = adm.offer(
+            std::move(req), now,
+            [&shed](AdmissionController::Entry&& e, SimTime retryAfter) {
+              shed.emplace_back(std::move(e), retryAfter);
+            });
+        ASSERT_EQ(got.accepted, ref.accepted);
+        ASSERT_EQ(got.overloaded, ref.overloaded);
+        ASSERT_EQ(got.retryAfterSeconds, ref.retryAfterSeconds);
+        ASSERT_STREQ(got.code, ref.code);
+        ASSERT_EQ(keysOf(shed), keysOf(want));
+      }
+    } else if (pick < 650) {
+      const VmId vm{static_cast<std::uint32_t>(rng.uniformInt(12))};
+      const double w = rng.uniform(0.0, 100.0);
+      ASSERT_EQ(adm.coalesceSetWeight(vm, w), model.coalesceSetWeight(vm, w));
+    } else if (pick < 800) {
+      if (rng.bernoulli(0.2)) {
+        // Swing the sender's timeout rate so brownout toggles.
+        sent += 20;
+        timeouts += rng.bernoulli(0.5) ? 10u : 0u;
+        adm.observeSender(sent, timeouts, now);
+      }
+      const double scale =
+          adm.brownoutActive() ? opt.brownoutDeadlineFactor : 1.0;
+      const std::size_t cap = adm.effectiveBatchSize();
+      const auto got = adm.formRound(now, footprint);
+      const auto ref = model.formRound(now, footprint, cap, scale);
+      ASSERT_EQ(keysOf(got.batch), keysOf(ref.batch));
+      ASSERT_EQ(keysOf(got.expired), keysOf(ref.expired));
+      ASSERT_EQ(got.deferred, ref.deferred);
+    } else if (pick < 990) {
+      now += rng.uniform(0.0, 0.3);
+    } else if (pick < 995) {
+      ASSERT_EQ(keysOf(adm.drain()), keysOf(model.drain()));
+    } else {
+      adm.clearSilently();
+      model.clearSilently();
+    }
+    ASSERT_EQ(adm.depth(), model.depth());
+    for (const AdmissionClass cls :
+         {AdmissionClass::Bulk, AdmissionClass::Capacity,
+          AdmissionClass::Critical}) {
+      ASSERT_EQ(adm.depthOf(cls), model.depthOf(cls));
+    }
+    ASSERT_EQ(adm.oldestAgeSeconds(now), model.oldestAgeSeconds(now));
+  }
+  ASSERT_EQ(keysOf(adm.drain()), keysOf(model.drain()));
+  // Every path the lanes replace was taken.  (Serialized rounds rarely
+  // get past the critical backlog to a stale entry.)
+  EXPECT_GT(adm.coalesced(), 0u);
+  if (opt.pipelined) {
+    EXPECT_GT(adm.deadlineExpired(), 0u);
+    EXPECT_GT(adm.conflictDeferred(), 0u);
+  }
+  if (opt.maxQueueDepth != 0) {
+    EXPECT_GT(adm.shed(), adm.evictions());
+    EXPECT_GT(adm.evictions(), 0u);
+  }
+}
+
+AdmissionController::Options randomizedOptions() {
+  AdmissionController::Options opt;
+  opt.batchSize = 3;
+  opt.bulkDeadlineSeconds = 3.0;
+  opt.capacityDeadlineSeconds = 6.0;
+  opt.brownoutWindowSeconds = 2.0;
+  return opt;
+}
+
+TEST(AdmissionController, LanesMatchSortedDequeUnbounded) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expectMatchesSortedDeque(randomizedOptions(), seed, 12'000);
+  }
+}
+
+TEST(AdmissionController, LanesMatchSortedDequeBounded) {
+  auto opt = randomizedOptions();
+  opt.maxQueueDepth = 24;
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    expectMatchesSortedDeque(opt, seed, 12'000);
+  }
+}
+
+TEST(AdmissionController, LanesMatchSortedDequeSerialized) {
+  auto opt = randomizedOptions();
+  opt.pipelined = false;
+  opt.maxQueueDepth = 16;
+  opt.bulkShare = 0.25;
+  for (const std::uint64_t seed : {7u, 8u}) {
+    expectMatchesSortedDeque(opt, seed, 12'000);
+  }
 }
 
 // --- VipRipManager integration ---------------------------------------------
