@@ -68,7 +68,7 @@ int main() {
   Table t{"E3a: centralized placement cost vs data-center size",
           {"servers", "apps", "controller s", "first-fit s",
            "controller satisfied", "ff satisfied", "controller max/mean",
-           "ff max/mean"}};
+           "ff max/mean", "rebalance passes"}};
   struct Size {
     std::size_t servers, apps;
   };
@@ -84,7 +84,8 @@ int main() {
     t.addRow({static_cast<long long>(sz.servers),
               static_cast<long long>(sz.apps), tc, tf,
               rc.satisfactionRatio(), rf.satisfactionRatio(),
-              balanceOf(in, rc), balanceOf(in, rf)});
+              balanceOf(in, rc), balanceOf(in, rf),
+              static_cast<long long>(rc.rebalancePasses)});
   }
   t.print(std::cout);
   std::cout << "paper anchor: [23] reports ~30 s at 7,000 servers / 17,500"
@@ -97,7 +98,8 @@ int main() {
   // at the largest size we can time.
   Table h{"E3b: hierarchical pods — per-pod cost stays flat",
           {"total servers", "pod size", "pods", "max per-pod s",
-           "sum per-pod s", "satisfied (pods)", "max/mean (pods)"}};
+           "sum per-pod s", "satisfied (pods)", "max/mean (pods)",
+           "max passes"}};
   for (const auto& [total, podSize] :
        {std::pair<std::size_t, std::size_t>{10000, 10000},
         {10000, 5000},
@@ -107,6 +109,7 @@ int main() {
     const std::size_t appsPerPod = podSize * 5 / 2;
     double maxT = 0.0, sumT = 0.0, satisfied = 0.0, demand = 0.0;
     double worstBalance = 0.0;
+    std::uint32_t maxPasses = 0;
     for (std::size_t p = 0; p < pods; ++p) {
       const PlacementInput in =
           makeProblem(podSize, appsPerPod, 1000 + p);
@@ -117,11 +120,13 @@ int main() {
       satisfied += r.satisfiedRps;
       demand += r.demandRps;
       worstBalance = std::max(worstBalance, balanceOf(in, r));
+      maxPasses = std::max(maxPasses, r.rebalancePasses);
     }
     h.addRow({static_cast<long long>(total),
               static_cast<long long>(podSize),
               static_cast<long long>(pods), maxT, sumT,
-              demand > 0 ? satisfied / demand : 1.0, worstBalance});
+              demand > 0 ? satisfied / demand : 1.0, worstBalance,
+              static_cast<long long>(maxPasses)});
   }
   h.print(std::cout);
   std::cout << "expected shape: max per-pod decision time drops sharply"

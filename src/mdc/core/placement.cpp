@@ -13,14 +13,28 @@ namespace mdc {
 namespace {
 
 /// Mutable working state shared by both algorithms.
+///
+/// Besides the per-server usage it keeps three indexes that let the
+/// rebalance answer its per-pass questions without rescanning: each
+/// server's utilization, the servers ordered by (utilization, index), and
+/// the apps resident on each server in ascending index.  grow() and
+/// shrink() are the only writers of `used_` and keep all three current;
+/// the cached utilization is recomputed from `used_` after every change,
+/// so it is always the exact double a fresh maxRatio() would return.
 class WorkingState {
  public:
   explicit WorkingState(const PlacementInput& input) : input_(input) {
     used_.resize(input.servers.size());
+    util_.resize(input.servers.size());
+    residents_.resize(input.servers.size());
     perApp_.resize(input.apps.size());
     for (const Assignment& a : input.current) {
       MDC_EXPECT(a.app < input.apps.size() && a.server < input.servers.size(),
                  "current assignment references unknown app/server");
+    }
+    for (std::uint32_t s = 0; s < input.servers.size(); ++s) {
+      util_[s] = used_[s].maxRatio(input.servers[s].capacity);
+      byUtil_.emplace(util_[s], s);
     }
   }
 
@@ -36,7 +50,53 @@ class WorkingState {
   }
 
   [[nodiscard]] double utilization(std::uint32_t server) const {
-    return used_[server].maxRatio(input_.servers[server].capacity);
+    return util_[server];
+  }
+
+  /// Every server's utilization, in server order.
+  [[nodiscard]] const std::vector<double>& utilizations() const {
+    return util_;
+  }
+
+  /// Apps with an instance on `server`, in ascending index.
+  [[nodiscard]] const std::vector<std::uint32_t>& residents(
+      std::uint32_t server) const {
+    return residents_[server];
+  }
+
+  /// The lowest-index server with the largest utilization if that is
+  /// positive, else (0, 0.0) — what a scan keeping the first strictly
+  /// larger value above 0 finds.  Precondition: at least one server.
+  [[nodiscard]] std::pair<std::uint32_t, double> hottest() const {
+    const double max = byUtil_.rbegin()->first;
+    if (!(max > 0.0)) return {0, 0.0};
+    return {byUtil_.lower_bound({max, 0})->second, max};
+  }
+
+  /// The server a scan in index order would pick to take load of `app`
+  /// off `hot`: the smallest utilization below `below`, ties to the
+  /// lowest index, among servers other than `hot` that can grow `app` —
+  /// and, once `app` is at `maxInstances`, that already host it.
+  /// Returns `hot` when there is none.
+  [[nodiscard]] std::uint32_t coldest(std::uint32_t app, std::uint32_t hot,
+                                      double below,
+                                      std::uint32_t maxInstances) const {
+    const auto canTake = [&](std::uint32_t s) {
+      return s != hot && growableRps(app, s) > 1e-9;
+    };
+    if (instanceCount(app) < maxInstances) {
+      for (const auto& [u, s] : byUtil_) {
+        if (!(u < below)) break;
+        if (canTake(s)) return s;
+      }
+      return hot;
+    }
+    std::pair<double, std::uint32_t> best{below, hot};
+    for (const auto& [s, rps] : perApp_[app]) {
+      const std::pair<double, std::uint32_t> key{util_[s], s};
+      if (key.first < below && key < best && canTake(s)) best = key;
+    }
+    return best.second;
   }
 
   [[nodiscard]] std::size_t instanceCount(std::uint32_t app) const {
@@ -75,6 +135,8 @@ class WorkingState {
     const auto it = inst.find(server);
     if (it == inst.end()) {
       inst.emplace(server, rps);
+      auto& res = residents_[server];
+      res.insert(std::lower_bound(res.begin(), res.end(), app), app);
       used_[server] += sla.demandFor(rps);
     } else {
       // Only the rate-proportional part grows; memory is already paid.
@@ -83,6 +145,7 @@ class WorkingState {
       used_[server] += delta;
       it->second += rps;
     }
+    refreshUtilization(server);
     MDC_ENSURE(used_[server].fitsWithin(input_.servers[server].capacity *
                                         (1.0 + 1e-9)),
                "grow oversubscribed a server");
@@ -99,12 +162,15 @@ class WorkingState {
     if (newRps <= 1e-9) {
       used_[server] -= sla.demandFor(it->second);
       inst.erase(it);
+      auto& res = residents_[server];
+      res.erase(std::lower_bound(res.begin(), res.end(), app));
     } else {
       CapacityVec delta = sla.demandFor(rps);
       delta[Resource::Memory] = 0.0;
       used_[server] -= delta;
       it->second = newRps;
     }
+    refreshUtilization(server);
   }
 
   [[nodiscard]] PlacementResult finish(std::uint32_t iterations) const {
@@ -117,27 +183,43 @@ class WorkingState {
         out.satisfiedRps += rps;
       }
     }
-    // Churn vs input.current (an instance = an (app, server) pair).
-    std::set<std::pair<std::uint32_t, std::uint32_t>> before;
+    // Churn vs input.current (an instance = an (app, server) pair): a
+    // merge of the sorted, de-duplicated current pairs against the
+    // assignment, which is unique and in (app, server) order already.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> before;
     for (const Assignment& a : input_.current) {
-      if (a.rps > 0.0) before.emplace(a.app, a.server);
+      if (a.rps > 0.0) before.emplace_back(a.app, a.server);
     }
-    std::set<std::pair<std::uint32_t, std::uint32_t>> after;
+    std::sort(before.begin(), before.end());
+    before.erase(std::unique(before.begin(), before.end()), before.end());
+    auto b = before.begin();
     for (const Assignment& a : out.assignment) {
-      after.emplace(a.app, a.server);
+      const std::pair key{a.app, a.server};
+      for (; b != before.end() && *b < key; ++b) ++out.instancesStopped;
+      if (b != before.end() && *b == key) {
+        ++b;
+      } else {
+        ++out.instancesStarted;
+      }
     }
-    for (const auto& key : after) {
-      if (!before.contains(key)) ++out.instancesStarted;
-    }
-    for (const auto& key : before) {
-      if (!after.contains(key)) ++out.instancesStopped;
-    }
+    out.instancesStopped += static_cast<std::uint32_t>(before.end() - b);
     return out;
   }
 
  private:
+  void refreshUtilization(std::uint32_t server) {
+    auto node = byUtil_.extract({util_[server], server});
+    MDC_ENSURE(!node.empty(), "utilization index out of sync");
+    util_[server] = used_[server].maxRatio(input_.servers[server].capacity);
+    node.value().first = util_[server];
+    byUtil_.insert(std::move(node));
+  }
+
   const PlacementInput& input_;
   std::vector<CapacityVec> used_;
+  std::vector<double> util_;
+  std::set<std::pair<double, std::uint32_t>> byUtil_;
+  std::vector<std::vector<std::uint32_t>> residents_;
   // app -> (server -> rps).  Ordered map for deterministic iteration.
   std::vector<std::map<std::uint32_t, double>> perApp_;
 };
@@ -247,23 +329,21 @@ PlacementResult PlacementController::place(const PlacementInput& input) const {
 
   // Phase 3: rebalance — move load off the hottest server onto the
   // coldest one that can take it, until the imbalance tolerance holds.
+  // Each pass answers its questions from the state's indexes, and each
+  // answer must be exactly what a scan over servers/apps in index order
+  // would pick (see WorkingState), so the indexes never change a decision.
   const auto maxPasses = static_cast<std::uint32_t>(
       options_.maxBalancePassesPerServer *
       static_cast<double>(input.servers.size()));
-  for (std::uint32_t pass = 0; pass < maxPasses; ++pass) {
+  std::uint32_t passes = 0;
+  while (passes < maxPasses) {
+    ++passes;
     ++iterations;
-    // Identify hottest and mean utilization.
+    // The mean is summed in server order every pass: a running sum would
+    // round differently and could flip the tolerance test.
     double sum = 0.0;
-    std::uint32_t hot = 0;
-    double hotUtil = 0.0;
-    for (std::uint32_t s = 0; s < input.servers.size(); ++s) {
-      const double u = st.utilization(s);
-      sum += u;
-      if (u > hotUtil) {
-        hotUtil = u;
-        hot = s;
-      }
-    }
+    for (const double u : st.utilizations()) sum += u;
+    const auto [hot, hotUtil] = st.hottest();
     const double meanUtil = sum / static_cast<double>(input.servers.size());
     if (meanUtil <= 0.0 || hotUtil <= options_.balanceTolerance * meanUtil) {
       break;
@@ -271,9 +351,10 @@ PlacementResult PlacementController::place(const PlacementInput& input) const {
 
     // Choose the app with the largest allocation on the hot server and
     // try to move a slice of it to the coldest feasible server.
+    // Non-residents have rps 0 and could never win.
     std::uint32_t bestApp = 0;
     double bestRps = 0.0;
-    for (std::uint32_t a = 0; a < input.apps.size(); ++a) {
+    for (const std::uint32_t a : st.residents(hot)) {
       const double rps = st.rpsOf(a, hot);
       if (rps > bestRps) {
         bestRps = rps;
@@ -282,22 +363,10 @@ PlacementResult PlacementController::place(const PlacementInput& input) const {
     }
     if (bestRps <= 1e-9) break;
 
-    std::uint32_t cold = hot;
-    double coldUtil = hotUtil;
-    for (std::uint32_t s = 0; s < input.servers.size(); ++s) {
-      if (s == hot) continue;
-      const double u = st.utilization(s);
-      if (u < coldUtil && st.growableRps(bestApp, s) > 1e-9) {
-        const bool newInstance = st.rpsOf(bestApp, s) == 0.0;
-        if (newInstance &&
-            st.instanceCount(bestApp) >= options_.maxInstancesPerApp) {
-          continue;
-        }
-        coldUtil = u;
-        cold = s;
-      }
-    }
+    const std::uint32_t cold =
+        st.coldest(bestApp, hot, hotUtil, options_.maxInstancesPerApp);
     if (cold == hot) break;  // nowhere to move
+    const double coldUtil = st.utilization(cold);
 
     const double targetShift = bestRps * (hotUtil - coldUtil) /
                                (2.0 * std::max(hotUtil, 1e-9));
@@ -309,7 +378,9 @@ PlacementResult PlacementController::place(const PlacementInput& input) const {
     st.grow(bestApp, cold, shift);
   }
 
-  return st.finish(iterations);
+  PlacementResult result = st.finish(iterations);
+  result.rebalancePasses = passes;
+  return result;
 }
 
 void validatePlacement(const PlacementInput& input,

@@ -54,6 +54,7 @@ struct PlacementInput {
 };
 
 struct PlacementResult {
+  /// Unique (app, server) pairs, in (app, server) order.
   std::vector<Assignment> assignment;
   double satisfiedRps = 0.0;
   double demandRps = 0.0;
@@ -62,6 +63,10 @@ struct PlacementResult {
   std::uint32_t instancesStarted = 0;
   std::uint32_t instancesStopped = 0;
   std::uint32_t iterations = 0;
+  /// Rebalance passes run (PlacementController only; the last one may
+  /// find nothing to move).  Each pass is one hottest/coldest query, so
+  /// this is the count that explains a slow decision.
+  std::uint32_t rebalancePasses = 0;
 
   [[nodiscard]] double satisfactionRatio() const noexcept {
     return demandRps > 0.0 ? satisfiedRps / demandRps : 1.0;

@@ -204,7 +204,10 @@ void PodManager::runControlLoop() {
   // Current assignments from live VMs; also interns their apps.  The
   // (app, server) -> VM map is what applyAssignment diffs against: only
   // the pure place() call runs in between, so it is still current there.
+  // A pair with several managed VMs keeps the last one listed; the others
+  // are surplus: left out of the problem and retired below.
   ExistingVms existing;
+  std::vector<std::pair<VmId, Assignment>> resident;
   for (std::uint32_t si = 0; si < serverIds.size(); ++si) {
     for (VmId vm : hosts_.vmsOn(serverIds[si])) {
       if (!hosts_.vmExists(vm)) continue;
@@ -214,8 +217,16 @@ void PodManager::runControlLoop() {
       const std::uint32_t ai = internApp(rec.app);
       const double rps = apps_.app(rec.app).sla.servableRps(rec.slice) /
                          options_.headroom;
-      input.current.push_back(Assignment{ai, si, rps});
+      resident.emplace_back(vm, Assignment{ai, si, rps});
       existing[{ai, si}] = vm;
+    }
+  }
+  std::vector<VmId> surplus;
+  for (const auto& [vm, a] : resident) {
+    if (existing.at({a.app, a.server}) == vm) {
+      input.current.push_back(a);
+    } else {
+      surplus.push_back(vm);
     }
   }
   for (const auto& [app, rps] : demand_) {
@@ -237,6 +248,7 @@ void PodManager::runControlLoop() {
       std::chrono::duration<double>(t1 - t0).count();
 
   applyAssignment(input, result, appIds, serverIds, existing);
+  for (VmId vm : surplus) retire(vm);
   updateStats(result);
 }
 
@@ -245,21 +257,17 @@ void PodManager::applyAssignment(const PlacementInput& input,
                                  const std::vector<AppId>& appIds,
                                  const std::vector<ServerId>& serverIds,
                                  const ExistingVms& existing) {
-  // Desired (app, server) -> rps.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> desired;
+  // Create or resize.  The assignment is unique and in (app, server)
+  // order, so the calls below keep that order.
   for (const Assignment& a : result.assignment) {
-    if (a.rps > 1e-9) desired[{a.app, a.server}] = a.rps;
-  }
-
-  // Create or resize.
-  for (const auto& [key, rps] : desired) {
-    const AppId app = appIds[key.first];
-    const ServerId server = serverIds[key.second];
-    const AppSla& sla = input.apps[key.first].sla;
-    const CapacityVec slice = sla.sliceFor(rps, options_.headroom);
-    const auto ex = existing.find(key);
+    if (a.rps <= 1e-9) continue;
+    const AppId app = appIds[a.app];
+    const ServerId server = serverIds[a.server];
+    const AppSla& sla = input.apps[a.app].sla;
+    const CapacityVec slice = sla.sliceFor(a.rps, options_.headroom);
+    const auto ex = existing.find({a.app, a.server});
     if (ex == existing.end()) {
-      const double weight = rps;
+      const double weight = a.rps;
       auto created = hosts_.createVm(
           app, server, slice, options_.useFastClone,
           [this, app, weight](VmId vm) {
@@ -277,8 +285,8 @@ void PodManager::applyAssignment(const PlacementInput& input,
       if (rec.state != VmState::Active) continue;
       const double curRps = apps_.app(app).sla.servableRps(rec.slice) /
                             options_.headroom;
-      if (std::abs(curRps - rps) > options_.resizeDeadband *
-                                       std::max(curRps, 1.0)) {
+      if (std::abs(curRps - a.rps) > options_.resizeDeadband *
+                                         std::max(curRps, 1.0)) {
         (void)hosts_.adjustVmCapacity(vm, slice);
       }
       // Only submit a weight update when it moved meaningfully; the
@@ -286,36 +294,45 @@ void PodManager::applyAssignment(const PlacementInput& input,
       // chasing every demand wiggle floods its queue.
       const auto lw = lastWeight_.find(vm);
       if (lw == lastWeight_.end() ||
-          std::abs(lw->second - rps) >
+          std::abs(lw->second - a.rps) >
               options_.weightDeadband * std::max(lw->second, 1.0)) {
-        rips_.requestRipWeight(vm, rps);
-        lastWeight_[vm] = rps;
+        rips_.requestRipWeight(vm, a.rps);
+        lastWeight_[vm] = a.rps;
       }
     }
   }
 
   // Destroy what placement no longer wants.
+  const auto wanted = [&](std::pair<std::uint32_t, std::uint32_t> key) {
+    const auto it = std::lower_bound(
+        result.assignment.begin(), result.assignment.end(), key,
+        [](const Assignment& a, std::pair<std::uint32_t, std::uint32_t> k) {
+          return std::pair{a.app, a.server} < k;
+        });
+    return it != result.assignment.end() && it->app == key.first &&
+           it->server == key.second && it->rps > 1e-9;
+  };
   for (const auto& [key, vm] : existing) {
-    if (desired.contains(key)) continue;
-    if (!hosts_.vmExists(vm)) continue;
-    if (hosts_.vm(vm).state == VmState::Migrating) continue;
-    // Freshly created instances (e.g. a cross-pod deployment, §IV-D)
-    // have not attracted traffic yet; give them a grace period.
-    if (sim_.now() - hosts_.vm(vm).createdAt <
-        options_.youngVmGraceSeconds) {
-      continue;
-    }
-    const AppId app = appIds[key.first];
-    apps_.removeInstance(app, vm);
-    lastWeight_.erase(vm);
-    // Destroy only after the switch tables stop referencing the VM;
-    // destroying earlier would black-hole the traffic still arriving.
-    rips_.requestRipRemoval(vm, [this, vm] {
-      if (hosts_.vmExists(vm) && hosts_.vm(vm).state != VmState::Migrating) {
-        hosts_.destroyVm(vm);
-      }
-    });
+    if (!wanted(key)) retire(vm);
   }
+}
+
+void PodManager::retire(VmId vm) {
+  if (!hosts_.vmExists(vm)) return;
+  const VmRecord& rec = hosts_.vm(vm);
+  if (rec.state == VmState::Migrating) return;
+  // Freshly created instances (e.g. a cross-pod deployment, §IV-D) have
+  // not attracted traffic yet; give them a grace period.
+  if (sim_.now() - rec.createdAt < options_.youngVmGraceSeconds) return;
+  apps_.removeInstance(rec.app, vm);
+  lastWeight_.erase(vm);
+  // Destroy only after the switch tables stop referencing the VM;
+  // destroying earlier would black-hole the traffic still arriving.
+  rips_.requestRipRemoval(vm, [this, vm] {
+    if (hosts_.vmExists(vm) && hosts_.vm(vm).state != VmState::Migrating) {
+      hosts_.destroyVm(vm);
+    }
+  });
 }
 
 bool PodManager::isManagedInstance(AppId app, VmId vm) const {
@@ -339,6 +356,7 @@ void PodManager::updateStats(const PlacementResult& result) {
   stats_.meanUtilization = mean(utils);
   stats_.maxUtilization =
       utils.empty() ? 0.0 : *std::max_element(utils.begin(), utils.end());
+  stats_.rebalancePasses = result.rebalancePasses;
   stats_.placementChanges = result.instancesStarted + result.instancesStopped;
 }
 

@@ -57,6 +57,8 @@ struct PodStats {
   /// Wall-clock seconds the last placement decision took (measured, not
   /// simulated) — the signal behind elephant-pod avoidance (§IV-C).
   double decisionSeconds = 0.0;
+  /// Rebalance passes of that decision (PlacementResult::rebalancePasses).
+  std::uint32_t rebalancePasses = 0;
   std::uint32_t placementChanges = 0;
 };
 
@@ -188,6 +190,9 @@ class PodManager {
                        const std::vector<AppId>& appIds,
                        const std::vector<ServerId>& serverIds,
                        const ExistingVms& existing);
+  /// Tears down a managed instance placement no longer wants, unless it
+  /// is migrating or still inside its grace period.
+  void retire(VmId vm);
   void updateStats(const PlacementResult& result);
   /// True when `vm` is still listed as an instance of `app` (VMs pending
   /// retirement are detached first and must not be re-managed).

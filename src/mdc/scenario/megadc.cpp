@@ -190,6 +190,21 @@ void MegaDc::registerStandardMetrics() {
     return u64(vr.cancelledRequests());
   });
 
+  // Pod managers' last placement decision: host time and rebalance passes.
+  for (std::size_t p = 0; p < manager->pods().size(); ++p) {
+    const MetricLabels labels{{"pod", std::to_string(p)}};
+    metrics.registerGauge(
+        "mdc.pod.decision_seconds",
+        [this, p] { return manager->pods()[p]->stats().decisionSeconds; },
+        labels);
+    metrics.registerGauge(
+        "mdc.pod.rebalance_passes",
+        [this, p, u64] {
+          return u64(manager->pods()[p]->stats().rebalancePasses);
+        },
+        labels);
+  }
+
   // Command-plane admission & overload (E18).
   const auto& adm = vr.admission();
   metrics.registerGauge("mdc.admission.queue_depth", [&adm] {

@@ -480,6 +480,25 @@ TEST(Obs, RegistryMatchesEpochReportGaugesOverFiftyEpochs) {
   EXPECT_GT(dc.metrics.value("mdc.ctrl.retransmits"), 0.0);
 }
 
+TEST(Obs, PodGaugesReadEachPodsLastDecision) {
+  MegaDc dc{testScaleConfig()};
+  dc.bootstrap();
+  dc.runUntil(dc.sim.now() + 60.0);
+  const auto& pods = dc.manager->pods();
+  ASSERT_GT(pods.size(), 1u);
+  double decided = 0.0;
+  for (std::size_t p = 0; p < pods.size(); ++p) {
+    const MetricLabels labels{{"pod", std::to_string(p)}};
+    const PodStats& st = pods[p]->stats();
+    EXPECT_DOUBLE_EQ(dc.metrics.value("mdc.pod.decision_seconds", labels),
+                     st.decisionSeconds);
+    EXPECT_DOUBLE_EQ(dc.metrics.value("mdc.pod.rebalance_passes", labels),
+                     static_cast<double>(st.rebalancePasses));
+    decided += st.decisionSeconds;
+  }
+  EXPECT_GT(decided, 0.0);  // the pod loops ran and were timed
+}
+
 TEST(Obs, RegistrySurvivesDemandModelSwap) {
   MegaDcConfig cfg = testScaleConfig();
   MegaDc dc{cfg};

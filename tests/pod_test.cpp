@@ -155,6 +155,38 @@ TEST(PodManager, ShrinksWhenDemandVanishes) {
   EXPECT_EQ(f.sink.removals.size(), vmsBefore);
 }
 
+TEST(PodManager, RetiresSurplusVmOfOneAppOnOneServer) {
+  // Two managed VMs of one app on one server are one placement instance:
+  // the pod manager keeps the last one listed and retires the other,
+  // instead of leaving it unmanaged forever.
+  Fixture f;
+  PodManager& pod = f.makePod({ServerId{0}});
+  const AppId app = f.apps.create("web", AppSla{}, 1000.0);
+  const CapacityVec slice = AppSla{}.sliceFor(500.0, pod.options().headroom);
+  std::vector<VmId> vms;
+  for (int i = 0; i < 2; ++i) {
+    const auto vm = f.hosts.createVm(app, ServerId{0}, slice);
+    ASSERT_TRUE(vm.ok());
+    f.apps.addInstance(app, vm.value());
+    vms.push_back(vm.value());
+  }
+  f.sim.runUntil(25.0);  // both active and past the young-VM grace period
+
+  pod.setAppDemand(app, 1000.0);
+  pod.runControlLoop();
+  ASSERT_EQ(f.sink.removals, std::vector<VmId>{vms[0]});
+  EXPECT_FALSE(f.hosts.vmExists(vms[0]));
+  EXPECT_TRUE(f.hosts.vmExists(vms[1]));
+  EXPECT_EQ(f.apps.app(app).instances, std::vector<VmId>{vms[1]});
+
+  // The kept VM now carries the app's demand alone and stays.
+  f.sim.runUntil(30.0);
+  pod.runControlLoop();
+  EXPECT_EQ(f.sink.removals.size(), 1u);
+  EXPECT_GE(f.apps.app(app).sla.servableRps(f.hosts.vm(vms[1]).slice),
+            1000.0);
+}
+
 TEST(PodManager, PeriodicLoopRuns) {
   Fixture f;
   PodManager& pod = f.makePod({ServerId{0}});
