@@ -43,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "mdc/core/viprip_manager.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/obs/phase_profiler.hpp"
 #include "mdc/scenario/fluid_engine.hpp"
@@ -67,7 +66,6 @@ struct BenchWorld {
   HostFleet hosts;
   std::unique_ptr<ResolverPopulation> resolvers;
   std::unique_ptr<StaticDemand> demand;
-  std::unique_ptr<VipRipManager> viprip;
   std::uint32_t numApps;
   std::uint32_t vmsPerApp;
 
@@ -121,8 +119,6 @@ struct BenchWorld {
     }
     demand = std::make_unique<StaticDemand>(rates);
     resolvers = std::make_unique<ResolverPopulation>(dns, ResolverConfig{});
-    viprip = std::make_unique<VipRipManager>(sim, fleet, dns, routes, apps,
-                                             topo, VipRipManager::Options{});
     const std::uint32_t servers = topo.config().numServers;
     const std::uint32_t switches = topo.config().numSwitches;
     const std::uint32_t routers =
@@ -402,8 +398,7 @@ CellResult runCellIn(BenchWorld& w, const std::string& mode,
     opt.workers = workers;
     engine = std::make_unique<FluidEngine>(w.sim, w.topo, w.apps, w.dns,
                                            *w.resolvers, w.routes, w.fleet,
-                                           w.hosts, *w.demand, *w.viprip,
-                                           opt);
+                                           w.hosts, *w.demand, opt);
     if (profile) engine->profiler().setEnabled(true);
   }
 

@@ -37,12 +37,13 @@ int main() {
     dc.runUntil(t);
     const EpochReport& r = dc.engine->latest();
     const auto noOwner = r.unroutedByCause.find("no_owner");
-    timeline.addRow({t, static_cast<long long>(r.downSwitches),
-                     static_cast<long long>(r.orphanedVips), r.unroutedRps,
-                     noOwner == r.unroutedByCause.end() ? 0.0
-                                                        : noOwner->second,
-                     static_cast<long long>(dc.health->vipsRestored()),
-                     dc.engine->satisfaction().last()});
+    timeline.addRow(
+        {t, static_cast<long long>(r.gauges.at("mdc.fleet.down_switches")),
+         static_cast<long long>(r.gauges.at("mdc.fleet.orphaned_vips")),
+         r.unroutedRps,
+         noOwner == r.unroutedByCause.end() ? 0.0 : noOwner->second,
+         static_cast<long long>(dc.health->vipsRestored()),
+         dc.engine->satisfaction().last()});
   }
   timeline.print(std::cout);
 

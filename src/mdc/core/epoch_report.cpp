@@ -1,5 +1,7 @@
 #include "mdc/core/epoch_report.hpp"
 
+#include <type_traits>
+
 #include "mdc/state/codec.hpp"
 
 namespace mdc {
@@ -8,23 +10,31 @@ namespace {
 
 // FlatMaps iterate in key order, so the canonical (key-sorted) encoding
 // is a plain walk — no sort copy.
-template <typename Id>
-void encodeIdDoubleMap(const FlatMap<Id, double>& m, state::ByteWriter& w) {
+template <typename K>
+void encodeDoubleMap(const FlatMap<K, double>& m, state::ByteWriter& w) {
   w.u64(m.size());
   for (const auto& [k, v] : m) {
-    w.id(k);
+    if constexpr (std::is_same_v<K, std::string>) {
+      w.str(k);
+    } else {
+      w.id(k);
+    }
     w.f64(v);
   }
 }
 
-template <typename Id>
-void decodeIdDoubleMap(FlatMap<Id, double>& m, state::ByteReader& r) {
+template <typename K>
+void decodeDoubleMap(FlatMap<K, double>& m, state::ByteReader& r) {
   m.clear();
   const std::uint64_t n = r.u64();
-  m.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const Id k = r.template id<Id>();
-    m[k] = r.f64();
+    if constexpr (std::is_same_v<K, std::string>) {
+      std::string k = r.str();
+      m[std::move(k)] = r.f64();
+    } else {
+      const K k = r.template id<K>();
+      m[k] = r.f64();
+    }
   }
 }
 
@@ -45,55 +55,18 @@ void encodeEpochReport(const EpochReport& rep, state::ByteWriter& w) {
   w.f64(rep.time);
   encodeDoubleVec(rep.accessLinkUtil, w);
   encodeDoubleVec(rep.switchUtil, w);
-  encodeIdDoubleMap(rep.appDemandRps, w);
-  encodeIdDoubleMap(rep.appServedRps, w);
-  encodeIdDoubleMap(rep.vipDemandGbps, w);
+  encodeDoubleMap(rep.appDemandRps, w);
+  encodeDoubleMap(rep.appServedRps, w);
+  encodeDoubleMap(rep.vipDemandGbps, w);
   w.f64(rep.externalOfferedGbps);
   w.f64(rep.externalServedGbps);
   w.f64(rep.unroutedRps);
-  w.u64(rep.unroutedByCause.size());
-  for (const auto& [cause, rps] : rep.unroutedByCause) {
-    w.str(cause);
-    w.f64(rps);
-  }
+  encodeDoubleMap(rep.unroutedByCause, w);
   w.f64(rep.degradedRoutedRps);
   w.u32(rep.engineAppsRecomputed);
   w.u32(rep.engineAppsCached);
-  w.u32(rep.downSwitches);
-  w.u32(rep.downServers);
-  w.u32(rep.orphanedVips);
-  w.u64(rep.ctrlMessagesDropped);
-  w.u64(rep.ctrlRetransmits);
-  w.u64(rep.ctrlTimeouts);
-  w.u32(rep.ctrlInflightCommands);
-  w.u32(rep.ctrlPartitionedLinks);
-  w.u64(rep.ctrlDriftLastAudit);
-  w.u64(rep.ctrlRepairsIssued);
-  w.u64(rep.managerTerm);
-  w.b(rep.managerLeaderUp);
-  w.u32(rep.managerAlive);
-  w.u64(rep.managerFailovers);
-  w.u64(rep.podManagerRestarts);
-  w.u64(rep.ctrlStaleTermRejections);
-  w.u64(rep.ctrlCancelledCommands);
   w.u64(rep.faultPlanSeed);
-  w.u64(rep.faultsInjected);
-  w.u64(rep.faultRepairsApplied);
-  w.u64(rep.stateChangelogRecords);
-  w.u64(rep.stateSnapshotsTaken);
-  w.u64(rep.stateRecordsSinceSnapshot);
-  w.u64(rep.stateRecoveries);
-  w.u64(rep.stateReplayedRecords);
-  w.u64(rep.stateTruncatedBytes);
-  w.u64(rep.stateSnapshotsRejected);
-  w.u64(rep.stateCompactedRecords);
-  w.u64(rep.sessionArrivals);
-  w.u64(rep.sessionActive);
-  w.u64(rep.sessionCompleted);
-  w.u64(rep.sessionBroken);
-  w.u64(rep.sessionRejected);
-  w.u64(rep.sessionDrainsCompleted);
-  w.f64(rep.sessionDrainP99Seconds);
+  encodeDoubleMap(rep.gauges, w);
 }
 
 EpochReport decodeEpochReport(state::ByteReader& r) {
@@ -101,55 +74,18 @@ EpochReport decodeEpochReport(state::ByteReader& r) {
   rep.time = r.f64();
   decodeDoubleVec(rep.accessLinkUtil, r);
   decodeDoubleVec(rep.switchUtil, r);
-  decodeIdDoubleMap(rep.appDemandRps, r);
-  decodeIdDoubleMap(rep.appServedRps, r);
-  decodeIdDoubleMap(rep.vipDemandGbps, r);
+  decodeDoubleMap(rep.appDemandRps, r);
+  decodeDoubleMap(rep.appServedRps, r);
+  decodeDoubleMap(rep.vipDemandGbps, r);
   rep.externalOfferedGbps = r.f64();
   rep.externalServedGbps = r.f64();
   rep.unroutedRps = r.f64();
-  const std::uint64_t nCauses = r.u64();
-  for (std::uint64_t i = 0; i < nCauses && r.ok(); ++i) {
-    std::string cause = r.str();
-    rep.unroutedByCause[std::move(cause)] = r.f64();
-  }
+  decodeDoubleMap(rep.unroutedByCause, r);
   rep.degradedRoutedRps = r.f64();
   rep.engineAppsRecomputed = r.u32();
   rep.engineAppsCached = r.u32();
-  rep.downSwitches = r.u32();
-  rep.downServers = r.u32();
-  rep.orphanedVips = r.u32();
-  rep.ctrlMessagesDropped = r.u64();
-  rep.ctrlRetransmits = r.u64();
-  rep.ctrlTimeouts = r.u64();
-  rep.ctrlInflightCommands = r.u32();
-  rep.ctrlPartitionedLinks = r.u32();
-  rep.ctrlDriftLastAudit = r.u64();
-  rep.ctrlRepairsIssued = r.u64();
-  rep.managerTerm = r.u64();
-  rep.managerLeaderUp = r.b();
-  rep.managerAlive = r.u32();
-  rep.managerFailovers = r.u64();
-  rep.podManagerRestarts = r.u64();
-  rep.ctrlStaleTermRejections = r.u64();
-  rep.ctrlCancelledCommands = r.u64();
   rep.faultPlanSeed = r.u64();
-  rep.faultsInjected = r.u64();
-  rep.faultRepairsApplied = r.u64();
-  rep.stateChangelogRecords = r.u64();
-  rep.stateSnapshotsTaken = r.u64();
-  rep.stateRecordsSinceSnapshot = r.u64();
-  rep.stateRecoveries = r.u64();
-  rep.stateReplayedRecords = r.u64();
-  rep.stateTruncatedBytes = r.u64();
-  rep.stateSnapshotsRejected = r.u64();
-  rep.stateCompactedRecords = r.u64();
-  rep.sessionArrivals = r.u64();
-  rep.sessionActive = r.u64();
-  rep.sessionCompleted = r.u64();
-  rep.sessionBroken = r.u64();
-  rep.sessionRejected = r.u64();
-  rep.sessionDrainsCompleted = r.u64();
-  rep.sessionDrainP99Seconds = r.f64();
+  decodeDoubleMap(rep.gauges, r);
   return rep;
 }
 

@@ -1,7 +1,8 @@
 // The per-epoch observation snapshot produced by the fluid engine and
 // consumed by every balancer: utilization of access links, LB switches,
-// and servers, plus per-app and per-VIP demand.  This is the monitoring
-// plane of Figure 1 (the dashed arrows).
+// and servers, plus per-app and per-VIP demand, and the metrics
+// registry's simulated-state gauges.  This is the monitoring plane of
+// Figure 1 (the dashed arrows).
 #pragma once
 
 #include <cstdint>
@@ -50,68 +51,19 @@ struct EpochReport {
   std::uint32_t engineAppsRecomputed = 0;
   std::uint32_t engineAppsCached = 0;
 
-  /// Failure-state snapshot (fault experiments, E13).
-  std::uint32_t downSwitches = 0;
-  std::uint32_t downServers = 0;
-  /// VIPs orphaned by switch crashes and not yet re-hosted.
-  std::uint32_t orphanedVips = 0;
-
-  /// Control-plane snapshot (E14): health of the manager->switch command
-  /// channel and of the intended-vs-actual reconciliation.
-  std::uint64_t ctrlMessagesDropped = 0;
-  std::uint64_t ctrlRetransmits = 0;
-  std::uint64_t ctrlTimeouts = 0;
-  std::uint32_t ctrlInflightCommands = 0;
-  std::uint32_t ctrlPartitionedLinks = 0;
-  /// Divergent table entries found in the reconciler's latest audit round
-  /// (0 = converged), and cumulative repairs it issued.
-  std::uint64_t ctrlDriftLastAudit = 0;
-  std::uint64_t ctrlRepairsIssued = 0;
-
-  /// Manager-tier fault-tolerance snapshot (E16): the current fencing
-  /// term, leader liveness, live instances (leader + standbys), and the
-  /// cumulative failover / pod-manager-restart / fencing counters.
-  std::uint64_t managerTerm = 1;
-  bool managerLeaderUp = true;
-  std::uint32_t managerAlive = 2;
-  std::uint64_t managerFailovers = 0;
-  std::uint64_t podManagerRestarts = 0;
-  /// Commands a switch agent refused because they carried a dead
-  /// leader's term, and commands cancelled by a manager crash/takeover.
-  std::uint64_t ctrlStaleTermRejections = 0;
-  std::uint64_t ctrlCancelledCommands = 0;
-
-  /// Fault-replay handle: the injector's plan seed plus its cumulative
-  /// injected/repaired counters — enough to reproduce a chaos run from
-  /// the report alone (the storm schedule is a pure function of the
-  /// seed and the storm options).
+  /// The fault injector's plan seed: with the storm options, enough to
+  /// reproduce a chaos run from the report alone.  A field, not a gauge:
+  /// plan seeds use all 64 bits, which a double does not hold.
   std::uint64_t faultPlanSeed = 0;
-  std::uint64_t faultsInjected = 0;
-  std::uint64_t faultRepairsApplied = 0;
 
-  /// Durable-state snapshot (E17): changelog/snapshot health of the
-  /// manager's deterministic state machine.  `stateRecordsSinceSnapshot`
-  /// is the current replay bound; the cumulative recovery counters say
-  /// how much corruption-tolerant recovery has actually happened.
-  std::uint64_t stateChangelogRecords = 0;
-  std::uint64_t stateSnapshotsTaken = 0;
-  std::uint64_t stateRecordsSinceSnapshot = 0;
-  std::uint64_t stateRecoveries = 0;
-  std::uint64_t stateReplayedRecords = 0;
-  std::uint64_t stateTruncatedBytes = 0;
-  std::uint64_t stateSnapshotsRejected = 0;
-  std::uint64_t stateCompactedRecords = 0;
-
-  /// Session data plane snapshot (E19): live TCP sessions tracked by the
-  /// per-switch connection shards, plus the quiescent-drain gauges.  All
-  /// zero when no SessionEngine runs alongside the fluid engine.
-  std::uint64_t sessionArrivals = 0;
-  std::uint64_t sessionActive = 0;
-  std::uint64_t sessionCompleted = 0;
-  std::uint64_t sessionBroken = 0;
-  std::uint64_t sessionRejected = 0;
-  std::uint64_t sessionDrainsCompleted = 0;
-  double sessionDrainP99Seconds = 0.0;
+  /// Every simulated-state gauge of MegaDc's MetricsRegistry at this
+  /// epoch — failure state, command channel, manager tier, faults,
+  /// durable state, sessions, ... — keyed `name{label=value,...}` as
+  /// MetricsRegistry::keyOf builds it.  Registering a gauge is its only
+  /// declaration; host-state gauges (GaugeScope::Host) stay out, so
+  /// observing a run never changes its report.  Empty for an engine
+  /// running outside a MegaDc.
+  FlatMap<std::string, double> gauges;
 
   [[nodiscard]] double totalDemandRps() const {
     double d = 0.0;
@@ -131,7 +83,8 @@ class ByteReader;
 }  // namespace state
 
 /// Canonical binary encoding of a report: fixed field order, maps
-/// emitted key-sorted — two equal reports encode to identical bytes.
+/// (the gauges included) emitted key-sorted — two equal reports encode to
+/// identical bytes.
 void encodeEpochReport(const EpochReport& rep, state::ByteWriter& w);
 EpochReport decodeEpochReport(state::ByteReader& r);
 

@@ -223,8 +223,8 @@ class VipRipManager {
     return cancelledRequests_;
   }
 
-  /// Lets the epoch reporter read reconciler gauges alongside the channel
-  /// and sender stats (the reconciler lives in the GlobalManager).
+  /// Lets the metrics registry read reconciler gauges alongside the
+  /// channel and sender stats (the reconciler lives in the GlobalManager).
   void attachReconciler(const Reconciler* reconciler) noexcept {
     reconciler_ = reconciler;
   }

@@ -73,15 +73,7 @@ std::size_t exportMetricsJsonl(const MetricsRegistry& registry,
   for (const MetricsRegistry::Sample& s : registry.snapshot()) {
     out << "{\"name\":\"" << jsonEscape(s.name) << "\",\"labels\":";
     writeLabels(s.labels, out);
-    if (s.kind == MetricsRegistry::Kind::Histogram && s.hist != nullptr) {
-      out << ",\"count\":" << s.hist->count() << ",\"sum\":" << s.hist->sum()
-          << ",\"p50\":" << s.hist->quantile(0.5)
-          << ",\"p99\":" << s.hist->quantile(0.99)
-          << ",\"max\":" << s.hist->maxRecorded();
-    } else {
-      out << ",\"value\":" << s.value;
-    }
-    out << "}\n";
+    out << ",\"value\":" << s.value << "}\n";
     ++lines;
   }
   return lines;

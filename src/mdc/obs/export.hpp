@@ -9,7 +9,7 @@
 // Span JSONL, one event per line:
 //   {"trace":3,"span":7,"parent":5,"hop":"cmd_send","t":12.5,
 //    "a":4,"b":2,"code":"AddRip"}
-// Metric JSONL, one sample per line (histograms carry summary stats):
+// Metric JSONL, one sample per line:
 //   {"name":"mdc.ctrl.retransmits","labels":{},"value":17}
 // Timeseries CSV, long format: series,time,value
 #pragma once

@@ -23,97 +23,26 @@ std::string MetricsRegistry::keyOf(const std::string& name,
   return key;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const MetricLabels& labels) {
-  const std::string key = keyOf(name, labels);
-  auto it = metrics_.find(key);
-  if (it == metrics_.end()) {
-    Metric m;
-    m.name = name;
-    m.labels = labels;
-    m.kind = Kind::Counter;
-    m.counter = std::make_unique<Counter>();
-    it = metrics_.emplace(key, std::move(m)).first;
-  }
-  MDC_EXPECT(it->second.kind == Kind::Counter,
-             "metric registered with a different kind: " + key);
-  return *it->second.counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const MetricLabels& labels) {
-  const std::string key = keyOf(name, labels);
-  auto it = metrics_.find(key);
-  if (it == metrics_.end()) {
-    Metric m;
-    m.name = name;
-    m.labels = labels;
-    m.kind = Kind::Gauge;
-    m.gauge = std::make_unique<Gauge>();
-    it = metrics_.emplace(key, std::move(m)).first;
-  }
-  MDC_EXPECT(it->second.kind == Kind::Gauge,
-             "metric registered with a different kind: " + key);
-  return *it->second.gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                      double hi, std::size_t buckets,
-                                      const MetricLabels& labels) {
-  const std::string key = keyOf(name, labels);
-  auto it = metrics_.find(key);
-  if (it == metrics_.end()) {
-    Metric m;
-    m.name = name;
-    m.labels = labels;
-    m.kind = Kind::Histogram;
-    m.hist = std::make_unique<Histogram>(lo, hi, buckets);
-    it = metrics_.emplace(key, std::move(m)).first;
-  }
-  MDC_EXPECT(it->second.kind == Kind::Histogram,
-             "metric registered with a different kind: " + key);
-  return *it->second.hist;
-}
-
-void MetricsRegistry::registerGauge(const std::string& name,
+void MetricsRegistry::registerGauge(const std::string& name, GaugeScope scope,
                                     std::function<double()> read,
                                     const MetricLabels& labels) {
   MDC_EXPECT(static_cast<bool>(read), "null callback gauge: " + name);
   const std::string key = keyOf(name, labels);
   auto it = metrics_.find(key);
   if (it != metrics_.end()) {
-    MDC_EXPECT(it->second.kind == Kind::Callback,
-               "metric registered with a different kind: " + key);
+    MDC_EXPECT(it->second.scope == scope,
+               "metric registered with a different scope: " + key);
     it->second.read = std::move(read);  // component rebuilt; re-bind
     return;
   }
-  Metric m;
-  m.name = name;
-  m.labels = labels;
-  m.kind = Kind::Callback;
-  m.read = std::move(read);
-  metrics_.emplace(key, std::move(m));
-}
-
-double MetricsRegistry::valueOf(const Metric& m) const {
-  switch (m.kind) {
-    case Kind::Counter:
-      return static_cast<double>(m.counter->value());
-    case Kind::Gauge:
-      return m.gauge->value();
-    case Kind::Callback:
-      return m.read();
-    case Kind::Histogram:
-      return static_cast<double>(m.hist->count());
-  }
-  return 0.0;
+  metrics_.emplace(key, Metric{name, labels, scope, std::move(read)});
 }
 
 double MetricsRegistry::value(const std::string& name,
                               const MetricLabels& labels) const {
   const auto it = metrics_.find(keyOf(name, labels));
   MDC_EXPECT(it != metrics_.end(), "unknown metric: " + keyOf(name, labels));
-  return valueOf(it->second);
+  return it->second.read();
 }
 
 bool MetricsRegistry::has(const std::string& name,
@@ -125,14 +54,15 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(metrics_.size());
   for (const auto& [key, m] : metrics_) {
-    Sample s;
-    s.key = key;
-    s.name = m.name;
-    s.labels = m.labels;
-    s.kind = m.kind;
-    s.value = valueOf(m);
-    s.hist = m.hist.get();
-    out.push_back(std::move(s));
+    out.push_back(Sample{key, m.name, m.labels, m.read()});
+  }
+  return out;
+}
+
+FlatMap<std::string, double> MetricsRegistry::values(GaugeScope scope) const {
+  FlatMap<std::string, double> out;
+  for (const auto& [key, m] : metrics_) {
+    if (m.scope == scope) out[key] = m.read();  // key order: appends
   }
   return out;
 }

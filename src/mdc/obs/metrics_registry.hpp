@@ -1,17 +1,11 @@
 // One registration API for every gauge in the system.
 //
-// The repo grew its observability organically: EpochReport fields,
-// Reconciler counters, HealthMonitor gauges, engine cache stats — each
-// bolted onto its component with its own getter.  The registry absorbs
-// them behind named metrics with optional labels, in two flavors:
-//
-//  * owned metrics — Counter / Gauge / Histogram cells the registry
-//    allocates; new instrumentation writes these directly;
-//  * callback gauges — a read function over an existing component
-//    counter.  Migrating a legacy gauge means registering a callback
-//    that reads it, so the component's own arithmetic (and everything
-//    consuming it, EpochReport included) stays bit-identical while the
-//    metric becomes visible under the common naming scheme.
+// Each gauge is a read function over a counter a component already keeps
+// (Reconciler counters, HealthMonitor gauges, engine cache stats, ...),
+// evaluated at snapshot time.  The registration is the gauge's only
+// declaration: it names the metric and says whether it reads simulated
+// state or host state, and MegaDc copies every simulated-state gauge into
+// each EpochReport (DESIGN.md §10).
 //
 // Naming convention (DESIGN.md §10): `mdc.<subsystem>.<metric>` in
 // snake_case; enumerable breakdowns use labels, not name suffixes
@@ -25,69 +19,40 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "mdc/metrics/histogram.hpp"
+#include "mdc/util/flat_map.hpp"
 
 namespace mdc {
 
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonic owned counter.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) noexcept { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Owned point-in-time value.
-class Gauge {
- public:
-  void set(double v) noexcept { value_ = v; }
-  void add(double d) noexcept { value_ += d; }
-  [[nodiscard]] double value() const noexcept { return value_; }
-
- private:
-  double value_ = 0.0;
-};
+/// What a gauge reads.  Simulated state is a function of the seeded run
+/// alone: it goes into every EpochReport and its hash.  Host state (wall
+/// time, worker count, the trace ring) changes when a run is profiled,
+/// traced or given more workers, so it stays in the registry only —
+/// observing a run must never change its report.
+enum class GaugeScope : std::uint8_t { Simulated, Host };
 
 class MetricsRegistry {
  public:
-  enum class Kind : std::uint8_t { Counter, Gauge, Callback, Histogram };
-
   struct Sample {
     std::string key;   // name{label=value,...}
     std::string name;  // bare metric name
     MetricLabels labels;
-    Kind kind = Kind::Gauge;
-    double value = 0.0;            // counter/gauge/callback value,
-                                   // histogram observation count
-    const Histogram* hist = nullptr;  // set for histograms only
+    double value = 0.0;
   };
 
-  /// Owned metrics: returns the existing cell when (name, labels) was
-  /// already registered, so call sites need no registration phase.
-  Counter& counter(const std::string& name, const MetricLabels& labels = {});
-  Gauge& gauge(const std::string& name, const MetricLabels& labels = {});
-  /// Histogram geometry is fixed at first registration.
-  Histogram& histogram(const std::string& name, double lo, double hi,
-                       std::size_t buckets = 64,
-                       const MetricLabels& labels = {});
-
-  /// Absorbs a legacy component counter: `read` is evaluated at snapshot
-  /// time.  Re-registering the same key replaces the callback (components
-  /// get rebuilt — e.g. the engine when the demand model is swapped).
-  void registerGauge(const std::string& name, std::function<double()> read,
+  /// `read` is evaluated at snapshot time.  Re-registering the same key
+  /// (with the same scope) replaces the callback: components get rebuilt,
+  /// e.g. the engine when the demand model is swapped.
+  void registerGauge(const std::string& name, GaugeScope scope,
+                     std::function<double()> read,
                      const MetricLabels& labels = {});
 
-  /// Current value of one metric (counter/gauge/callback; histogram
-  /// observation count).  Precondition: the metric exists.
+  /// Current value of one metric.  Precondition: the metric exists.
   [[nodiscard]] double value(const std::string& name,
                              const MetricLabels& labels = {}) const;
   [[nodiscard]] bool has(const std::string& name,
@@ -95,6 +60,10 @@ class MetricsRegistry {
 
   /// All metrics, callbacks evaluated, sorted by key.
   [[nodiscard]] std::vector<Sample> snapshot() const;
+
+  /// Key -> value of every metric of `scope`, callbacks evaluated, in key
+  /// order.
+  [[nodiscard]] FlatMap<std::string, double> values(GaugeScope scope) const;
 
   [[nodiscard]] std::size_t metricCount() const noexcept {
     return metrics_.size();
@@ -108,14 +77,9 @@ class MetricsRegistry {
   struct Metric {
     std::string name;
     MetricLabels labels;
-    Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
+    GaugeScope scope;
     std::function<double()> read;
-    std::unique_ptr<Histogram> hist;
   };
-
-  [[nodiscard]] double valueOf(const Metric& m) const;
 
   // std::map: snapshot order == sorted key order, deterministically.
   std::map<std::string, Metric> metrics_;

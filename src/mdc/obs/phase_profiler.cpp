@@ -25,10 +25,10 @@ void PhaseProfiler::registerWith(MetricsRegistry& registry) const {
     const auto p = static_cast<Phase>(i);
     const MetricLabels labels{{"phase", name(p)}};
     registry.registerGauge(
-        "mdc.engine.phase_ns",
+        "mdc.engine.phase_ns", GaugeScope::Host,
         [this, p] { return static_cast<double>(ns(p)); }, labels);
     registry.registerGauge(
-        "mdc.engine.phase_calls",
+        "mdc.engine.phase_calls", GaugeScope::Host,
         [this, p] { return static_cast<double>(calls(p)); }, labels);
   }
 }

@@ -34,7 +34,7 @@ class PhaseProfiler {
     Emit,        // B: serial report emission in app order
     EmitShard,   // B1: parallel per-worker bucketed link emission
     Merge,       // B2: parallel slot-order bucket merge into linkOffered
-    Serve,       // C: serving, utilization, snapshots
+    Serve,       // C: serving, utilization, report decoration
   };
   static constexpr std::size_t kPhases = 6;
 

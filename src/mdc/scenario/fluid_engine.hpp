@@ -5,7 +5,10 @@
 // (-> m-VIP -> second-layer switch, in two-LB-layer mode) -> weighted RIPs
 // -> VMs — converts request rates to bandwidth, accounts link and switch
 // load, applies serving limits, and publishes an EpochReport to the global
-// manager.
+// manager.  The engine reports only the data plane it computes and knows
+// nothing of the control plane: MegaDc's report decorator adds the
+// registry's gauges (manager tier, command channel, faults, durable
+// state, sessions) to each report.
 //
 // Bandwidth contention is approximated per flow as
 //   served = demand * min over links on the path of min(1, cap/offered),
@@ -50,8 +53,6 @@
 
 namespace mdc {
 
-class VipRipManager;
-
 class FluidEngine {
  public:
   struct Options {
@@ -74,8 +75,7 @@ class FluidEngine {
   FluidEngine(Simulation& sim, const Topology& topo, AppRegistry& apps,
               AuthoritativeDns& dns, ResolverPopulation& resolvers,
               RouteRegistry& routes, SwitchFleet& fleet, HostFleet& hosts,
-              const DemandModel& demand,
-              const VipRipManager& viprip, Options options);
+              const DemandModel& demand, Options options);
   ~FluidEngine();
 
   FluidEngine(const FluidEngine&) = delete;
@@ -87,10 +87,10 @@ class FluidEngine {
   /// Register the periodic epoch loop; each report is forwarded to `sink`.
   void start(std::function<void(const EpochReport&)> sink);
 
-  /// Installs a hook that annotates every report with gauges owned by
-  /// components the engine has no reference to (manager leadership,
-  /// fault-injector counters).  Runs inside step(), after the engine's
-  /// own fields are filled and before the report is published.
+  /// Installs a hook that annotates every report with state the engine
+  /// has no reference to (MegaDc adds the registry's gauges and the fault
+  /// plan seed).  Runs inside step(), after the engine's own fields are
+  /// filled and before the report is published.
   void setReportDecorator(std::function<void(EpochReport&)> decorate) {
     decorate_ = std::move(decorate);
   }
@@ -180,7 +180,6 @@ class FluidEngine {
   SwitchFleet& fleet_;
   HostFleet& hosts_;
   const DemandModel& demand_;
-  const VipRipManager& viprip_;
   Options options_;
   bool demandInvariant_;
 

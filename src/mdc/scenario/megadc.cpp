@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "mdc/util/expect.hpp"
 
@@ -58,7 +59,7 @@ MegaDc::MegaDc(MegaDcConfig config)
 
   engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                          routes, fleet, hosts, *demand,
-                                         manager->viprip(), config_.engine);
+                                         config_.engine);
 
   if (config_.enableSessionEngine) {
     // Derived like the channel seed: replayable from the scenario seed,
@@ -89,363 +90,208 @@ MegaDc::MegaDc(MegaDcConfig config)
 }
 
 void MegaDc::decorateReports() {
-  // Leadership and fault-replay gauges (E16) come from components the
-  // engine has no reference to.
   engine->setReportDecorator([this](EpochReport& r) {
-    r.managerLeaderUp = manager->leaderUp();
-    r.managerAlive = manager->aliveManagers();
-    r.managerFailovers = manager->failovers();
-    r.podManagerRestarts = manager->podRestarts();
     r.faultPlanSeed = faults->seed();
-    r.faultsInjected = faults->faultsInjected();
-    r.faultRepairsApplied = faults->repairsApplied();
-    // Durable-state machine (E17).
-    auto& machine = manager->viprip().stateMachine();
-    r.stateChangelogRecords = machine.changelog().size();
-    r.stateSnapshotsTaken = machine.snapshotsTaken();
-    r.stateRecordsSinceSnapshot = machine.recordsSinceSnapshot();
-    r.stateRecoveries = machine.recoveries();
-    r.stateReplayedRecords = machine.replayedRecordsTotal();
-    r.stateTruncatedBytes = machine.truncatedBytesTotal();
-    r.stateSnapshotsRejected = machine.snapshotsRejectedTotal();
-    r.stateCompactedRecords = machine.compactedRecordsTotal();
-    // Session data plane (E19) — zeros when the engine is disabled.
-    if (sessions) {
-      r.sessionArrivals = sessions->totalArrivals();
-      r.sessionActive = sessions->activeSessions();
-      r.sessionCompleted = sessions->completedSessions();
-      r.sessionBroken = sessions->brokenSessions();
-      r.sessionRejected = sessions->rejectedSessions();
-      r.sessionDrainsCompleted = sessions->drainsCompleted();
-      r.sessionDrainP99Seconds = sessions->drainP99Seconds();
-    }
+    r.gauges = metrics.values(GaugeScope::Simulated);
   });
 }
 
 void MegaDc::registerStandardMetrics() {
-  auto u64 = [](std::uint64_t v) { return static_cast<double>(v); };
+  // One line per gauge: (name, of, get[, labels]) reads `get` on the
+  // component `of()` returns, and 0 while that is null (the reconciler
+  // before start(), a disabled health monitor or session engine).
+  // `gauge` reads simulated state, which rides in every EpochReport;
+  // `host` reads wall time, worker counts or the trace ring.
+  const auto scoped = [this](GaugeScope scope) {
+    return [this, scope](const std::string& name, auto of, auto get,
+                         const MetricLabels& labels = {}) {
+      metrics.registerGauge(
+          name, scope,
+          [of, get]() -> double {
+            auto* c = of();
+            return c == nullptr ? 0.0
+                                : static_cast<double>(std::invoke(get, *c));
+          },
+          labels);
+    };
+  };
+  const auto gauge = scoped(GaugeScope::Simulated);
+  const auto host = scoped(GaugeScope::Host);
 
   // Control channel + command sender (E14).
-  const auto& vr = manager->viprip();
-  metrics.registerGauge("mdc.ctrl.messages_sent", [&vr, u64] {
-    return u64(vr.ctrlChannel().messagesSent());
-  });
-  metrics.registerGauge("mdc.ctrl.messages_dropped", [&vr, u64] {
-    return u64(vr.ctrlChannel().messagesDropped());
-  });
-  metrics.registerGauge("mdc.ctrl.messages_duplicated", [&vr, u64] {
-    return u64(vr.ctrlChannel().messagesDuplicated());
-  });
-  metrics.registerGauge("mdc.ctrl.messages_reordered", [&vr, u64] {
-    return u64(vr.ctrlChannel().messagesReordered());
-  });
-  metrics.registerGauge("mdc.ctrl.partitioned_links", [&vr] {
-    return static_cast<double>(vr.ctrlChannel().partitionedLinks());
-  });
-  metrics.registerGauge("mdc.ctrl.commands_sent", [&vr, u64] {
-    return u64(vr.ctrlSender().commandsSent());
-  });
-  metrics.registerGauge("mdc.ctrl.acks_received", [&vr, u64] {
-    return u64(vr.ctrlSender().acksReceived());
-  });
-  metrics.registerGauge("mdc.ctrl.retransmits", [&vr, u64] {
-    return u64(vr.ctrlSender().retransmits());
-  });
-  metrics.registerGauge("mdc.ctrl.timeouts", [&vr, u64] {
-    return u64(vr.ctrlSender().timeouts());
-  });
-  metrics.registerGauge("mdc.ctrl.inflight", [&vr] {
-    return static_cast<double>(vr.ctrlSender().inflight());
-  });
-  metrics.registerGauge("mdc.ctrl.cancelled_commands", [&vr, u64] {
-    return u64(vr.ctrlSender().cancelledCommands());
-  });
-  metrics.registerGauge("mdc.ctrl.stale_term_rejections", [&vr, u64] {
-    return u64(vr.ctrlSender().staleTermRejections());
-  });
+  const auto channel = [this] { return &manager->viprip().ctrlChannel(); };
+  const auto sender = [this] { return &manager->viprip().ctrlSender(); };
+  using Chan = ControlChannel;
+  using Cmd = CommandSender;
+  gauge("mdc.ctrl.messages_sent", channel, &Chan::messagesSent);
+  gauge("mdc.ctrl.messages_dropped", channel, &Chan::messagesDropped);
+  gauge("mdc.ctrl.messages_duplicated", channel, &Chan::messagesDuplicated);
+  gauge("mdc.ctrl.messages_reordered", channel, &Chan::messagesReordered);
+  gauge("mdc.ctrl.partitioned_links", channel, &Chan::partitionedLinks);
+  gauge("mdc.ctrl.commands_sent", sender, &Cmd::commandsSent);
+  gauge("mdc.ctrl.acks_received", sender, &Cmd::acksReceived);
+  gauge("mdc.ctrl.retransmits", sender, &Cmd::retransmits);
+  gauge("mdc.ctrl.timeouts", sender, &Cmd::timeouts);
+  gauge("mdc.ctrl.inflight", sender, &Cmd::inflight);
+  gauge("mdc.ctrl.cancelled_commands", sender, &Cmd::cancelledCommands);
+  gauge("mdc.ctrl.stale_term_rejections", sender, &Cmd::staleTermRejections);
 
   // Manager tier (E16) and the serialized VIP/RIP queue (§III-C).
-  metrics.registerGauge("mdc.manager.term",
-                        [this, u64] { return u64(manager->term()); });
-  metrics.registerGauge("mdc.manager.leader_up", [this] {
-    return manager->leaderUp() ? 1.0 : 0.0;
-  });
-  metrics.registerGauge("mdc.manager.alive_instances", [this] {
-    return static_cast<double>(manager->aliveManagers());
-  });
-  metrics.registerGauge("mdc.manager.failovers",
-                        [this, u64] { return u64(manager->failovers()); });
-  metrics.registerGauge("mdc.manager.pod_restarts",
-                        [this, u64] { return u64(manager->podRestarts()); });
-  metrics.registerGauge("mdc.manager.queue_length", [&vr] {
-    return static_cast<double>(vr.queueLength());
-  });
-  metrics.registerGauge("mdc.manager.processed_requests", [&vr, u64] {
-    return u64(vr.processedRequests());
-  });
-  metrics.registerGauge("mdc.manager.rejected_requests", [&vr, u64] {
-    return u64(vr.rejectedRequests());
-  });
-  metrics.registerGauge("mdc.manager.cancelled_requests", [&vr, u64] {
-    return u64(vr.cancelledRequests());
-  });
+  const auto mgr = [this] { return manager.get(); };
+  const auto vr = [this] { return &manager->viprip(); };
+  gauge("mdc.manager.term", mgr, &GlobalManager::term);
+  gauge("mdc.manager.leader_up", mgr, &GlobalManager::leaderUp);
+  gauge("mdc.manager.alive_instances", mgr, &GlobalManager::aliveManagers);
+  gauge("mdc.manager.failovers", mgr, &GlobalManager::failovers);
+  gauge("mdc.manager.pod_restarts", mgr, &GlobalManager::podRestarts);
+  gauge("mdc.manager.queue_length", vr, &VipRipManager::queueLength);
+  gauge("mdc.manager.processed_requests", vr,
+        &VipRipManager::processedRequests);
+  gauge("mdc.manager.rejected_requests", vr,
+        &VipRipManager::rejectedRequests);
+  gauge("mdc.manager.cancelled_requests", vr,
+        &VipRipManager::cancelledRequests);
 
   // Pod managers' last placement decision: host time and rebalance passes.
   for (std::size_t p = 0; p < manager->pods().size(); ++p) {
     const MetricLabels labels{{"pod", std::to_string(p)}};
-    metrics.registerGauge(
-        "mdc.pod.decision_seconds",
-        [this, p] { return manager->pods()[p]->stats().decisionSeconds; },
-        labels);
-    metrics.registerGauge(
-        "mdc.pod.rebalance_passes",
-        [this, p, u64] {
-          return u64(manager->pods()[p]->stats().rebalancePasses);
-        },
-        labels);
+    const auto pod = [this, p] { return &manager->pods()[p]->stats(); };
+    host("mdc.pod.decision_seconds", pod, &PodStats::decisionSeconds, labels);
+    gauge("mdc.pod.rebalance_passes", pod, &PodStats::rebalancePasses, labels);
   }
 
   // Command-plane admission & overload (E18).
-  const auto& adm = vr.admission();
-  metrics.registerGauge("mdc.admission.queue_depth", [&adm] {
-    return static_cast<double>(adm.depth());
-  });
+  const auto adm = [this] { return &manager->viprip().admission(); };
+  using Adm = AdmissionController;
+  gauge("mdc.admission.queue_depth", adm, &Adm::depth);
   for (std::size_t c = 0; c < kAdmissionClassCount; ++c) {
     const auto cls = static_cast<AdmissionClass>(c);
     const MetricLabels labels{{"class", toString(cls)}};
-    metrics.registerGauge(
-        "mdc.admission.class_depth",
-        [&adm, cls] { return static_cast<double>(adm.depthOf(cls)); }, labels);
-    metrics.registerGauge(
-        "mdc.admission.shed_requests",
-        [&adm, cls, u64] { return u64(adm.shedOf(cls)); }, labels);
+    gauge("mdc.admission.class_depth", adm,
+          [cls](const Adm& a) { return a.depthOf(cls); }, labels);
+    gauge("mdc.admission.shed_requests", adm,
+          [cls](const Adm& a) { return a.shedOf(cls); }, labels);
   }
-  metrics.registerGauge("mdc.admission.oldest_age_seconds",
-                        [&adm, this] { return adm.oldestAgeSeconds(sim.now()); });
-  metrics.registerGauge("mdc.admission.effective_batch_size", [&adm] {
-    return static_cast<double>(adm.effectiveBatchSize());
-  });
-  metrics.registerGauge("mdc.admission.brownout_active", [&adm] {
-    return adm.brownoutActive() ? 1.0 : 0.0;
-  });
-  metrics.registerGauge("mdc.admission.rounds",
-                        [&adm, u64] { return u64(adm.rounds()); });
-  metrics.registerGauge("mdc.admission.admitted_requests",
-                        [&adm, u64] { return u64(adm.admitted()); });
-  metrics.registerGauge("mdc.admission.deadline_expired",
-                        [&adm, u64] { return u64(adm.deadlineExpired()); });
-  metrics.registerGauge("mdc.admission.conflict_deferred",
-                        [&adm, u64] { return u64(adm.conflictDeferred()); });
-  metrics.registerGauge("mdc.admission.coalesced_requests",
-                        [&adm, u64] { return u64(adm.coalesced()); });
-  metrics.registerGauge("mdc.admission.bulk_evictions",
-                        [&adm, u64] { return u64(adm.evictions()); });
-  metrics.registerGauge("mdc.admission.brownout_entries",
-                        [&adm, u64] { return u64(adm.brownoutEntries()); });
+  gauge("mdc.admission.oldest_age_seconds", adm,
+        [this](const Adm& a) { return a.oldestAgeSeconds(sim.now()); });
+  gauge("mdc.admission.effective_batch_size", adm, &Adm::effectiveBatchSize);
+  gauge("mdc.admission.brownout_active", adm, &Adm::brownoutActive);
+  gauge("mdc.admission.rounds", adm, &Adm::rounds);
+  gauge("mdc.admission.admitted_requests", adm, &Adm::admitted);
+  gauge("mdc.admission.deadline_expired", adm, &Adm::deadlineExpired);
+  gauge("mdc.admission.conflict_deferred", adm, &Adm::conflictDeferred);
+  gauge("mdc.admission.coalesced_requests", adm, &Adm::coalesced);
+  gauge("mdc.admission.bulk_evictions", adm, &Adm::evictions);
+  gauge("mdc.admission.brownout_entries", adm, &Adm::brownoutEntries);
 
   // Durable state machine: snapshots, changelog, recovery (E17).
-  auto machine = [this]() -> state::DurableStateMachine& {
-    return manager->viprip().stateMachine();
-  };
-  metrics.registerGauge("mdc.state.changelog_records", [machine, u64] {
-    return u64(machine().changelog().size());
+  const auto machine = [this] { return &manager->viprip().stateMachine(); };
+  using Dsm = state::DurableStateMachine;
+  gauge("mdc.state.changelog_records", machine,
+        [](Dsm& m) { return m.changelog().size(); });
+  gauge("mdc.state.changelog_bytes", machine,
+        [](Dsm& m) { return m.changelog().bytes(); });
+  gauge("mdc.state.snapshots_taken", machine, &Dsm::snapshotsTaken);
+  gauge("mdc.state.records_since_snapshot", machine,
+        &Dsm::recordsSinceSnapshot);
+  gauge("mdc.state.snapshot_age_seconds", machine, [this](const Dsm& m) {
+    return m.snapshotsTaken() > 0 ? sim.now() - m.lastSnapshotAt() : 0.0;
   });
-  metrics.registerGauge("mdc.state.changelog_bytes", [machine, u64] {
-    return u64(machine().changelog().bytes());
-  });
-  metrics.registerGauge("mdc.state.snapshots_taken", [machine, u64] {
-    return u64(machine().snapshotsTaken());
-  });
-  metrics.registerGauge("mdc.state.records_since_snapshot", [machine, u64] {
-    return u64(machine().recordsSinceSnapshot());
-  });
-  metrics.registerGauge("mdc.state.snapshot_age_seconds", [this, machine] {
-    return machine().snapshotsTaken() > 0
-               ? sim.now() - machine().lastSnapshotAt()
-               : 0.0;
-  });
-  metrics.registerGauge("mdc.state.recoveries", [machine, u64] {
-    return u64(machine().recoveries());
-  });
-  metrics.registerGauge("mdc.state.replayed_records", [machine, u64] {
-    return u64(machine().replayedRecordsTotal());
-  });
-  metrics.registerGauge("mdc.state.truncated_bytes", [machine, u64] {
-    return u64(machine().truncatedBytesTotal());
-  });
-  metrics.registerGauge("mdc.state.snapshots_rejected", [machine, u64] {
-    return u64(machine().snapshotsRejectedTotal());
-  });
-  metrics.registerGauge("mdc.state.compacted_records", [machine, u64] {
-    return u64(machine().compactedRecordsTotal());
-  });
+  gauge("mdc.state.recoveries", machine, &Dsm::recoveries);
+  gauge("mdc.state.replayed_records", machine, &Dsm::replayedRecordsTotal);
+  gauge("mdc.state.truncated_bytes", machine, &Dsm::truncatedBytesTotal);
+  gauge("mdc.state.snapshots_rejected", machine,
+        &Dsm::snapshotsRejectedTotal);
+  gauge("mdc.state.compacted_records", machine, &Dsm::compactedRecordsTotal);
 
   // Anti-entropy reconciler (E14) — built at start(); 0 until then.
-  auto rec = [&vr]() { return vr.reconciler(); };
-  metrics.registerGauge("mdc.reconciler.rounds", [rec, u64] {
-    return rec() ? u64(rec()->rounds()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.rounds_skipped", [rec, u64] {
-    return rec() ? u64(rec()->roundsSkipped()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.drift_detected", [rec, u64] {
-    return rec() ? u64(rec()->driftDetected()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.divergence_last_round", [rec, u64] {
-    return rec() ? u64(rec()->divergenceLastRound()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.repairs_issued", [rec, u64] {
-    return rec() ? u64(rec()->repairsIssued()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.repairs_succeeded", [rec, u64] {
-    return rec() ? u64(rec()->repairsSucceeded()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.repairs_failed", [rec, u64] {
-    return rec() ? u64(rec()->repairsFailed()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.placements_adopted", [rec, u64] {
-    return rec() ? u64(rec()->placementsAdopted()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.weights_adopted", [rec, u64] {
-    return rec() ? u64(rec()->weightsAdopted()) : 0.0;
-  });
+  const auto audit = [this] { return manager->viprip().reconciler(); };
+  using Rec = Reconciler;
+  gauge("mdc.reconciler.rounds", audit, &Rec::rounds);
+  gauge("mdc.reconciler.rounds_skipped", audit, &Rec::roundsSkipped);
+  gauge("mdc.reconciler.drift_detected", audit, &Rec::driftDetected);
+  gauge("mdc.reconciler.divergence_last_round", audit,
+        &Rec::divergenceLastRound);
+  gauge("mdc.reconciler.repairs_issued", audit, &Rec::repairsIssued);
+  gauge("mdc.reconciler.repairs_succeeded", audit, &Rec::repairsSucceeded);
+  gauge("mdc.reconciler.repairs_failed", audit, &Rec::repairsFailed);
+  gauge("mdc.reconciler.placements_adopted", audit, &Rec::placementsAdopted);
+  gauge("mdc.reconciler.weights_adopted", audit, &Rec::weightsAdopted);
   for (const char* kind : {"stray_vip", "duplicate_vip", "wrong_switch",
                            "missing_vip", "orphan_rip", "missing_rip"}) {
-    metrics.registerGauge(
-        "mdc.reconciler.drift",
-        [rec, kind, u64]() -> double {
-          if (rec() == nullptr) return 0.0;
-          const auto& byKind = rec()->driftByKind();
-          const auto it = byKind.find(kind);
-          return it == byKind.end() ? 0.0 : u64(it->second);
+    gauge(
+        "mdc.reconciler.drift", audit,
+        [kind](const Rec& r) -> std::uint64_t {
+          const auto it = r.driftByKind().find(kind);
+          return it == r.driftByKind().end() ? 0 : it->second;
         },
         {{"kind", kind}});
   }
 
   // Failure detection + self-healing (E13) — null when disabled.
-  metrics.registerGauge("mdc.health.switch_failures_detected", [this, u64] {
-    return health ? u64(health->switchFailuresDetected()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.server_failures_detected", [this, u64] {
-    return health ? u64(health->serverFailuresDetected()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.pod_failures_detected", [this, u64] {
-    return health ? u64(health->podFailuresDetected()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.vips_restored", [this, u64] {
-    return health ? u64(health->vipsRestored()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.vms_cleaned_up", [this, u64] {
-    return health ? u64(health->vmsCleanedUp()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.restore_retries", [this, u64] {
-    return health ? u64(health->restoreRetries()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.cleanup_retries", [this, u64] {
-    return health ? u64(health->cleanupRetries()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.pending_vip_restores", [this, u64] {
-    return health ? u64(health->pendingVipRestores()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.pending_vm_cleanups", [this, u64] {
-    return health ? u64(health->pendingVmCleanups()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.flap_suppressions", [this, u64] {
-    return health ? u64(health->flapSuppressions()) : 0.0;
-  });
-  metrics.registerGauge("mdc.health.unavailability_rps_seconds", [this] {
-    return health ? health->unavailabilityRpsSeconds() : 0.0;
-  });
+  const auto hm = [this] { return health.get(); };
+  using Hm = HealthMonitor;
+  gauge("mdc.health.switch_failures_detected", hm,
+        &Hm::switchFailuresDetected);
+  gauge("mdc.health.server_failures_detected", hm,
+        &Hm::serverFailuresDetected);
+  gauge("mdc.health.pod_failures_detected", hm, &Hm::podFailuresDetected);
+  gauge("mdc.health.vips_restored", hm, &Hm::vipsRestored);
+  gauge("mdc.health.vms_cleaned_up", hm, &Hm::vmsCleanedUp);
+  gauge("mdc.health.restore_retries", hm, &Hm::restoreRetries);
+  gauge("mdc.health.cleanup_retries", hm, &Hm::cleanupRetries);
+  gauge("mdc.health.pending_vip_restores", hm, &Hm::pendingVipRestores);
+  gauge("mdc.health.pending_vm_cleanups", hm, &Hm::pendingVmCleanups);
+  gauge("mdc.health.flap_suppressions", hm, &Hm::flapSuppressions);
+  gauge("mdc.health.unavailability_rps_seconds", hm,
+        &Hm::unavailabilityRpsSeconds);
 
   // Fault injector.
-  metrics.registerGauge("mdc.fault.injected", [this, u64] {
-    return u64(faults->faultsInjected());
-  });
-  metrics.registerGauge("mdc.fault.repairs_applied", [this, u64] {
-    return u64(faults->repairsApplied());
-  });
+  const auto injector = [this] { return faults.get(); };
+  gauge("mdc.fault.injected", injector, &FaultInjector::faultsInjected);
+  gauge("mdc.fault.repairs_applied", injector, &FaultInjector::repairsApplied);
 
-  // Fleet failure state (the EpochReport's failure snapshot).
-  metrics.registerGauge("mdc.fleet.down_switches", [this] {
-    return static_cast<double>(fleet.size() - fleet.upCount());
-  });
-  metrics.registerGauge("mdc.fleet.orphaned_vips", [this] {
-    return static_cast<double>(fleet.pendingOrphans());
-  });
-  metrics.registerGauge("mdc.hosts.down_servers", [this] {
-    return static_cast<double>(hosts.downServers());
-  });
+  // Fleet failure state.
+  const auto switches = [this] { return &fleet; };
+  gauge("mdc.fleet.down_switches", switches,
+        [](const SwitchFleet& f) { return f.size() - f.upCount(); });
+  gauge("mdc.fleet.orphaned_vips", switches, &SwitchFleet::pendingOrphans);
+  gauge("mdc.hosts.down_servers", [this] { return &hosts; },
+        &HostFleet::downServers);
 
   // Epoch engine: cache effectiveness + per-phase wall-clock profile.
-  // Deliberately dereferences `engine` (and its profiler) inside the
-  // callback so the gauges survive the rebuild in setDemandModel().
-  metrics.registerGauge("mdc.engine.apps_recomputed", [this, u64] {
-    return u64(engine->appsRecomputed());
-  });
-  metrics.registerGauge("mdc.engine.apps_from_cache", [this, u64] {
-    return u64(engine->appsFromCache());
-  });
-  metrics.registerGauge("mdc.engine.path_arena_size", [this] {
-    return static_cast<double>(engine->pathArenaSize());
-  });
-  metrics.registerGauge("mdc.engine.workers", [this] {
-    return static_cast<double>(engine->workerCount());
-  });
-  for (std::size_t p = 0; p < PhaseProfiler::kPhases; ++p) {
-    const auto phase = static_cast<PhaseProfiler::Phase>(p);
-    const MetricLabels labels{{"phase", PhaseProfiler::name(phase)}};
-    metrics.registerGauge(
-        "mdc.engine.phase_ns",
-        [this, phase, u64] { return u64(engine->profiler().ns(phase)); },
-        labels);
-    metrics.registerGauge(
-        "mdc.engine.phase_calls",
-        [this, phase, u64] { return u64(engine->profiler().calls(phase)); },
-        labels);
-  }
+  // Dereferences `engine` at read time so the gauges survive the rebuild
+  // in setDemandModel(), which re-runs this function (and so re-binds the
+  // profiler's gauges to the new engine).
+  const auto eng = [this] { return engine.get(); };
+  host("mdc.engine.apps_recomputed", eng, &FluidEngine::appsRecomputed);
+  host("mdc.engine.apps_from_cache", eng, &FluidEngine::appsFromCache);
+  host("mdc.engine.path_arena_size", eng, &FluidEngine::pathArenaSize);
+  host("mdc.engine.workers", eng, &FluidEngine::workerCount);
+  engine->profiler().registerWith(metrics);
 
   // Session data plane (E19) — null unless enabled; gauges read 0 then.
-  metrics.registerGauge("mdc.session.active", [this, u64] {
-    return sessions ? u64(sessions->activeSessions()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.arrivals", [this, u64] {
-    return sessions ? u64(sessions->totalArrivals()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.completed", [this, u64] {
-    return sessions ? u64(sessions->completedSessions()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.broken", [this, u64] {
-    return sessions ? u64(sessions->brokenSessions()) : 0.0;
-  });
+  const auto ses = [this] { return sessions.get(); };
+  using Ses = SessionEngine;
+  gauge("mdc.session.active", ses, &Ses::activeSessions);
+  gauge("mdc.session.arrivals", ses, &Ses::totalArrivals);
+  gauge("mdc.session.completed", ses, &Ses::completedSessions);
+  gauge("mdc.session.broken", ses, &Ses::brokenSessions);
   for (std::size_t r = 0; r < kSessionRejectCount; ++r) {
     const auto reason = static_cast<SessionReject>(r);
-    metrics.registerGauge(
-        "mdc.session.rejected",
-        [this, reason, u64] {
-          return sessions ? u64(sessions->rejectedFor(reason)) : 0.0;
-        },
-        {{"reason", toString(reason)}});
+    gauge("mdc.session.rejected", ses,
+          [reason](const Ses& s) { return s.rejectedFor(reason); },
+          {{"reason", toString(reason)}});
   }
-  metrics.registerGauge("mdc.session.drains_in_progress", [this] {
-    return sessions ? static_cast<double>(sessions->drainsInProgress()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.drains_completed", [this, u64] {
-    return sessions ? u64(sessions->drainsCompleted()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.drains_aborted", [this, u64] {
-    return sessions ? u64(sessions->drainsAborted()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.drain_p99_seconds", [this] {
-    return sessions ? sessions->drainP99Seconds() : 0.0;
-  });
+  gauge("mdc.session.drains_in_progress", ses, &Ses::drainsInProgress);
+  gauge("mdc.session.drains_completed", ses, &Ses::drainsCompleted);
+  gauge("mdc.session.drains_aborted", ses, &Ses::drainsAborted);
+  gauge("mdc.session.drain_p99_seconds", ses, &Ses::drainP99Seconds);
 
   // The tracer's own ring.
-  metrics.registerGauge("mdc.trace.events_total", [this, u64] {
-    return u64(tracer->ring().total());
-  });
-  metrics.registerGauge("mdc.trace.events_overwritten", [this, u64] {
-    return u64(tracer->ring().overwritten());
-  });
+  const auto ring = [this] { return &tracer->ring(); };
+  host("mdc.trace.events_total", ring, &TraceRing::total);
+  host("mdc.trace.events_overwritten", ring, &TraceRing::overwritten);
 }
 
 void MegaDc::setDemandModel(std::unique_ptr<DemandModel> model) {
@@ -455,7 +301,7 @@ void MegaDc::setDemandModel(std::unique_ptr<DemandModel> model) {
   // Rebuild the engine against the new model (it holds a reference).
   engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                          routes, fleet, hosts, *demand,
-                                         manager->viprip(), config_.engine);
+                                         config_.engine);
   if (sessions) {
     // Destroy before rebuilding: the old engine must detach its shards
     // from the switches before the new one attaches its own.

@@ -97,9 +97,10 @@ class MegaDc {
 
   // Component access, in dependency order.
   Simulation sim;
-  /// Unified metrics registry: every legacy gauge in the world is
-  /// registered here as a callback (see registerStandardMetrics()), so
-  /// one snapshot() sees the control plane, engine, faults, and health.
+  /// Unified metrics registry: every gauge in the world is registered
+  /// here as a callback (see registerStandardMetrics()), so one
+  /// snapshot() sees the control plane, engine, faults, and health, and
+  /// each EpochReport carries its simulated-state gauges.
   MetricsRegistry metrics;
   /// Control-plane tracer, attached through the manager to the channel,
   /// sender, agents, and reconciler.  Never null after construction.
@@ -120,13 +121,15 @@ class MegaDc {
   std::unique_ptr<HealthMonitor> health;  // null when disabled
 
  private:
-  /// Installs the E16 report decorator on the current engine (leadership
-  /// + fault-injector gauges the engine cannot reach itself).
+  /// Installs the report decorator on the current engine: every report
+  /// carries the registry's simulated-state gauges and the fault plan
+  /// seed.
   void decorateReports();
 
-  /// Registers callback gauges for every component counter under the
-  /// `mdc.<subsystem>.<metric>` convention.  Idempotent (re-registration
-  /// replaces the callback), so it is re-run after engine rebuilds.
+  /// Registers a callback gauge for every component counter under the
+  /// `mdc.<subsystem>.<metric>` convention — each gauge's only
+  /// declaration.  Idempotent (re-registration replaces the callback), so
+  /// it is re-run after engine rebuilds.
   void registerStandardMetrics();
 
   MegaDcConfig config_;

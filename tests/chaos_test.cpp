@@ -185,7 +185,7 @@ TEST(Chaos, PodManagerCrashRecoversFromCheckpoint) {
   dc.runUntil(200.0);
   const EpochReport& r = dc.engine->latest();
   EXPECT_GT(r.totalServedRps() / r.totalDemandRps(), 0.9);
-  EXPECT_EQ(r.podManagerRestarts, 1u);
+  EXPECT_EQ(r.gauges.at("mdc.manager.pod_restarts"), 1.0);
 }
 
 // --- global-manager failover ----------------------------------------------
@@ -236,13 +236,13 @@ TEST(Chaos, LeaderCrashFailsOverUnderHigherTerm) {
   EXPECT_EQ(rec.divergenceLastRound(), 0u);
   const EpochReport& r = dc.engine->latest();
   EXPECT_GT(r.totalServedRps() / r.totalDemandRps(), 0.9);
-  EXPECT_EQ(r.managerTerm, 2u);
-  EXPECT_TRUE(r.managerLeaderUp);
-  EXPECT_EQ(r.managerAlive, 2u);
-  EXPECT_EQ(r.managerFailovers, 1u);
+  EXPECT_EQ(r.gauges.at("mdc.manager.term"), 2.0);
+  EXPECT_EQ(r.gauges.at("mdc.manager.leader_up"), 1.0);
+  EXPECT_EQ(r.gauges.at("mdc.manager.alive_instances"), 2.0);
+  EXPECT_EQ(r.gauges.at("mdc.manager.failovers"), 1.0);
   EXPECT_EQ(r.faultPlanSeed, dc.faults->seed());
-  EXPECT_EQ(r.faultsInjected, 1u);
-  EXPECT_EQ(r.faultRepairsApplied, 1u);
+  EXPECT_EQ(r.gauges.at("mdc.fault.injected"), 1.0);
+  EXPECT_EQ(r.gauges.at("mdc.fault.repairs_applied"), 1.0);
 }
 
 // --- the chaos storm -------------------------------------------------------
@@ -336,9 +336,11 @@ TEST(Chaos, StormHoldsInvariantsEveryEpochAndQuiescesExactlyOnce) {
   // Replayability: the epoch report carries the full replay handle.
   const EpochReport& r = dc.engine->latest();
   EXPECT_EQ(r.faultPlanSeed, cfg.fault.seed);
-  EXPECT_EQ(r.faultsInjected, dc.faults->faultsInjected());
-  EXPECT_EQ(r.managerTerm, dc.manager->term());
-  EXPECT_GE(r.managerFailovers, 1u);
+  EXPECT_EQ(r.gauges.at("mdc.fault.injected"),
+            static_cast<double>(dc.faults->faultsInjected()));
+  EXPECT_EQ(r.gauges.at("mdc.manager.term"),
+            static_cast<double>(dc.manager->term()));
+  EXPECT_GE(r.gauges.at("mdc.manager.failovers"), 1.0);
 }
 
 // --- acceptance: command storms (E18) ---------------------------------------
@@ -448,19 +450,27 @@ TEST(Chaos, CommandStormShedsOnlyBulkAndQuiesces) {
 // retry jitter, durable-state recovery — derives from seeds, so running
 // the same seeded storm twice must reproduce the final EpochReport down
 // to the bit, asserted by its canonical-encoding hash.  This is the
-// invariant that makes any chaos failure replayable from its seed.
+// invariant that makes any chaos failure replayable from its seed.  A
+// third run is observed — tracer and engine profiler on, two engine
+// workers — and must hash the same: the report carries only simulated
+// state, never what the observer sees of the host.
 TEST(Chaos, StormReplayProducesIdenticalEpochReportHash) {
   const std::uint64_t seed = chaosSeed();
   SCOPED_TRACE("MDC_CHAOS_SEED=" + std::to_string(seed));
 
-  const auto finalReportHash = [seed] {
+  const auto finalReport = [seed](bool observed) {
     MegaDcConfig cfg = testScaleConfig();
     cfg.seed = seed;
     cfg.fault.seed = seed * 0x9e3779b97f4a7c15ull + 0xe17u;
     cfg.ctrlFaults.dropRate = 0.05;
     cfg.ctrlFaults.delaySeconds = 0.02;
     cfg.ctrlFaults.delayJitterSeconds = 0.05;
+    if (observed) {
+      cfg.tracing.enabled = true;
+      cfg.engine.workers = 2;
+    }
     MegaDc dc{cfg};
+    dc.engine->profiler().setEnabled(observed);
     dc.bootstrap();
 
     ChaosStorm::Options sopt;
@@ -482,12 +492,32 @@ TEST(Chaos, StormReplayProducesIdenticalEpochReportHash) {
     dc.faults->tornJournalWrite(sopt.start + 41.0, /*repairAfter=*/15.0);
 
     dc.runUntil(sopt.end + 60.0);
-    return hashEpochReport(dc.engine->latest());
+    if (observed) {
+      // The observer really saw the host side.
+      EXPECT_GT(dc.tracer->ring().total(), 0u);
+      EXPECT_GT(dc.engine->profiler().calls(PhaseProfiler::Phase::Serve), 0u);
+    }
+    return dc.engine->latest();
   };
 
-  const std::uint64_t first = finalReportHash();
-  const std::uint64_t second = finalReportHash();
+  const std::uint64_t first = hashEpochReport(finalReport(false));
+  const std::uint64_t second = hashEpochReport(finalReport(false));
   EXPECT_EQ(first, second) << "same seed + same storm diverged";
+
+  const EpochReport observed = finalReport(true);
+  EXPECT_EQ(hashEpochReport(observed), first)
+      << "tracing, profiling or engine workers changed the report";
+  for (const char* key :
+       {"mdc.manager.term", "mdc.state.recoveries", "mdc.ctrl.retransmits"}) {
+    EXPECT_TRUE(observed.gauges.contains(key)) << key;
+  }
+  for (const auto& [key, value] : observed.gauges) {
+    for (const char* hostPrefix :
+         {"mdc.engine.", "mdc.trace.", "mdc.pod.decision_seconds"}) {
+      EXPECT_NE(key.rfind(hostPrefix, 0), 0u) << "host gauge in report: "
+                                              << key;
+    }
+  }
 }
 
 // --- acceptance: causal tracing under a chaos storm ------------------------
@@ -733,8 +763,10 @@ TEST(Chaos, SessionStormConservesSessionsAndKeepsRipStickiness) {
 
   // Reports carry the session plane for replay comparison.
   const EpochReport& r = dc.engine->latest();
-  EXPECT_EQ(r.sessionArrivals, dc.sessions->totalArrivals());
-  EXPECT_EQ(r.sessionBroken, dc.sessions->brokenSessions());
+  EXPECT_EQ(r.gauges.at("mdc.session.arrivals"),
+            static_cast<double>(dc.sessions->totalArrivals()));
+  EXPECT_EQ(r.gauges.at("mdc.session.broken"),
+            static_cast<double>(dc.sessions->brokenSessions()));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <memory>
 
-#include "mdc/core/viprip_manager.hpp"
 #include "mdc/scenario/fluid_engine.hpp"
 
 namespace mdc {
@@ -22,7 +21,6 @@ struct World {
   HostFleet hosts;
   std::unique_ptr<ResolverPopulation> resolvers;
   std::unique_ptr<StaticDemand> demand;
-  std::unique_ptr<VipRipManager> viprip;
   std::unique_ptr<FluidEngine> engine;
   AppId app;
 
@@ -49,11 +47,9 @@ struct World {
     dns.registerApp(app);
     resolvers = std::make_unique<ResolverPopulation>(dns, ResolverConfig{});
     demand = std::make_unique<StaticDemand>(std::vector<double>{appRps});
-    viprip = std::make_unique<VipRipManager>(sim, fleet, dns, routes, apps,
-                                             topo, VipRipManager::Options{});
     engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                            routes, fleet, hosts, *demand,
-                                           *viprip, FluidEngine::Options{});
+                                           FluidEngine::Options{});
   }
 
   VmId vm(ServerId srv, double servableRps) {

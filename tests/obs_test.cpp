@@ -1,8 +1,8 @@
 // Tests for the observability layer: the trace ring's wrap/overflow
-// accounting, the metrics registry's ownership and callback semantics,
-// the exporters' formats, causal trace continuity through channel
-// misbehavior (retry, duplicate delivery, term fencing), and the
-// registry-vs-EpochReport equivalence on a long run.
+// accounting, the metrics registry's callback semantics, the exporters'
+// formats, causal trace continuity through channel misbehavior (retry,
+// duplicate delivery, term fencing), and the registry's gauges on a
+// wired world.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -98,33 +98,6 @@ TEST(Tracer, DisabledMintsNothingAndRecordsNothing) {
 
 // --- metrics registry ------------------------------------------------------
 
-TEST(MetricsRegistry, OwnedCellsAreGetOrCreate) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("mdc.test.count");
-  c.inc();
-  c.inc(3);
-  EXPECT_EQ(&reg.counter("mdc.test.count"), &c);  // same cell
-  EXPECT_DOUBLE_EQ(reg.value("mdc.test.count"), 4.0);
-
-  Gauge& g = reg.gauge("mdc.test.level", {{"pod", "0"}});
-  g.set(2.5);
-  g.add(0.5);
-  EXPECT_DOUBLE_EQ(reg.value("mdc.test.level", {{"pod", "0"}}), 3.0);
-  // Different labels, different cell.
-  reg.gauge("mdc.test.level", {{"pod", "1"}}).set(9.0);
-  EXPECT_DOUBLE_EQ(reg.value("mdc.test.level", {{"pod", "0"}}), 3.0);
-  EXPECT_DOUBLE_EQ(reg.value("mdc.test.level", {{"pod", "1"}}), 9.0);
-
-  Histogram& h = reg.histogram("mdc.test.latency", 0.001, 10.0);
-  h.record(0.5);
-  h.record(2.0);
-  EXPECT_DOUBLE_EQ(reg.value("mdc.test.latency"), 2.0);  // observation count
-
-  EXPECT_TRUE(reg.has("mdc.test.count"));
-  EXPECT_FALSE(reg.has("mdc.test.count", {{"pod", "0"}}));
-  EXPECT_EQ(reg.metricCount(), 4u);
-}
-
 TEST(MetricsRegistry, KeyCanonicalizesLabelOrder) {
   const std::string a =
       MetricsRegistry::keyOf("m", {{"b", "2"}, {"a", "1"}});
@@ -138,7 +111,7 @@ TEST(MetricsRegistry, KeyCanonicalizesLabelOrder) {
 TEST(MetricsRegistry, CallbackReRegistrationReplaces) {
   MetricsRegistry reg;
   int generation = 1;
-  reg.registerGauge("mdc.test.cb", [&generation] {
+  reg.registerGauge("mdc.test.cb", GaugeScope::Simulated, [&generation] {
     return static_cast<double>(generation) * 10.0;
   });
   EXPECT_DOUBLE_EQ(reg.value("mdc.test.cb"), 10.0);
@@ -147,22 +120,34 @@ TEST(MetricsRegistry, CallbackReRegistrationReplaces) {
 
   // A component rebuild re-registers the same key: the new callback wins
   // and the metric count stays flat.
-  reg.registerGauge("mdc.test.cb", [] { return 77.0; });
+  reg.registerGauge("mdc.test.cb", GaugeScope::Simulated,
+                    [] { return 77.0; });
   EXPECT_DOUBLE_EQ(reg.value("mdc.test.cb"), 77.0);
   EXPECT_EQ(reg.metricCount(), 1u);
+
+  // Labels are part of the key.
+  EXPECT_TRUE(reg.has("mdc.test.cb"));
+  EXPECT_FALSE(reg.has("mdc.test.cb", {{"pod", "0"}}));
 }
 
 TEST(MetricsRegistry, SnapshotIsSortedByKey) {
   MetricsRegistry reg;
-  reg.counter("mdc.z.last").inc();
-  reg.gauge("mdc.a.first").set(1.0);
-  reg.registerGauge("mdc.m.mid", [] { return 5.0; });
+  reg.registerGauge("mdc.z.last", GaugeScope::Simulated, [] { return 1.0; });
+  reg.registerGauge("mdc.a.first", GaugeScope::Host, [] { return 1.0; });
+  reg.registerGauge("mdc.m.mid", GaugeScope::Simulated, [] { return 5.0; });
   const auto samples = reg.snapshot();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "mdc.a.first");
   EXPECT_EQ(samples[1].name, "mdc.m.mid");
   EXPECT_DOUBLE_EQ(samples[1].value, 5.0);
   EXPECT_EQ(samples[2].name, "mdc.z.last");
+
+  // values() keeps one scope, in the same key order.
+  const auto simulated = reg.values(GaugeScope::Simulated);
+  ASSERT_EQ(simulated.size(), 2u);
+  EXPECT_EQ(simulated.begin()->first, "mdc.m.mid");
+  EXPECT_DOUBLE_EQ(simulated.at("mdc.z.last"), 1.0);
+  EXPECT_FALSE(simulated.contains("mdc.a.first"));
 }
 
 // --- exporters -------------------------------------------------------------
@@ -199,13 +184,16 @@ TEST(ObsExport, SpanJsonlOneLinePerEvent) {
 
 TEST(ObsExport, MetricsJsonlAndTimeSeriesCsv) {
   MetricsRegistry reg;
-  reg.counter("mdc.test.count").inc(7);
-  reg.gauge("mdc.test.level", {{"pod", "0"}}).set(1.5);
+  reg.registerGauge("mdc.test.count", GaugeScope::Simulated,
+                    [] { return 7.0; });
+  reg.registerGauge("mdc.test.level", GaugeScope::Simulated,
+                    [] { return 1.5; }, {{"pod", "0"}});
   std::ostringstream mout;
   EXPECT_EQ(exportMetricsJsonl(reg, mout), 2u);
   EXPECT_NE(mout.str().find("\"name\":\"mdc.test.count\""),
             std::string::npos);
   EXPECT_NE(mout.str().find("\"pod\":\"0\""), std::string::npos);
+  EXPECT_NE(mout.str().find("\"value\":7"), std::string::npos);
 
   TimeSeries s{"served"};
   s.record(0.0, 1.0);
@@ -422,63 +410,7 @@ TEST(Tracing, StaleTermRefusalLandsOnTheCancelledSpan) {
   EXPECT_EQ(countTerminals(events), 1u);  // cancelled once, not twice
 }
 
-// --- registry vs. EpochReport ---------------------------------------------
-
-TEST(Obs, RegistryMatchesEpochReportGaugesOverFiftyEpochs) {
-  MegaDcConfig cfg = testScaleConfig();
-  cfg.ctrlFaults.dropRate = 0.1;  // keep the control counters moving
-  cfg.ctrlFaults.delaySeconds = 0.02;
-  MegaDc dc{cfg};
-  dc.bootstrap();
-
-  const SimTime epoch = cfg.engine.epoch;
-  for (int e = 0; e < 50; ++e) {
-    dc.runUntil(dc.sim.now() + epoch);
-    // A direct step() yields a report with nothing running between the
-    // snapshot and the registry reads below, so the comparison is exact.
-    const EpochReport r = dc.engine->step();
-    const MetricsRegistry& m = dc.metrics;
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.messages_dropped"),
-                     static_cast<double>(r.ctrlMessagesDropped));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.retransmits"),
-                     static_cast<double>(r.ctrlRetransmits));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.timeouts"),
-                     static_cast<double>(r.ctrlTimeouts));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.partitioned_links"),
-                     static_cast<double>(r.ctrlPartitionedLinks));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.stale_term_rejections"),
-                     static_cast<double>(r.ctrlStaleTermRejections));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.cancelled_commands"),
-                     static_cast<double>(r.ctrlCancelledCommands));
-    EXPECT_DOUBLE_EQ(m.value("mdc.reconciler.divergence_last_round"),
-                     static_cast<double>(r.ctrlDriftLastAudit));
-    EXPECT_DOUBLE_EQ(m.value("mdc.reconciler.repairs_issued"),
-                     static_cast<double>(r.ctrlRepairsIssued));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.term"),
-                     static_cast<double>(r.managerTerm));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.leader_up"),
-                     r.managerLeaderUp ? 1.0 : 0.0);
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.alive_instances"),
-                     static_cast<double>(r.managerAlive));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.failovers"),
-                     static_cast<double>(r.managerFailovers));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.pod_restarts"),
-                     static_cast<double>(r.podManagerRestarts));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fault.injected"),
-                     static_cast<double>(r.faultsInjected));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fault.repairs_applied"),
-                     static_cast<double>(r.faultRepairsApplied));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fleet.down_switches"),
-                     static_cast<double>(r.downSwitches));
-    EXPECT_DOUBLE_EQ(m.value("mdc.hosts.down_servers"),
-                     static_cast<double>(r.downServers));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fleet.orphaned_vips"),
-                     static_cast<double>(r.orphanedVips));
-  }
-  // The registry's control counters saw real traffic, not all zeros.
-  EXPECT_GT(dc.metrics.value("mdc.ctrl.messages_sent"), 0.0);
-  EXPECT_GT(dc.metrics.value("mdc.ctrl.retransmits"), 0.0);
-}
+// --- the registry on a wired world ----------------------------------------
 
 TEST(Obs, PodGaugesReadEachPodsLastDecision) {
   MegaDc dc{testScaleConfig()};
@@ -509,10 +441,18 @@ TEST(Obs, RegistrySurvivesDemandModelSwap) {
   // and the engine gauges read the *new* engine.
   EXPECT_EQ(dc.metrics.metricCount(), before);
   dc.bootstrap();
+  // The phase gauges read the new engine's profiler too.
+  dc.engine->profiler().setEnabled(true);
   dc.runUntil(dc.sim.now() + 5 * cfg.engine.epoch);
   EXPECT_DOUBLE_EQ(dc.metrics.value("mdc.engine.apps_recomputed"),
                    static_cast<double>(dc.engine->appsRecomputed()));
   EXPECT_GT(dc.metrics.value("mdc.engine.apps_recomputed"), 0.0);
+  const std::uint64_t validates =
+      dc.engine->profiler().calls(PhaseProfiler::Phase::Validate);
+  EXPECT_GT(validates, 0u);
+  EXPECT_DOUBLE_EQ(
+      dc.metrics.value("mdc.engine.phase_calls", {{"phase", "a0_validate"}}),
+      static_cast<double>(validates));
 }
 
 }  // namespace

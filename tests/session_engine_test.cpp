@@ -663,12 +663,16 @@ TEST(SessionEngineMegaDc, CapFlowsThroughConfigMetricsAndReports) {
 
   // Reports carry the session plane (and survive the canonical codec).
   const EpochReport& rep = dc.engine->latest();
-  EXPECT_EQ(rep.sessionArrivals, dc.sessions->totalArrivals());
+  EXPECT_EQ(rep.gauges.at("mdc.session.arrivals"),
+            static_cast<double>(dc.sessions->totalArrivals()));
+  EXPECT_TRUE(rep.gauges.contains("mdc.session.rejected{reason=cap}"));
   state::ByteWriter wtr;
   encodeEpochReport(rep, wtr);
   state::ByteReader rdr{wtr.bytes()};
   const EpochReport back = decodeEpochReport(rdr);
-  EXPECT_EQ(back.sessionActive, rep.sessionActive);
+  EXPECT_EQ(back.gauges, rep.gauges);
+  EXPECT_EQ(back.gauges.at("mdc.session.active"),
+            rep.gauges.at("mdc.session.active"));
   EXPECT_EQ(hashEpochReport(back), hashEpochReport(rep));
 }
 

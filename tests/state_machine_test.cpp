@@ -501,10 +501,10 @@ TEST(DurableManagerState, CrashWithTornTailRecoversFromSnapshotPlusTail) {
   EXPECT_GT(machine.compactedRecordsTotal(), 0u);
   const EpochReport& r = dc.engine->latest();
   EXPECT_GT(r.totalServedRps() / r.totalDemandRps(), 0.9);
-  EXPECT_EQ(r.stateRecoveries, 1u);
-  EXPECT_GT(r.stateSnapshotsTaken, 0u);
-  EXPECT_GT(r.stateTruncatedBytes, 0u);
-  EXPECT_GT(r.stateChangelogRecords, 0u);
+  EXPECT_EQ(r.gauges.at("mdc.state.recoveries"), 1.0);
+  EXPECT_GT(r.gauges.at("mdc.state.snapshots_taken"), 0.0);
+  EXPECT_GT(r.gauges.at("mdc.state.truncated_bytes"), 0.0);
+  EXPECT_GT(r.gauges.at("mdc.state.changelog_records"), 0.0);
 }
 
 TEST(DurableManagerState, CorruptSnapshotFallsBackWithoutLosingState) {
@@ -531,7 +531,7 @@ TEST(DurableManagerState, CorruptSnapshotFallsBackWithoutLosingState) {
   EXPECT_EQ(dc.manager->reconciler().divergenceLastRound(), 0u);
   const EpochReport& r = dc.engine->latest();
   EXPECT_GT(r.totalServedRps() / r.totalDemandRps(), 0.9);
-  EXPECT_GE(r.stateSnapshotsRejected, 1u);
+  EXPECT_GE(r.gauges.at("mdc.state.snapshots_rejected"), 1.0);
 }
 
 // --- seeded retransmit jitter ---------------------------------------------
@@ -605,14 +605,16 @@ TEST(CommandSenderJitter, RetrySchedulesDivergeAcrossSwitchesButReplay) {
 TEST(EpochReportCodec, EncodeDecodeHashRoundtrip) {
   EpochReport rep;
   rep.time = 82.0;
-  rep.stateChangelogRecords = 123;
-  rep.stateSnapshotsTaken = 2;
-  rep.stateRecordsSinceSnapshot = 17;
-  rep.stateRecoveries = 1;
-  rep.stateReplayedRecords = 9;
-  rep.stateTruncatedBytes = 13;
-  rep.stateSnapshotsRejected = 1;
-  rep.stateCompactedRecords = 106;
+  rep.gauges["mdc.state.changelog_records"] = 123;
+  rep.gauges["mdc.state.snapshots_taken"] = 2;
+  rep.gauges["mdc.state.replayed_records"] = 9;
+  rep.gauges["mdc.state.compacted_records"] = 106;
+  rep.gauges["mdc.session.rejected{reason=cap}"] = 4;
+  rep.gauges["mdc.state.snapshot_age_seconds"] = 0.25;
+  // Plan seeds use all 64 bits (chaos tests derive them as
+  // seed * 0x9e3779b97f4a7c15 + c), beyond what a double holds exactly.
+  rep.faultPlanSeed = 7 * 0x9e3779b97f4a7c15ull + 0xe17u;
+  ASSERT_GT(rep.faultPlanSeed, std::uint64_t{1} << 53);
   rep.appDemandRps[AppId{3}] = 1000.0;
   rep.appServedRps[AppId{3}] = 990.0;
 
@@ -622,14 +624,23 @@ TEST(EpochReportCodec, EncodeDecodeHashRoundtrip) {
   const EpochReport back = decodeEpochReport(r);
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(back.time, rep.time);
-  EXPECT_EQ(back.stateChangelogRecords, 123u);
-  EXPECT_EQ(back.stateCompactedRecords, 106u);
+  EXPECT_EQ(back.gauges, rep.gauges);
+  EXPECT_EQ(back.gauges.at("mdc.state.compacted_records"), 106.0);
+  EXPECT_EQ(back.faultPlanSeed, rep.faultPlanSeed);
+  EXPECT_EQ(back.appServedRps, rep.appServedRps);
   EXPECT_EQ(hashEpochReport(back), hashEpochReport(rep));
 
-  // The hash is sensitive to every durable-state field.
+  // The hash is sensitive to every gauge value, to the key set, and to
+  // the low bits of the seed.
   EpochReport changed = rep;
-  changed.stateReplayedRecords = 10;
+  changed.gauges["mdc.state.replayed_records"] = 10;
   EXPECT_NE(hashEpochReport(changed), hashEpochReport(rep));
+  EpochReport extra = rep;
+  extra.gauges["mdc.state.recoveries"] = 0;
+  EXPECT_NE(hashEpochReport(extra), hashEpochReport(rep));
+  EpochReport reseeded = rep;
+  reseeded.faultPlanSeed += 1;
+  EXPECT_NE(hashEpochReport(reseeded), hashEpochReport(rep));
 }
 
 }  // namespace
