@@ -693,7 +693,7 @@ int main(int argc, char** argv) {
     phases.print(std::cout);
   }
   std::cout << "expected shape: full mode tracks legacy (flat arrays and"
-               " interned paths shave constants); incremental mode scales"
+               " inline flow paths shave constants); incremental mode scales"
                " with the dirty fraction, not the app count — at low churn"
                " it re-descends a few percent of apps and epochs/sec jumps"
                " by an order of magnitude; worker sweeps scale with"

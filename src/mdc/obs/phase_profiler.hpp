@@ -1,17 +1,16 @@
 // Scoped wall-clock timers for the epoch hot path.
 //
 // The fluid engine's step() has a fixed phase structure (DESIGN.md §8):
-// cache validation, the parallel AppCache re-descent, report emission,
-// the parallel bucketed link emission + merge, and serving.  The profiler
-// hangs
-// a scoped timer on each phase and accumulates wall nanoseconds + call
+// cache validation, the parallel AppCache re-descent, the serial report
+// and link emission, and the parallel serving pass.  The profiler hangs a
+// scoped timer on each phase and accumulates wall nanoseconds + call
 // counts per phase, so a bench can answer "where did the epoch go"
 // without instrumenting ad hoc.
 //
 // Disabled (the default), time() returns an inert scope — one branch,
 // no clock read — so the profiler stays compiled into the hot path at
-// negligible cost.  Accumulation is atomic: shard scopes run on pool
-// workers concurrently.
+// negligible cost.  Accumulation is atomic, so a scope may also close on
+// a pool worker.
 //
 // Wall time feeds observability only — never simulation behavior — so
 // profiled runs stay bit-identical to unprofiled ones.
@@ -30,10 +29,10 @@ class PhaseProfiler {
  public:
   enum class Phase : std::uint8_t {
     Validate,    // A0: cache validation + dirty-input snapshot
-    Descent,     // A1: parallel AppCache re-descent (per-worker arenas)
-    Emit,        // B: serial report emission in app order
-    EmitShard,   // B1: parallel per-worker bucketed link emission
-    Merge,       // B2: parallel slot-order bucket merge into linkOffered
+    Descent,     // A1: parallel AppCache re-descent
+    Emit,        // B: serial report and link emission in app order
+    EmitShard,   // no longer timed: link emission is part of Emit
+    Merge,       // no longer timed: link emission is part of Emit
     Serve,       // C: serving, utilization, report decoration
   };
   static constexpr std::size_t kPhases = 6;

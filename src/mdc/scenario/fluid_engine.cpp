@@ -29,6 +29,25 @@ const std::array<std::string, 7> kCauseNames = {
     "no_owner", "no_rips", "dead_vm"};
 }  // namespace
 
+// The links one flow crosses, stored inline: the access link, the trunk of
+// each LB switch that owns a VIP on the way down (at most kMaxVipDepth),
+// the silo uplink on the traditional tree, and the server NIC.  descend()
+// copies it by value as it recurses, so sibling flows never share storage.
+struct FluidEngine::Path {
+  static constexpr std::size_t kMaxLinks = kMaxVipDepth + 3;
+
+  std::array<LinkId, kMaxLinks> links;
+  std::uint8_t size = 0;
+
+  void push(LinkId link) {
+    MDC_ENSURE(size < kMaxLinks, "flow path exceeds its link bound");
+    links[size++] = link;
+  }
+  [[nodiscard]] std::span<const LinkId> view() const {
+    return {links.data(), size};
+  }
+};
+
 // One application's resolved flow tree plus the config versions it was
 // derived from.  The outcome vectors keep the exact order the sequential
 // descent would emit in, so replaying a cached tree is bit-identical to
@@ -52,7 +71,7 @@ struct FluidEngine::AppCache {
   struct Flow {
     VmRecord* vm;  // stable: HostFleet never erases VM records
     double rps;
-    PathRef path;
+    Path path;
   };
 
   // Outcome, in descent-visit order.
@@ -124,13 +143,14 @@ bool FluidEngine::cacheValid(AppId app, const AppCache& c) const {
 }
 
 // Recursive descent from a VIP to VMs, following m-VIP indirection for
-// the two-LB-layer architecture (§V-B).  `prefix` is the interned path of
-// links already crossed (access link + upstream switch trunks).  Runs on
-// pool workers for disjoint apps: every store access is a const read, and
-// interning goes into the worker's private arena segment `seg`, so the
-// descent needs no synchronisation at all.
-void FluidEngine::descend(AppId app, VipId vip, double rps, PathRef prefix,
-                          int depth, AppCache& c, unsigned seg) {
+// the two-LB-layer architecture (§V-B).  `path` holds the links already
+// crossed (access link + upstream switch trunks).  Runs on pool workers
+// for disjoint apps: every store access is a const read and every write
+// lands in the app's own cache entry, so the descent needs no
+// synchronisation at all.  The depth check keeps every path within
+// Path::kMaxLinks.
+void FluidEngine::descend(AppId app, VipId vip, double rps, Path path,
+                          int depth, AppCache& c) {
   if (rps <= kEpsRps) return;
   if (depth >= kMaxVipDepth) {
     c.unrouted.emplace_back(kDepth, rps);
@@ -151,8 +171,7 @@ void FluidEngine::descend(AppId app, VipId vip, double rps, PathRef prefix,
     return;
   }
   c.vipDemandRps.emplace_back(vip, rps);
-  const PathRef withTrunk =
-      arena_.extend(prefix, topo_.switchTrunk(*owner), seg);
+  path.push(topo_.switchTrunk(*owner));
   const bool traditional =
       topo_.config().fabric == FabricKind::TraditionalTree;
   for (const RipEntry& rip : entry->rips) {
@@ -170,21 +189,18 @@ void FluidEngine::descend(AppId app, VipId vip, double rps, PathRef prefix,
       MDC_ENSURE(rec.app == app,
                  "RIP routes one app's demand to another app's VM");
       const ServerInfo& srv = topo_.server(rec.server);
-      PathRef path = withTrunk;
-      if (traditional) {
-        path = arena_.extend(path, topo_.siloUplink(srv.silo), seg);
-      }
-      path = arena_.extend(path, srv.nic, seg);
-      c.flows.push_back(AppCache::Flow{&rec, ripRps, path});
+      Path leaf = path;
+      if (traditional) leaf.push(topo_.siloUplink(srv.silo));
+      leaf.push(srv.nic);
+      c.flows.push_back(AppCache::Flow{&rec, ripRps, leaf});
     } else {
-      descend(app, rip.mvip, ripRps, withTrunk, depth + 1, c, seg);
+      descend(app, rip.mvip, ripRps, path, depth + 1, c);
     }
   }
 }
 
 void FluidEngine::computeApp(AppId app, AppCache& c,
-                             std::span<const VipWeight> shares,
-                             unsigned seg) {
+                             std::span<const VipWeight> shares) {
   using Stage = AppCache::Stage;
   c.clearOutcome();
   c.valid = true;
@@ -227,8 +243,9 @@ void FluidEngine::computeApp(AppId app, AppCache& c,
     if (degraded) c.degradedRps.push_back(vipRps);
     const double perRouter = vipRps / static_cast<double>(routers.size());
     for (AccessRouterId ar : routers) {
-      descend(app, sh.vip, perRouter,
-              arena_.root(topo_.accessLinkFor(ar).link, seg), 0, c, seg);
+      Path access;
+      access.push(topo_.accessLinkFor(ar).link);
+      descend(app, sh.vip, perRouter, access, 0, c);
     }
   }
 }
@@ -293,17 +310,17 @@ EpochReport FluidEngine::step() {
   }
 
   // --- Phase A1: re-descend dirty apps on the pool ---------------------
-  // Static contiguous ranges over the dirty list; each worker slot writes
-  // only its own apps' cache slots and interns paths into its own arena
-  // segment, so the fan-out runs with zero synchronisation.  The join
-  // below is the barrier the lock-free arena walks in phases B/C rely on.
+  // Static contiguous ranges over the dirty list; each worker writes only
+  // its own apps' cache slots, so the fan-out runs with zero
+  // synchronisation.  The join is the barrier phases B and C rely on to
+  // read the caches.
   {
     const auto prof = profiler_.time(PhaseProfiler::Phase::Descent);
     pool_.parallelRanges(
-        dirty_.size(), [&](unsigned slot, std::size_t lo, std::size_t hi) {
+        dirty_.size(), [&](unsigned, std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const AppId app{static_cast<AppId::value_type>(dirty_[k])};
-            computeApp(app, cache_[dirty_[k]], dirtyShares_[k], slot);
+            computeApp(app, cache_[dirty_[k]], dirtyShares_[k]);
           }
         });
   }
@@ -314,19 +331,14 @@ EpochReport FluidEngine::step() {
     appServedStamp_.resize(n, 0);
   }
   linkOffered_.assign(topo_.network().linkCount(), 0.0);
-  const unsigned workers = pool_.workers();
-  // With a single worker the pair-buffer emission is strictly more work
-  // than adding in place; resolveWorkers guarantees workers > 1 only
-  // when the phases genuinely run concurrently.
-  const bool parallelEmit = workers > 1 && n > 0;
 
   // --- Phase B: emit every app's tree into the report ------------------
   // Serial, always in application order, so per-accumulator addition
   // sequences — and therefore the floating-point results — are
   // independent of which apps happened to be cached and of the worker
-  // count.  Per-VIP demand accumulates into a dense epoch-stamped array
-  // (apps may share a VIP, so this stays out of the parallel phases) and
-  // is scanned into the sorted report map afterwards.
+  // count.  Link loads get one addition per flow and link; per-VIP demand
+  // accumulates into a dense epoch-stamped array (apps may share a VIP)
+  // and is scanned into the sorted report map afterwards.
   report.appDemandRps.reserve(n);
   report.appServedRps.reserve(n);
   {
@@ -355,13 +367,9 @@ EpochReport FluidEngine::step() {
       for (const double rps : c.degradedRps) {
         report.degradedRoutedRps += rps;
       }
-      if (!parallelEmit) {
-        for (const AppCache::Flow& f : c.flows) {
-          const double gbps = f.rps * gbpsPerKrps / 1000.0;
-          arena_.forEach(f.path, [&](LinkId l) {
-            linkOffered_[l.index()] += gbps;
-          });
-        }
+      for (const AppCache::Flow& f : c.flows) {
+        const double gbps = f.rps * gbpsPerKrps / 1000.0;
+        for (const LinkId l : f.path.view()) linkOffered_[l.index()] += gbps;
       }
     }
     report.vipDemandGbps.reserve(fleet_.totalVips());
@@ -370,60 +378,6 @@ EpochReport FluidEngine::step() {
         report.vipDemandGbps[VipId{
             static_cast<VipId::value_type>(vi)}] = vipGbps_[vi];
       }
-    }
-  }
-
-  // --- Phases B1+B2: parallel link emission and merge ------------------
-  // B1: each worker walks a static contiguous app range and appends
-  // (link slot, gbps) into its own bucketed struct-of-arrays buffers
-  // (bucket = block-cyclic slice of the link index space).  B2: one job
-  // per bucket adds the buffered entries into linkOffered_, scanning the
-  // workers in slot order.  Bucket contents partition the link slots, so
-  // B2 jobs never write the same entry, and slot order x in-range order
-  // equals application order — every link sees the exact addition
-  // sequence of the sequential path above, hence bit-identical results
-  // for any worker count.
-  if (parallelEmit) {
-    const std::size_t activeSlots =
-        n < static_cast<std::size_t>(workers) ? n : workers;
-    if (emit_.size() < activeSlots) emit_.resize(activeSlots);
-    {
-      const auto prof = profiler_.time(PhaseProfiler::Phase::EmitShard);
-      pool_.parallelRanges(
-          n, [&](unsigned slot, std::size_t lo, std::size_t hi) {
-            WorkerEmit& e = emit_[slot];
-            for (unsigned b = 0; b < kMergeBuckets; ++b) {
-              e.slots[b].clear();
-              e.gbps[b].clear();
-            }
-            for (std::size_t i = lo; i < hi; ++i) {
-              const Application& app = appList[i];
-              const AppCache& c = cache_[app.id.index()];
-              const double gbpsPerKrps = app.sla.gbpsPerKrps;
-              for (const AppCache::Flow& f : c.flows) {
-                const double gbps = f.rps * gbpsPerKrps / 1000.0;
-                arena_.forEach(f.path, [&](LinkId l) {
-                  const auto ls = static_cast<std::uint32_t>(l.index());
-                  const unsigned b =
-                      (ls >> kMergeBlockShift) & (kMergeBuckets - 1);
-                  e.slots[b].push_back(ls);
-                  e.gbps[b].push_back(gbps);
-                });
-              }
-            }
-          });
-    }
-    {
-      const auto prof = profiler_.time(PhaseProfiler::Phase::Merge);
-      pool_.parallelFor(kMergeBuckets, [&](std::size_t b) {
-        for (std::size_t s = 0; s < activeSlots; ++s) {
-          const std::vector<std::uint32_t>& slots = emit_[s].slots[b];
-          const std::vector<double>& gbps = emit_[s].gbps[b];
-          for (std::size_t k = 0; k < slots.size(); ++k) {
-            linkOffered_[slots[k]] += gbps[k];
-          }
-        }
-      });
     }
   }
 
@@ -444,7 +398,7 @@ EpochReport FluidEngine::step() {
     vmNetRps_.resize(vmBound, 0.0);
     vmStamp_.resize(vmBound, 0);
   }
-  if (touched_.size() < workers) touched_.resize(workers);
+  if (touched_.size() < pool_.workers()) touched_.resize(pool_.workers());
   for (WorkerTouched& wt : touched_) {  // gauges of last epoch's targets
     for (VmRecord* vm : wt.vms) {
       vm->offeredRps = 0.0;
@@ -462,13 +416,13 @@ EpochReport FluidEngine::step() {
       const std::size_t firstTouched = myTouched.size();
       for (const AppCache::Flow& f : c.flows) {
         double fraction = 1.0;
-        arena_.forEach(f.path, [&](LinkId l) {
+        for (const LinkId l : f.path.view()) {
           const double cap = net.link(l).capacityGbps;
           const double off = linkOffered_[l.index()];
           if (off > cap) {
             fraction = std::min(fraction, cap > 0.0 ? cap / off : 0.0);
           }
-        });
+        }
         const std::size_t vi = f.vm->id.index();
         if (vmStamp_[vi] != epochStamp_) {
           vmStamp_[vi] = epochStamp_;

@@ -22,16 +22,16 @@
 // together with the config versions it was derived from (DNS shares,
 // route table, VIP/RIP tables, VM liveness, demand value); an epoch
 // re-descends only the applications whose inputs moved and replays every
-// other tree from the cache.  The dirty-app fan-out, the link emission,
-// and the serving pass run on a small worker pool over static contiguous
-// app ranges; every per-accumulator addition sequence is arranged to
-// equal the sequential application order, so every mode — incremental or
-// full, 1 worker or N — produces bit-identical EpochReports.  The
-// virtual-time Simulation loop itself stays single-threaded; only the
-// pure computation inside one step() parallelizes.
+// other tree from the cache.  The dirty-app fan-out and the serving pass
+// run on a small worker pool over static contiguous app ranges, and each
+// writes only its own apps' state; every shared accumulator (link and VIP
+// loads) is summed in one serial walk in application order, so every
+// mode — incremental or full, 1 worker or N — produces bit-identical
+// EpochReports.  The virtual-time Simulation loop itself stays
+// single-threaded; only the pure computation inside one step()
+// parallelizes.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -43,7 +43,6 @@
 #include "mdc/host/host_fleet.hpp"
 #include "mdc/lb/switch_fleet.hpp"
 #include "mdc/metrics/timeseries.hpp"
-#include "mdc/net/path_arena.hpp"
 #include "mdc/obs/phase_profiler.hpp"
 #include "mdc/route/route_registry.hpp"
 #include "mdc/sim/simulation.hpp"
@@ -106,10 +105,6 @@ class FluidEngine {
   [[nodiscard]] std::uint64_t appsFromCache() const noexcept {
     return totalCached_;
   }
-  /// Interned path nodes (shared prefixes stored once).
-  [[nodiscard]] std::size_t pathArenaSize() const noexcept {
-    return arena_.size();
-  }
   [[nodiscard]] unsigned workerCount() const noexcept {
     return pool_.workers();
   }
@@ -145,31 +140,16 @@ class FluidEngine {
 
  private:
   struct AppCache;
+  struct Path;
 
-  /// Per-link emission buckets: a link slot belongs to bucket
-  /// (slot >> 6) & (kMergeBuckets - 1), i.e. cache-line-aligned 64-slot
-  /// blocks dealt round-robin, so merge workers never write neighbouring
-  /// linkOffered_ entries (no false sharing) while the bucket count still
-  /// spreads hot links across workers.
-  static constexpr unsigned kMergeBuckets = 16;
-  static constexpr unsigned kMergeBlockShift = 6;
-
-  /// Per-worker emission arena, cache-line aligned so workers appending
-  /// concurrently never share a line of vector headers.  Struct-of-arrays:
-  /// link slots and gbps values in separate vectors per bucket.
-  struct alignas(64) WorkerEmit {
-    std::array<std::vector<std::uint32_t>, kMergeBuckets> slots;
-    std::array<std::vector<double>, kMergeBuckets> gbps;
-  };
   struct alignas(64) WorkerTouched {
     std::vector<VmRecord*> vms;
   };
 
   [[nodiscard]] bool cacheValid(AppId app, const AppCache& c) const;
-  void computeApp(AppId app, AppCache& c, std::span<const VipWeight> shares,
-                  unsigned seg);
-  void descend(AppId app, VipId vip, double rps, PathRef prefix, int depth,
-               AppCache& c, unsigned seg);
+  void computeApp(AppId app, AppCache& c, std::span<const VipWeight> shares);
+  void descend(AppId app, VipId vip, double rps, Path path, int depth,
+               AppCache& c);
 
   Simulation& sim_;
   const Topology& topo_;
@@ -183,7 +163,6 @@ class FluidEngine {
   Options options_;
   bool demandInvariant_;
 
-  PathArena arena_;
   ThreadPool pool_;
   std::vector<AppCache> cache_;           // indexed by AppId
   std::vector<std::size_t> dirty_;        // app indices to re-descend
@@ -202,10 +181,8 @@ class FluidEngine {
   std::vector<double> appServed_;   // by AppId index, epoch-stamped
   std::vector<std::uint64_t> appServedStamp_;
   std::uint64_t epochStamp_ = 0;
-  // Per-worker state, indexed by the parallelRanges slot: bucketed link
-  // emission buffers and the touched-VM lists (next epoch's gauge-reset
-  // targets).
-  std::vector<WorkerEmit> emit_;
+  // Per-worker touched-VM lists (next epoch's gauge-reset targets),
+  // indexed by the parallelRanges slot of the serving pass.
   std::vector<WorkerTouched> touched_;
 
   std::uint64_t totalRecomputed_ = 0;

@@ -266,7 +266,6 @@ void MegaDc::registerStandardMetrics() {
   const auto eng = [this] { return engine.get(); };
   host("mdc.engine.apps_recomputed", eng, &FluidEngine::appsRecomputed);
   host("mdc.engine.apps_from_cache", eng, &FluidEngine::appsFromCache);
-  host("mdc.engine.path_arena_size", eng, &FluidEngine::pathArenaSize);
   host("mdc.engine.workers", eng, &FluidEngine::workerCount);
   engine->profiler().registerWith(metrics);
 

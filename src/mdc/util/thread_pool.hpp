@@ -11,9 +11,10 @@
 //   * parallelRanges(items, fn) — the coarse static variant the epoch
 //     engine's hot phases use: [0, items) is split into at most
 //     `workers()` contiguous ascending ranges and fn(slot, lo, hi) runs
-//     once per range.  The slot index identifies a *worker arena*: at
-//     most one live job per slot, so fn may write slot-private state
-//     (per-worker accumulators, arena segments) without synchronisation.
+//     once per range.  The slot index identifies a worker's private
+//     state: at most one live job per slot, so fn may write slot-private
+//     state (per-worker buffers and accumulators) without
+//     synchronisation.
 //
 // Nested parallelism is refused: calling either primitive from inside a
 // running job throws (the pool has no re-entrant scheduler, and silently
@@ -38,8 +39,8 @@ namespace mdc {
 
 class ThreadPool {
  public:
-  /// Hard ceiling on resolved worker counts: the epoch engine packs the
-  /// worker slot into 4 bits of a PathRef segment id.
+  /// Hard ceiling on resolved worker counts: resolveWorkers() never
+  /// returns more, even with MDC_ALLOW_OVERSUBSCRIBE set.
   static constexpr unsigned kMaxWorkers = 16;
 
   /// Spawns `workers - 1` helper threads (the caller of parallelFor is

@@ -239,24 +239,24 @@ TEST(EpochCacheEquivalence, RandomizedChurn) {
   EXPECT_EQ(w.full->latest().engineAppsCached, 0u);
 }
 
-TEST(EpochCacheEquivalence, BucketedEmissionMatchesSequential) {
-  // Enough apps that the parallel engine's bucketed link emission and
-  // slot-order merge carry real volume; the merge must replay the
-  // sequential addition order bit-for-bit.
+TEST(EpochCacheEquivalence, ThreeWorkersMatchSequentialAtVolume) {
+  // Enough apps that every worker of the 3-worker engine descends and
+  // serves a real share of them; its reports must equal the sequential
+  // reference bit-for-bit.
   TriWorld w(1200, 32, 8, /*seed=*/0xE15 + 1, /*rpsLo=*/200.0,
              /*rpsHi=*/600.0, /*fanout=*/1);
   for (int round = 0; round < 3; ++round) {
     w.sim.runUntil(w.sim.now() + 1.0);
-    (void)w.stepAll("bucketed round " + std::to_string(round));
+    (void)w.stepAll("volume round " + std::to_string(round));
   }
   EXPECT_EQ(w.par->workerCount(), 3u);
 }
 
 TEST(EpochCacheEquivalence, BitIdenticalAcrossWorkerCountsUnderChurn) {
-  // The PR-3 invariant at every pool size the engine supports: engines
-  // with 2 and 8 workers (static ranges, per-worker arena segments,
-  // bucketed merges) must reproduce the single-worker reference
-  // bit-for-bit through 50 randomized mutation epochs.
+  // The engine's determinism at every pool size it supports: engines
+  // with 2 and 8 workers (parallel descent and serving over static
+  // ranges) must reproduce the single-worker reference bit-for-bit
+  // through 50 randomized mutation epochs.
   TriWorld w(32, 16, 6, /*seed=*/0xE15 + 2);
   auto eng2 = std::make_unique<FluidEngine>(
       w.sim, w.topo, w.apps, w.dns, *w.resolvers, w.routes, w.fleet,

@@ -220,6 +220,45 @@ TEST(FluidEngine, TraditionalFabricSiloUplinkContends) {
   EXPECT_GT(r2.appServedRps.at(m.app), r.appServedRps.at(w.app));
 }
 
+TEST(FluidEngine, LongestRoutedPathCarriesEveryLink) {
+  // The deepest route the engine follows, on the traditional tree:
+  // VIP 0 on switch 0 -> m-VIP on switch 1 -> m-VIP on switch 2 -> VM.
+  // The flow crosses six links (access link, three trunks, silo uplink,
+  // NIC), which fills the inline path exactly.  20 krps = 0.8 Gbps stays
+  // under every 1.0 Gbps link and exceeds only the 0.5 Gbps silo uplink.
+  World w{20'000.0, FabricKind::TraditionalTree};
+  const VmId vm = w.vm(ServerId{0}, 30'000.0);
+  ASSERT_TRUE(w.fleet.configureVip(SwitchId{2}, VipId{11}, w.app).ok());
+  RipEntry toVm;
+  toVm.rip = RipId{101};
+  toVm.vm = vm;
+  ASSERT_TRUE(w.fleet.addRip(VipId{11}, toVm).ok());
+  ASSERT_TRUE(w.fleet.configureVip(SwitchId{1}, VipId{10}, w.app).ok());
+  RipEntry toSecond;
+  toSecond.rip = RipId{100};
+  toSecond.mvip = VipId{11};
+  ASSERT_TRUE(w.fleet.addRip(VipId{10}, toSecond).ok());
+  ASSERT_TRUE(w.fleet.configureVip(SwitchId{0}, VipId{0}, w.app).ok());
+  RipEntry toFirst;
+  toFirst.rip = RipId{0};
+  toFirst.mvip = VipId{10};
+  ASSERT_TRUE(w.fleet.addRip(VipId{0}, toFirst).ok());
+  w.dns.addVip(w.app, VipId{0}, 1.0);
+  w.routes.advertise(VipId{0}, AccessRouterId{0}, w.sim.now());
+  w.routes.settle(w.sim.now());
+
+  const EpochReport r = w.engine->step();
+  EXPECT_EQ(r.unroutedRps, 0.0);
+  const double gbps = 20'000.0 * 0.04 / 1000.0;
+  EXPECT_NEAR(r.accessLinkUtil[0], gbps, 1e-9);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_NEAR(r.switchUtil[s], gbps, 1e-9) << "switch " << s;
+  }
+  EXPECT_NEAR(w.hosts.vm(vm).offeredRps, 20'000.0, 1e-6);
+  // The silo uplink is the only saturated link: served = 0.5/0.8 of demand.
+  EXPECT_NEAR(r.appServedRps.at(w.app), 20'000.0 * 0.5 / gbps, 1e-6);
+}
+
 TEST(FluidEngine, UnroutedCausesAccounted) {
   World w{1000.0};
   // Case: VIP exposed in DNS but not configured on any switch.

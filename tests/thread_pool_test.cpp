@@ -87,11 +87,12 @@ TEST(ThreadPoolEdge, ParallelRangesAreContiguousAscending) {
   EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 10}));
 }
 
-// The merge protocol the epoch engine relies on: workers accumulate
-// (slot, value) pairs into per-slot-private ordered buffers over static
-// contiguous ranges; buffers applied in slot order replay the sequential
-// addition sequence exactly, so the result is bit-identical to a single
-// thread's — for ANY worker count, 50 randomized epochs long.
+// The partition/concatenation discipline the session engine's insert
+// phase relies on (DESIGN.md §13): workers fill per-slot-private ordered
+// buffers over static contiguous ranges; buffers applied in slot order
+// replay the sequential addition sequence exactly, so the result is
+// bit-identical to a single thread's — for ANY worker count, 50
+// randomized epochs long.
 TEST(ThreadPoolStress, DeterministicPartitionMergeAcrossWorkerCounts) {
   constexpr std::size_t kAccumulators = 64;
   constexpr std::size_t kItems = 4096;
