@@ -68,7 +68,7 @@ DurableStateMachine::Hooks toyHooks(ToyAutomaton& toy) {
   hooks.applyMutation = [&toy](std::span<const std::uint8_t> bytes) {
     ByteReader r{bytes};
     const std::uint64_t v = r.u64();
-    for (int i = 0; i < 4; ++i) r.u64();  // filler (see recordPayload)
+    for (int i = 0; i < 4; ++i) (void)r.u64();  // filler (see recordPayload)
     if (!r.exhausted()) return false;
     toy.apply(v);
     return true;

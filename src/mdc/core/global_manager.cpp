@@ -341,15 +341,22 @@ void GlobalManager::observe(const EpochReport& report) {
   for (auto& pod : pods_) {
     pod->clearAppDemand();
   }
+  // Each pod's share sums in instance order, and every pod still gets its
+  // setAppDemand calls in app order, which fixes the iteration order of
+  // its demand map and so the input of its placement.
+  std::vector<std::pair<PodId, double>>& perPod = podDemand_;
   for (const Application& a : apps_.all()) {
-    std::unordered_map<PodId, double> perPod;
+    perPod.clear();
     double routed = 0.0;
     for (VmId vm : a.instances) {
       if (!hosts_.vmExists(vm)) continue;
       const VmRecord& rec = hosts_.vm(vm);
       const PodId pod = podRegistry_.podOf(rec.server);
       if (!pod.valid()) continue;
-      perPod[pod] += rec.offeredRps;
+      auto it = std::find_if(perPod.begin(), perPod.end(),
+                             [pod](const auto& e) { return e.first == pod; });
+      if (it == perPod.end()) it = perPod.insert(perPod.end(), {pod, 0.0});
+      it->second += rec.offeredRps;
       routed += rec.offeredRps;
     }
     // Demand that found no RIP path yet is assigned proportionally (or to
@@ -371,7 +378,7 @@ void GlobalManager::observe(const EpochReport& report) {
           coldest = pod.get();
         }
       }
-      if (coldest != nullptr) perPod[coldest->id()] = demand;
+      if (coldest != nullptr) perPod.emplace_back(coldest->id(), demand);
     }
     for (const auto& [pod, rps] : perPod) {
       if (pod.index() < pods_.size()) {

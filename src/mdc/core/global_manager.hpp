@@ -221,6 +221,10 @@ class GlobalManager final : public RipRequestSink {
   /// snapshot; consulted when a pod restarts and the intent store has
   /// no RIP-derived weight for a VM.
   std::unordered_map<VmId, double> snapshotPodWeights_;
+
+  /// observe()'s per-app demand split, (pod, rps) in first-touch order;
+  /// reused across apps and epochs.
+  std::vector<std::pair<PodId, double>> podDemand_;
 };
 
 }  // namespace mdc

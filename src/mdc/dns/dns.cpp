@@ -122,45 +122,43 @@ ResolverPopulation::ResolverPopulation(const AuthoritativeDns& dns,
   MDC_EXPECT(config.lingerSeconds > 0.0, "lingerSeconds must be positive");
 }
 
-void ResolverPopulation::bumpShares(AppId app) const {
-  const std::size_t i = app.index();
-  if (i >= sharesVersions_.size()) sharesVersions_.resize(i + 1, 0);
-  ++sharesVersions_[i];
-}
-
-void ResolverPopulation::refreshTargets(AppId app, PoolShares& p) const {
+void ResolverPopulation::refreshTargets(AppId app, Pool& p) const {
   const auto gen = dns_.generation(app);
-  auto& target = targets_[app];
   if (p.seenGeneration == gen && p.initialised) {
     return;
   }
 
-  // Make sure every DNS-exposed VIP is tracked.
+  // Make sure every DNS-exposed VIP is tracked (appended: positions of
+  // already tracked VIPs never move).
   const auto exposed = dns_.vips(app);
+  const auto position = [&p](VipId vip) {
+    return static_cast<std::size_t>(
+        std::find_if(p.shares.begin(), p.shares.end(),
+                     [vip](const VipWeight& vw) { return vw.vip == vip; }) -
+        p.shares.begin());
+  };
   for (const VipWeight& vw : exposed) {
-    if (std::find(p.vips.begin(), p.vips.end(), vw.vip) == p.vips.end()) {
-      p.vips.push_back(vw.vip);
+    if (position(vw.vip) == p.shares.size()) {
+      p.shares.push_back(VipWeight{vw.vip, 0.0});
       p.fast.push_back(0.0);
       p.linger.push_back(0.0);
     }
   }
 
   // Recompute normalized targets; VIPs no longer exposed get target 0.
-  target.assign(p.vips.size(), 0.0);
+  p.target.assign(p.shares.size(), 0.0);
   double total = 0.0;
   for (const VipWeight& vw : exposed) total += vw.weight;
   if (total > 0.0) {
     for (const VipWeight& vw : exposed) {
-      const auto idx = static_cast<std::size_t>(
-          std::find(p.vips.begin(), p.vips.end(), vw.vip) - p.vips.begin());
-      target[idx] = vw.weight / total;
+      p.target[position(vw.vip)] = vw.weight / total;
     }
   }
 
   if (!p.initialised) {
     // A new population starts in steady state at the current targets.
-    p.fast = target;
-    p.linger = target;
+    p.fast = p.target;
+    p.linger = p.target;
     p.initialised = true;
   } else if (!p.relaxing) {
     // Targets moved away from a settled pool: put it back on the
@@ -169,9 +167,25 @@ void ResolverPopulation::refreshTargets(AppId app, PoolShares& p) const {
     relaxing_.push_back(app);
   }
   p.seenGeneration = gen;
-  // Any refresh can change what shares() returns (new tracked VIPs, new
-  // first-time steady state), so the version always moves with it.
-  bumpShares(app);
+  updateShares(p);
+}
+
+void ResolverPopulation::updateShares(Pool& p) const {
+  const double lf = config_.lingerFraction;
+  for (std::size_t i = 0; i < p.shares.size(); ++i) {
+    p.shares[i].weight = (1.0 - lf) * p.fast[i] + lf * p.linger[i];
+  }
+}
+
+void ResolverPopulation::ensurePool(AppId app) const {
+  const std::size_t i = app.index();
+  if (i >= pools_.size()) pools_.resize(i + 1);
+  Pool& p = pools_[i];
+  // advance() folds every logged DNS mutation into the pools that exist,
+  // so while the log has nothing new a materialised pool is current and
+  // the per-app generation lookup can be skipped.
+  if (p.initialised && dnsCursor_ == dns_.mutationCursor()) return;
+  refreshTargets(app, p);
 }
 
 void ResolverPopulation::relax(std::vector<double>& shares,
@@ -185,7 +199,7 @@ namespace {
 
 // Below this distance the exponential tail is irrelevant to any consumer;
 // the pool snaps exactly onto its targets and stops relaxing, so settled
-// apps cost nothing per advance and their shares version goes quiet.
+// apps cost nothing per advance.
 constexpr double kConvergenceEps = 1e-12;
 
 [[nodiscard]] bool withinEps(std::span<const double> a,
@@ -203,27 +217,31 @@ void ResolverPopulation::advance(SimTime now) {
   const SimTime dt = now - lastAdvance_;
   lastAdvance_ = now;
   // Consume the DNS mutation log unconditionally — even a zero-dt advance
-  // must fold new targets (and bump shares versions) before callers read.
-  // refreshTargets dedupes repeated entries through seenGeneration.
+  // must fold new targets before callers read.  refreshTargets dedupes
+  // repeated entries through seenGeneration.
   for (const AppId app : dns_.mutationsSince(dnsCursor_)) {
-    const auto it = pools_.find(app);
-    if (it != pools_.end()) refreshTargets(app, it->second);
+    const std::size_t i = app.index();
+    if (i < pools_.size() && pools_[i].initialised) {
+      refreshTargets(app, pools_[i]);
+    }
   }
   dnsCursor_ = dns_.mutationCursor();
   if (dt <= 0.0 || relaxing_.empty()) return;
   const double alphaFast = 1.0 - std::exp(-dt / config_.ttlSeconds);
   const double alphaLinger = 1.0 - std::exp(-dt / config_.lingerSeconds);
   for (std::size_t i = 0; i < relaxing_.size();) {
-    const AppId app = relaxing_[i];
-    PoolShares& p = pools_.find(app)->second;
-    const auto& target = targets_[app];
-    relax(p.fast, target, alphaFast);
-    relax(p.linger, target, alphaLinger);
-    bumpShares(app);
-    if (withinEps(p.fast, target) && withinEps(p.linger, target)) {
-      p.fast = target;
-      p.linger = target;
+    Pool& p = pools_[relaxing_[i].index()];
+    relax(p.fast, p.target, alphaFast);
+    relax(p.linger, p.target, alphaLinger);
+    const bool converged =
+        withinEps(p.fast, p.target) && withinEps(p.linger, p.target);
+    if (converged) {
+      p.fast = p.target;
+      p.linger = p.target;
       p.relaxing = false;
+    }
+    updateShares(p);
+    if (converged) {
       relaxing_[i] = relaxing_.back();
       relaxing_.pop_back();
     } else {
@@ -233,14 +251,14 @@ void ResolverPopulation::advance(SimTime now) {
 }
 
 std::vector<VipWeight> ResolverPopulation::shares(AppId app) const {
-  auto& p = pools_[app];
-  refreshTargets(app, p);
+  ensurePool(app);
+  const Pool& p = pools_[app.index()];
   std::vector<VipWeight> out;
-  out.reserve(p.vips.size());
+  out.reserve(p.shares.size());
   const double lf = config_.lingerFraction;
-  for (std::size_t i = 0; i < p.vips.size(); ++i) {
+  for (std::size_t i = 0; i < p.shares.size(); ++i) {
     const double combined = (1.0 - lf) * p.fast[i] + lf * p.linger[i];
-    out.push_back(VipWeight{p.vips[i], combined});
+    out.push_back(VipWeight{p.shares[i].vip, combined});
   }
   return out;
 }

@@ -8,6 +8,13 @@
 // ResolverPopulation models both effects as exponentially relaxing demand
 // shares, so managers observe realistic lag between changing a weight and
 // traffic actually moving.
+//
+// The population keeps one pool per app in dense AppId-indexed storage.
+// A pool's tracked-VIP list only ever grows (a VIP dropped from DNS keeps
+// its position while its share decays), and view() reads a pool's VIPs and
+// effective shares in place, without allocating: the epoch engine caches
+// each app's flow tree against the tracked-VIP count alone and applies the
+// shares when it replays the tree.
 #pragma once
 
 #include <cstdint>
@@ -116,9 +123,32 @@ class ResolverPopulation {
   /// Advance the relaxation to absolute time `now` (>= previous now).
   void advance(SimTime now);
 
-  /// Effective demand share per VIP for the app at the last advance().
-  /// Includes VIPs recently removed from DNS while clients still hold
-  /// them; shares sum to 1.  Empty if the app never had an exposed VIP.
+  /// Brings the app's pool up to date with DNS, as every read of shares()
+  /// does first: materialises it on the first call and folds DNS changes
+  /// it has not seen yet.  A new pool starts in steady state at the
+  /// current weights, so *when* a pool first materialises is part of the
+  /// simulated state.  Precondition: the app is registered in DNS.  Not
+  /// safe against concurrent calls.
+  void ensurePool(AppId app) const;
+
+  /// The app's tracked VIPs and their effective demand shares, in place
+  /// and without allocating, as of the last advance(), ensurePool() or
+  /// shares() call.  The list only grows: a VIP keeps its position once
+  /// tracked, so its length is the only fact a cached flow tree needs to
+  /// revalidate.  Empty if the pool was never materialised.  A pure read:
+  /// any number of threads may call it while nothing mutates the
+  /// population.
+  [[nodiscard]] std::span<const VipWeight> view(AppId app) const noexcept {
+    const std::size_t i = app.index();
+    return i < pools_.size() ? std::span<const VipWeight>(pools_[i].shares)
+                             : std::span<const VipWeight>{};
+  }
+
+  /// Effective demand share per VIP for the app at the last advance(),
+  /// computed afresh from the pool's two populations (view() keeps the
+  /// same values up to date in place).  Includes VIPs recently removed
+  /// from DNS while clients still hold them; shares sum to 1.  Empty if
+  /// the app never had an exposed VIP.
   [[nodiscard]] std::vector<VipWeight> shares(AppId app) const;
 
   /// Share of a single VIP (0 if unknown).
@@ -127,45 +157,33 @@ class ResolverPopulation {
   /// Session-engine hook: sample the VIP a *new* session connects to.
   [[nodiscard]] VipId pickVip(AppId app, Rng& rng) const;
 
-  /// Monotone per-app version of the *effective* shares: bumped when a
-  /// DNS mutation reaches this pool (new targets, possibly new tracked
-  /// VIPs) and on every relaxation step that moves the shares.  Once a
-  /// pool converges (snaps onto its targets) the version goes quiet, so
-  /// "version unchanged" really means "shares() would return the same
-  /// vector".  Apps whose pool was never materialised read as 0.
-  [[nodiscard]] std::uint64_t sharesVersion(AppId app) const noexcept {
-    const std::size_t i = app.index();
-    return i < sharesVersions_.size() ? sharesVersions_[i] : 0;
-  }
-
   [[nodiscard]] const ResolverConfig& config() const noexcept {
     return config_;
   }
 
  private:
-  struct PoolShares {
-    // Parallel arrays keyed by position; vip -> index in `index`.
-    std::vector<VipId> vips;
-    std::vector<double> fast;    // TTL-compliant population
-    std::vector<double> linger;  // TTL-violating population
+  struct Pool {
+    // Parallel arrays keyed by tracked position.
+    std::vector<VipWeight> shares;  // tracked VIPs + effective shares
+    std::vector<double> fast;       // TTL-compliant population
+    std::vector<double> linger;     // TTL-violating population
+    std::vector<double> target;     // normalised authoritative weights
     std::uint64_t seenGeneration = ~0ULL;
     bool initialised = false;
     bool relaxing = false;  // on the relaxing_ work list
   };
 
-  void refreshTargets(AppId app, PoolShares& p) const;
+  void refreshTargets(AppId app, Pool& p) const;
+  void updateShares(Pool& p) const;
   static void relax(std::vector<double>& shares,
                     std::span<const double> target, double alpha);
-  void bumpShares(AppId app) const;
 
   const AuthoritativeDns& dns_;
   ResolverConfig config_;
   SimTime lastAdvance_ = 0.0;
   std::uint64_t dnsCursor_ = 0;  // consumed prefix of the DNS mutation log
-  mutable std::unordered_map<AppId, PoolShares> pools_;
-  mutable std::unordered_map<AppId, std::vector<double>> targets_;
+  mutable std::vector<Pool> pools_;      // by AppId index
   mutable std::vector<AppId> relaxing_;  // pools not yet at their targets
-  mutable std::vector<std::uint64_t> sharesVersions_;
 };
 
 }  // namespace mdc

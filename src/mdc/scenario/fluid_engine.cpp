@@ -24,9 +24,15 @@ constexpr std::uint8_t kDepth = 3;
 constexpr std::uint8_t kNoOwner = 4;
 constexpr std::uint8_t kNoRips = 5;
 constexpr std::uint8_t kDeadVm = 6;
+constexpr std::uint8_t kRouted = 7;  // a VIP visit that reached its RIPs
 const std::array<std::string, 7> kCauseNames = {
     "no_dns", "no_shares", "no_route", "depth",
     "no_owner", "no_rips", "dead_vm"};
+
+void addUnrouted(EpochReport& report, std::uint8_t cause, double rps) {
+  report.unroutedRps += rps;
+  report.unroutedByCause[kCauseNames[cause]] += rps;
+}
 }  // namespace
 
 // The links one flow crosses, stored inline: the access link, the trunk of
@@ -48,50 +54,65 @@ struct FluidEngine::Path {
   }
 };
 
-// One application's resolved flow tree plus the config versions it was
-// derived from.  The outcome vectors keep the exact order the sequential
-// descent would emit in, so replaying a cached tree is bit-identical to
-// recomputing it.
+// One application's flow tree as resolved through routes, fleet and
+// hosts, plus the config versions it was built from.  The tree holds no
+// demand and no shares: it covers every tracked VIP and every RIP, and
+// emit replays it each epoch with that epoch's demand and shares,
+// repeating the direct descent's floating-point operations and kEpsRps
+// cut-offs in the same order.  A cached tree therefore yields exactly
+// the values a descent with inline demand would, whatever the demand and
+// shares did since it was built.  The one exception is a tracked VIP
+// whose share is exactly 0 (a standby VIP DNS does not expose): it
+// carries nothing, so it stays unresolved — an empty Tracked node — and
+// the tree is rebuilt once its share leaves 0.
 struct FluidEngine::AppCache {
-  // How far the app's evaluation got; what must hold for the cache to
-  // stay valid depends on it (see FluidEngine::cacheValid).
-  enum class Stage : std::uint8_t {
-    DemandOnly,  // demand <= eps: nothing else was consulted
-    NoDns,       // app missing from DNS: valid until DNS topology grows
-    Routed       // full descent: valid while every recorded version holds
+  enum class Kind : std::uint8_t {
+    Tracked,     // a tracked VIP: `arg` router subtrees follow (0 = none)
+    Vip,         // a VIP visit: `cause` is kRouted or why it is unrouted
+    VmRip,       // RIP to one of the app's live VMs: flows[arg]
+    ForeignRip,  // RIP to another app's VM: a checked failure if loaded
+    DeadRip,     // RIP to a destroyed VM
+    MvipRip,     // RIP to an m-VIP: its Vip subtree follows
   };
 
-  bool valid = false;
-  Stage stage = Stage::DemandOnly;
-  bool hadDns = false;
-  double demandRps = 0.0;
-  std::uint64_t dnsTopoDep = 0;
-  std::uint64_t sharesDep = 0;
+  // Preorder; `end` lets a pruned subtree be skipped in one step.
+  struct Node {
+    double weight = 0.0;    // RIP: its weight; Vip: the VIP's total weight
+    std::uint32_t end = 0;  // one past this node's subtree
+    std::uint32_t arg = 0;  // Tracked: routers; Vip: VipId; VmRip: flow
+    Kind kind = Kind::Vip;
+    std::uint8_t cause = kRouted;  // Vip only
+    bool degraded = false;  // Tracked: routed over the padded fallback
+  };
 
   struct Flow {
     VmRecord* vm;  // stable: HostFleet never erases VM records
-    double rps;
+    double rps;    // this epoch's load; <= kEpsRps when the replay pruned it
     Path path;
   };
 
-  // Outcome, in descent-visit order.
-  std::vector<std::pair<std::uint8_t, double>> unrouted;  // cause, rps
-  std::vector<std::pair<VipId, double>> vipDemandRps;
-  std::vector<double> degradedRps;  // fallback-routed shares
-  std::vector<Flow> flows;
+  bool built = false;   // holds a resolved tree (or the no-DNS outcome)
+  bool hadDns = false;  // apps never leave DNS, so true stays true
+  double demandRps = 0.0;  // this epoch's demand: the replay's input
+  std::uint64_t dnsTopoDep = 0;  // while !hadDns
+  std::size_t tracked = 0;       // resolver tracked-VIP count built for
+
+  std::vector<Node> nodes;  // one Tracked subtree per tracked VIP, in order
+  std::vector<Flow> flows;  // VmRip leaves in visit order
+  std::vector<std::uint32_t> idle;  // tracked positions left at share 0
 
   // Version dependencies recorded during the descent.
-  std::vector<std::pair<VipId, std::uint64_t>> fleetDeps;
   std::vector<std::pair<VipId, std::uint64_t>> routeDeps;
+  std::vector<std::pair<VipId, std::uint64_t>> fleetDeps;
   std::vector<std::pair<VmId, std::uint64_t>> vmDeps;
 
-  void clearOutcome() {
-    unrouted.clear();
-    vipDemandRps.clear();
-    degradedRps.clear();
+  void clear() {
+    tracked = 0;
+    nodes.clear();
     flows.clear();
-    fleetDeps.clear();
+    idle.clear();
     routeDeps.clear();
+    fleetDeps.clear();
     vmDeps.clear();
   }
 };
@@ -111,7 +132,6 @@ FluidEngine::FluidEngine(Simulation& sim, const Topology& topo,
       hosts_(hosts),
       demand_(demand),
       options_(options),
-      demandInvariant_(demand.timeInvariant()),
       // resolveWorkers clamps to physical cores (unless the caller set
       // MDC_ALLOW_OVERSUBSCRIBE), so workers() > 1 implies the parallel
       // phases genuinely run concurrently — no further gating needed.
@@ -122,14 +142,13 @@ FluidEngine::FluidEngine(Simulation& sim, const Topology& topo,
 FluidEngine::~FluidEngine() = default;
 
 bool FluidEngine::cacheValid(AppId app, const AppCache& c) const {
-  using Stage = AppCache::Stage;
-  if (c.stage == Stage::DemandOnly) return true;
-  if (c.stage == Stage::NoDns) {
-    // Apps are never unregistered, so "not in DNS" can only flip when
-    // the registered set grows.
-    return dns_.topologyVersion() == c.dnsTopoDep;
+  // Tracked VIPs are only ever appended, so an unchanged count means an
+  // unchanged list.
+  const std::span<const VipWeight> shares = resolvers_.view(app);
+  if (shares.size() != c.tracked) return false;
+  for (const std::uint32_t k : c.idle) {
+    if (shares[k].weight != 0.0) return false;
   }
-  if (resolvers_.sharesVersion(app) != c.sharesDep) return false;
   for (const auto& [vip, v] : c.routeDeps) {
     if (routes_.routeVersion(vip) != v) return false;
   }
@@ -142,91 +161,84 @@ bool FluidEngine::cacheValid(AppId app, const AppCache& c) const {
   return true;
 }
 
-// Recursive descent from a VIP to VMs, following m-VIP indirection for
-// the two-LB-layer architecture (§V-B).  `path` holds the links already
-// crossed (access link + upstream switch trunks).  Runs on pool workers
-// for disjoint apps: every store access is a const read and every write
-// lands in the app's own cache entry, so the descent needs no
-// synchronisation at all.  The depth check keeps every path within
-// Path::kMaxLinks.
-void FluidEngine::descend(AppId app, VipId vip, double rps, Path path,
-                          int depth, AppCache& c) {
-  if (rps <= kEpsRps) return;
-  if (depth >= kMaxVipDepth) {
-    c.unrouted.emplace_back(kDepth, rps);
-    return;
-  }
+// Builds the subtree of one VIP visit — its Vip node, then its RIPs in
+// table order — following m-VIP indirection for the two-LB-layer
+// architecture (§V-B).  `path` holds the links already crossed (access
+// link + upstream switch trunks).  `deps` is false for the second and
+// later router copies of a tracked VIP's subtree, which read exactly what
+// the first copy read.  Runs on pool workers for disjoint apps: every
+// store access is a const read and every write lands in the app's own
+// cache entry, so the descent needs no synchronisation at all.  The depth
+// check keeps every path within Path::kMaxLinks.
+void FluidEngine::descend(AppId app, VipId vip, Path path, int depth,
+                          bool deps, AppCache& c) {
+  using Kind = AppCache::Kind;
+  const std::size_t at = c.nodes.size();
+  c.nodes.push_back({.arg = vip.value(), .kind = Kind::Vip});
+  const auto close = [&c, at](std::uint8_t cause) {
+    c.nodes[at].cause = cause;
+    c.nodes[at].end = static_cast<std::uint32_t>(c.nodes.size());
+  };
+  if (depth >= kMaxVipDepth) return close(kDepth);
   const SwitchFleet& fleet = fleet_;
-  c.fleetDeps.emplace_back(vip, fleet.vipConfigVersion(vip));
+  if (deps) c.fleetDeps.emplace_back(vip, fleet.vipConfigVersion(vip));
   const auto owner = fleet.ownerOf(vip);
-  if (!owner.has_value()) {
-    c.unrouted.emplace_back(kNoOwner, rps);
-    return;
-  }
+  if (!owner.has_value()) return close(kNoOwner);
   const VipEntry* entry = fleet.at(*owner).findVip(vip);
   MDC_ENSURE(entry != nullptr, "fleet ownership index out of sync");
   const double totalWeight = entry->totalWeight();
-  if (entry->rips.empty() || totalWeight <= 0.0) {
-    c.unrouted.emplace_back(kNoRips, rps);
-    return;
-  }
-  c.vipDemandRps.emplace_back(vip, rps);
+  if (entry->rips.empty() || totalWeight <= 0.0) return close(kNoRips);
+  c.nodes[at].weight = totalWeight;
   path.push(topo_.switchTrunk(*owner));
   const bool traditional =
       topo_.config().fabric == FabricKind::TraditionalTree;
   for (const RipEntry& rip : entry->rips) {
-    const double ripRps = rps * rip.weight / totalWeight;
-    if (ripRps <= kEpsRps) continue;
+    const std::size_t r = c.nodes.size();
+    c.nodes.push_back({.weight = rip.weight, .kind = Kind::MvipRip});
     if (rip.targetsVm()) {
-      c.vmDeps.emplace_back(rip.vm, hosts_.vmConfigVersion(rip.vm));
-      if (!hosts_.vmExists(rip.vm)) {
-        c.unrouted.emplace_back(kDeadVm, ripRps);
-        continue;
+      if (deps) {
+        c.vmDeps.emplace_back(rip.vm, hosts_.vmConfigVersion(rip.vm));
       }
-      VmRecord& rec = hosts_.vmMutable(rip.vm);
-      // The serving phase partitions VM writes by application: every VM
-      // must be reached through its own app's VIPs only.
-      MDC_ENSURE(rec.app == app,
-                 "RIP routes one app's demand to another app's VM");
-      const ServerInfo& srv = topo_.server(rec.server);
-      Path leaf = path;
-      if (traditional) leaf.push(topo_.siloUplink(srv.silo));
-      leaf.push(srv.nic);
-      c.flows.push_back(AppCache::Flow{&rec, ripRps, leaf});
+      if (!hosts_.vmExists(rip.vm)) {
+        c.nodes[r].kind = Kind::DeadRip;
+      } else if (VmRecord& rec = hosts_.vmMutable(rip.vm); rec.app != app) {
+        // The serving phase partitions VM writes by application: a VM
+        // may only be reached through its own app's VIPs.
+        c.nodes[r].kind = Kind::ForeignRip;
+      } else {
+        const ServerInfo& srv = topo_.server(rec.server);
+        Path leaf = path;
+        if (traditional) leaf.push(topo_.siloUplink(srv.silo));
+        leaf.push(srv.nic);
+        c.nodes[r].kind = Kind::VmRip;
+        c.nodes[r].arg = static_cast<std::uint32_t>(c.flows.size());
+        c.flows.push_back(AppCache::Flow{&rec, 0.0, leaf});
+      }
     } else {
-      descend(app, rip.mvip, ripRps, path, depth + 1, c);
+      descend(app, rip.mvip, path, depth + 1, deps, c);
     }
+    c.nodes[r].end = static_cast<std::uint32_t>(c.nodes.size());
   }
+  close(kRouted);
 }
 
-void FluidEngine::computeApp(AppId app, AppCache& c,
-                             std::span<const VipWeight> shares) {
-  using Stage = AppCache::Stage;
-  c.clearOutcome();
-  c.valid = true;
-  const double demandRps = c.demandRps;
-  if (demandRps <= kEpsRps) {
-    c.stage = Stage::DemandOnly;
-    return;
-  }
-  if (!c.hadDns) {
-    c.stage = Stage::NoDns;
-    c.unrouted.emplace_back(kNoDns, demandRps);
-    return;
-  }
-  c.stage = Stage::Routed;
-  double shareSum = 0.0;
-  for (const VipWeight& sh : shares) shareSum += sh.weight;
-  if (shares.empty() || shareSum <= kEpsRps) {
-    // No VIP of the app is exposed (all weights zero, e.g. every RIP
-    // lost); clients cannot reach it at all.
-    c.unrouted.emplace_back(kNoShares, demandRps);
-    return;
-  }
-  for (const VipWeight& sh : shares) {
-    const double vipRps = demandRps * sh.weight;
-    if (vipRps <= kEpsRps) continue;
-
+// Resolves the tree of every tracked VIP: its routers (or the degraded
+// fallback, or none), then one copy of its subtree per router.  A VIP at
+// share 0 gets an empty Tracked node: the replay's first cut-off
+// (demand * 0 <= kEpsRps) skips it, and cacheValid() watches its share.
+void FluidEngine::computeApp(AppId app, AppCache& c) {
+  c.clear();
+  c.built = true;
+  const std::span<const VipWeight> tracked = resolvers_.view(app);
+  c.tracked = tracked.size();
+  for (std::size_t k = 0; k < tracked.size(); ++k) {
+    const VipWeight& sh = tracked[k];
+    if (sh.weight == 0.0) {
+      c.idle.push_back(static_cast<std::uint32_t>(k));
+      c.nodes.push_back({.end = static_cast<std::uint32_t>(c.nodes.size() + 1),
+                         .kind = AppCache::Kind::Tracked});
+      continue;
+    }
     c.routeDeps.emplace_back(sh.vip, routes_.routeVersion(sh.vip));
     auto routers = routes_.activeRouters(sh.vip);
     bool degraded = false;
@@ -236,18 +248,108 @@ void FluidEngine::computeApp(AppId app, AppCache& c,
       routers = routes_.reachableRouters(sh.vip);
       degraded = !routers.empty();
     }
-    if (routers.empty()) {
-      c.unrouted.emplace_back(kNoRoute, vipRps);
+    const std::size_t t = c.nodes.size();
+    c.nodes.push_back({.arg = static_cast<std::uint32_t>(routers.size()),
+                       .kind = AppCache::Kind::Tracked,
+                       .degraded = degraded});
+    for (std::size_t r = 0; r < routers.size(); ++r) {
+      Path access;
+      access.push(topo_.accessLinkFor(routers[r]).link);
+      descend(app, sh.vip, access, 0, r == 0, c);
+    }
+    c.nodes[t].end = static_cast<std::uint32_t>(c.nodes.size());
+  }
+}
+
+// Replays one app's tree with this epoch's demand and shares into the
+// report and the shared accumulators, and leaves each flow's load in the
+// cache for the serving phase.  Every value is computed by the direct
+// descent's operations in its order — demand * share, / routers, then
+// * weight / total per hop — under the same kEpsRps cut-offs.
+void FluidEngine::emitApp(const Application& app, AppCache& c,
+                          EpochReport& report) {
+  for (AppCache::Flow& f : c.flows) f.rps = 0.0;
+  const double demandRps = c.demandRps;
+  if (demandRps <= kEpsRps) return;
+  if (!c.hadDns) return addUnrouted(report, kNoDns, demandRps);
+  const std::span<const VipWeight> shares = resolvers_.view(app.id);
+  double shareSum = 0.0;
+  for (const VipWeight& sh : shares) shareSum += sh.weight;
+  if (shares.empty() || shareSum <= kEpsRps) {
+    // No VIP of the app is exposed (all weights zero, e.g. every RIP
+    // lost); clients cannot reach it at all.
+    return addUnrouted(report, kNoShares, demandRps);
+  }
+  const double gbpsPerKrps = app.sla.gbpsPerKrps;
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < c.tracked; ++k) {
+    const AppCache::Node& t = c.nodes[i];
+    const double vipRps = demandRps * shares[k].weight;
+    if (vipRps <= kEpsRps) {
+      i = t.end;
       continue;
     }
-    if (degraded) c.degradedRps.push_back(vipRps);
-    const double perRouter = vipRps / static_cast<double>(routers.size());
-    for (AccessRouterId ar : routers) {
-      Path access;
-      access.push(topo_.accessLinkFor(ar).link);
-      descend(app, sh.vip, perRouter, access, 0, c);
+    if (t.arg == 0) {
+      addUnrouted(report, kNoRoute, vipRps);
+      i = t.end;
+      continue;
+    }
+    if (t.degraded) report.degradedRoutedRps += vipRps;
+    const double perRouter = vipRps / static_cast<double>(t.arg);
+    ++i;
+    for (std::uint32_t r = 0; r < t.arg; ++r) {
+      i = emitVip(c, i, perRouter, gbpsPerKrps, report);
     }
   }
+}
+
+std::size_t FluidEngine::emitVip(AppCache& c, std::size_t i, double rps,
+                                 double gbpsPerKrps, EpochReport& report) {
+  using Kind = AppCache::Kind;
+  const AppCache::Node& v = c.nodes[i];
+  if (rps <= kEpsRps) return v.end;
+  if (v.cause != kRouted) {
+    addUnrouted(report, v.cause, rps);
+    return v.end;
+  }
+  const std::size_t vi = v.arg;
+  if (vi >= vipGbps_.size()) {
+    vipGbps_.resize(vi + 1, 0.0);
+    vipStamp_.resize(vi + 1, 0);
+  }
+  if (vipStamp_[vi] != epochStamp_) {
+    vipStamp_[vi] = epochStamp_;
+    vipGbps_[vi] = 0.0;
+  }
+  vipGbps_[vi] += rps * gbpsPerKrps / 1000.0;
+  for (std::size_t j = i + 1; j < v.end;) {
+    const AppCache::Node& rip = c.nodes[j];
+    const double ripRps = rps * rip.weight / v.weight;
+    if (ripRps > kEpsRps) {
+      switch (rip.kind) {
+        case Kind::VmRip: {
+          AppCache::Flow& f = c.flows[rip.arg];
+          f.rps = ripRps;
+          const double gbps = ripRps * gbpsPerKrps / 1000.0;
+          for (const LinkId l : f.path.view()) {
+            linkOffered_[l.index()] += gbps;
+          }
+          break;
+        }
+        case Kind::DeadRip:
+          addUnrouted(report, kDeadVm, ripRps);
+          break;
+        case Kind::MvipRip:
+          (void)emitVip(c, j + 1, ripRps, gbpsPerKrps, report);
+          break;
+        default:  // ForeignRip: no other kind sits in a RIP slot
+          MDC_ENSURE(false, "RIP routes one app's demand to another app's VM");
+          break;
+      }
+    }
+    j = rip.end;
+  }
+  return v.end;
 }
 
 EpochReport FluidEngine::step() {
@@ -262,65 +364,62 @@ EpochReport FluidEngine::step() {
   const std::size_t n = appList.size();
   if (cache_.size() < n) cache_.resize(n);
 
-  // --- Phase A0: validate caches, snapshot the inputs of dirty apps ----
-  // Sequential by design: shares() may lazily materialise resolver pools,
-  // and validation is nothing but dense version-array loads.
+  // --- Phase A0: read demand, validate trees, list the dirty apps -------
+  // Sequential by design: ensurePool() may materialise resolver pools.
+  // An app without demand consults nothing more, so its pool materialises
+  // in the first epoch it has demand (a pool starts at that epoch's
+  // weights).  Neither demand nor shares can dirty a tree: the replay
+  // applies them.
   const bool incremental = options_.incremental;
   dirty_.clear();
+  std::size_t recomputed = 0;
   {
     const auto prof = profiler_.time(PhaseProfiler::Phase::Validate);
     for (std::size_t i = 0; i < n; ++i) {
-      const Application& app = appList[i];
-      AppCache& c = cache_[app.id.index()];
-      const double d = (incremental && c.valid && demandInvariant_)
-                           ? c.demandRps
-                           : demand_.rps(app.id, now);
-      if (incremental && c.valid && d == c.demandRps &&
-          cacheValid(app.id, c)) {
-        continue;
-      }
-      c.demandRps = d;
-      c.hadDns = false;
-      std::vector<VipWeight> shares;
-      if (d > kEpsRps) {
-        c.hadDns = dns_.hasApp(app.id);
-        if (c.hadDns) {
-          shares = resolvers_.shares(app.id);
-          // Read the version after shares(): a first call materialises the
-          // pool and moves the version.
-          c.sharesDep = resolvers_.sharesVersion(app.id);
-        } else {
+      const AppId app = appList[i].id;
+      AppCache& c = cache_[app.index()];
+      c.demandRps = demand_.rps(app, now);
+      if (c.demandRps <= kEpsRps) continue;
+      if (!incremental) c.built = false;
+      if (!c.hadDns) {
+        // Apps are never unregistered, so "not in DNS" can only flip
+        // when the registered set grows.
+        if (c.built && dns_.topologyVersion() == c.dnsTopoDep) continue;
+        c.hadDns = dns_.hasApp(app);
+        if (!c.hadDns) {
+          c.clear();
+          c.built = true;
           c.dnsTopoDep = dns_.topologyVersion();
+          ++recomputed;
+          continue;
         }
+        c.built = false;  // the no-DNS outcome is stale
       }
-      const std::size_t k = dirty_.size();
-      dirty_.push_back(app.id.index());
-      if (k < dirtyShares_.size()) {
-        dirtyShares_[k] = std::move(shares);
-      } else {
-        dirtyShares_.push_back(std::move(shares));
-      }
+      resolvers_.ensurePool(app);
+      if (c.built && cacheValid(app, c)) continue;
+      dirty_.push_back(app.index());
     }
   }
+  recomputed += dirty_.size();
   if (incremental) {
-    report.engineAppsRecomputed = static_cast<std::uint32_t>(dirty_.size());
-    report.engineAppsCached = static_cast<std::uint32_t>(n - dirty_.size());
-    totalRecomputed_ += dirty_.size();
-    totalCached_ += n - dirty_.size();
+    report.engineAppsRecomputed = static_cast<std::uint32_t>(recomputed);
+    report.engineAppsCached = static_cast<std::uint32_t>(n - recomputed);
+    totalRecomputed_ += recomputed;
+    totalCached_ += n - recomputed;
   }
 
   // --- Phase A1: re-descend dirty apps on the pool ---------------------
   // Static contiguous ranges over the dirty list; each worker writes only
-  // its own apps' cache slots, so the fan-out runs with zero
-  // synchronisation.  The join is the barrier phases B and C rely on to
-  // read the caches.
+  // its own apps' cache slots and reads the resolver view in place, so
+  // the fan-out runs with zero synchronisation.  The join is the barrier
+  // phases B and C rely on to read the caches.
   {
     const auto prof = profiler_.time(PhaseProfiler::Phase::Descent);
     pool_.parallelRanges(
         dirty_.size(), [&](unsigned, std::size_t lo, std::size_t hi) {
           for (std::size_t k = lo; k < hi; ++k) {
             const AppId app{static_cast<AppId::value_type>(dirty_[k])};
-            computeApp(app, cache_[dirty_[k]], dirtyShares_[k]);
+            computeApp(app, cache_[dirty_[k]]);
           }
         });
   }
@@ -332,7 +431,7 @@ EpochReport FluidEngine::step() {
   }
   linkOffered_.assign(topo_.network().linkCount(), 0.0);
 
-  // --- Phase B: emit every app's tree into the report ------------------
+  // --- Phase B: replay every app's tree into the report ----------------
   // Serial, always in application order, so per-accumulator addition
   // sequences — and therefore the floating-point results — are
   // independent of which apps happened to be cached and of the worker
@@ -345,32 +444,9 @@ EpochReport FluidEngine::step() {
     const auto prof = profiler_.time(PhaseProfiler::Phase::Emit);
     for (std::size_t i = 0; i < n; ++i) {
       const Application& app = appList[i];
-      const AppCache& c = cache_[app.id.index()];
-      const double gbpsPerKrps = app.sla.gbpsPerKrps;  // hoisted per app
+      AppCache& c = cache_[app.id.index()];
       report.appDemandRps[app.id] = c.demandRps;
-      for (const auto& [cause, rps] : c.unrouted) {
-        report.unroutedRps += rps;
-        report.unroutedByCause[kCauseNames[cause]] += rps;
-      }
-      for (const auto& [vip, rps] : c.vipDemandRps) {
-        const std::size_t vi = vip.index();
-        if (vi >= vipGbps_.size()) {
-          vipGbps_.resize(vi + 1, 0.0);
-          vipStamp_.resize(vi + 1, 0);
-        }
-        if (vipStamp_[vi] != epochStamp_) {
-          vipStamp_[vi] = epochStamp_;
-          vipGbps_[vi] = 0.0;
-        }
-        vipGbps_[vi] += rps * gbpsPerKrps / 1000.0;
-      }
-      for (const double rps : c.degradedRps) {
-        report.degradedRoutedRps += rps;
-      }
-      for (const AppCache::Flow& f : c.flows) {
-        const double gbps = f.rps * gbpsPerKrps / 1000.0;
-        for (const LinkId l : f.path.view()) linkOffered_[l.index()] += gbps;
-      }
+      emitApp(app, c, report);
     }
     report.vipDemandGbps.reserve(fleet_.totalVips());
     for (std::size_t vi = 0; vi < vipGbps_.size(); ++vi) {
@@ -415,6 +491,7 @@ EpochReport FluidEngine::step() {
       const AppCache& c = cache_[app.id.index()];
       const std::size_t firstTouched = myTouched.size();
       for (const AppCache::Flow& f : c.flows) {
+        if (f.rps <= kEpsRps) continue;  // pruned by this epoch's replay
         double fraction = 1.0;
         for (const LinkId l : f.path.view()) {
           const double cap = net.link(l).capacityGbps;

@@ -18,18 +18,22 @@
 // in mdc/net remains available for finer analyses.
 //
 // The engine is incremental and parallel (see DESIGN.md, "Epoch engine
-// performance model").  Each application's resolved flow tree is cached
-// together with the config versions it was derived from (DNS shares,
-// route table, VIP/RIP tables, VM liveness, demand value); an epoch
-// re-descends only the applications whose inputs moved and replays every
-// other tree from the cache.  The dirty-app fan-out and the serving pass
-// run on a small worker pool over static contiguous app ranges, and each
-// writes only its own apps' state; every shared accumulator (link and VIP
-// loads) is summed in one serial walk in application order, so every
-// mode — incremental or full, 1 worker or N — produces bit-identical
-// EpochReports.  The virtual-time Simulation loop itself stays
-// single-threaded; only the pure computation inside one step()
-// parallelizes.
+// performance model").  Each application's flow tree is cached as
+// structure only — routers, VIP/RIP subtrees with their weights, leaf
+// paths, structural unrouted causes — together with the config versions
+// it was resolved from (route table, VIP/RIP tables, VM liveness) and the
+// resolver's tracked-VIP count.  Neither demand nor DNS shares are in
+// it: every epoch replays each tree with the current demand and shares,
+// repeating the direct descent's floating-point operations in order, and
+// re-descends only the apps whose structure moved (or whose standby VIP,
+// left unresolved while its share was exactly 0, got a share).  The dirty-app
+// fan-out and the serving pass run on a small worker pool over static
+// contiguous app ranges, and each writes only its own apps' state; the
+// replay and every shared accumulator (link and VIP loads) run in one
+// serial walk in application order, so every mode — incremental or full,
+// 1 worker or N — produces bit-identical EpochReports.  The virtual-time
+// Simulation loop itself stays single-threaded; only the pure
+// computation inside one step() parallelizes.
 #pragma once
 
 #include <cstdint>
@@ -147,9 +151,12 @@ class FluidEngine {
   };
 
   [[nodiscard]] bool cacheValid(AppId app, const AppCache& c) const;
-  void computeApp(AppId app, AppCache& c, std::span<const VipWeight> shares);
-  void descend(AppId app, VipId vip, double rps, Path path, int depth,
+  void computeApp(AppId app, AppCache& c);
+  void descend(AppId app, VipId vip, Path path, int depth, bool deps,
                AppCache& c);
+  void emitApp(const Application& app, AppCache& c, EpochReport& report);
+  std::size_t emitVip(AppCache& c, std::size_t i, double rps,
+                      double gbpsPerKrps, EpochReport& report);
 
   Simulation& sim_;
   const Topology& topo_;
@@ -161,12 +168,10 @@ class FluidEngine {
   HostFleet& hosts_;
   const DemandModel& demand_;
   Options options_;
-  bool demandInvariant_;
 
   ThreadPool pool_;
   std::vector<AppCache> cache_;           // indexed by AppId
   std::vector<std::size_t> dirty_;        // app indices to re-descend
-  std::vector<std::vector<VipWeight>> dirtyShares_;  // parallel to dirty_
 
   // Flat per-epoch accumulators (reused across steps).  The vm/vip/app
   // arrays are epoch-stamped so only the entries a flow actually touched

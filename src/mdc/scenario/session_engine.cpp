@@ -50,9 +50,9 @@ std::uint64_t poissonDraw(Rng& rng, double lambda) {
       std::max(0.0, std::round(rng.normal(lambda, std::sqrt(lambda)))));
 }
 
-/// Weighted VIP pick over prefetched resolver shares.  Shared by both
-/// tick paths so the draw sequence is identical.
-VipId pickVip(const std::vector<VipWeight>& shares, double total, Rng& rng) {
+/// Weighted VIP pick over an app's resolver shares.  Shared by both tick
+/// paths so the draw sequence is identical.
+VipId pickVip(std::span<const VipWeight> shares, double total, Rng& rng) {
   const double r = rng.uniform() * total;
   double acc = 0.0;
   for (const VipWeight& w : shares) {
@@ -133,19 +133,12 @@ void SessionEngine::start() {
   sim_.every(options_.tick, [this] { tick(); });
 }
 
-void SessionEngine::prefetchShares() {
-  // Serial by design: ResolverPopulation lazily materialises pools behind
-  // const methods, so the parallel generation phase must only touch this
-  // prefetched snapshot.
-  const auto& all = apps_.all();
-  for (std::size_t a = 0; a < all.size(); ++a) {
-    const AppId app = all[a].id;
-    const std::uint64_t v = resolvers_.sharesVersion(app);
-    if (sharesFresh_[a] != 0 && sharesSeen_[a] == v) continue;
-    sharesCache_[a] = resolvers_.shares(app);
-    sharesSeen_[a] = v;
-    sharesFresh_[a] = 1;
-  }
+void SessionEngine::ensurePools() {
+  // Serial by design: the first read of an app's shares materialises its
+  // resolver pool, and a pool starts at the weights of the tick it
+  // materialises in.  Afterwards the parallel generation phase reads
+  // every pool in place through ResolverPopulation::view().
+  for (const Application& app : apps_.all()) resolvers_.ensurePool(app.id);
 }
 
 void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
@@ -163,7 +156,7 @@ void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
     if (count == 0) continue;
     candidates_[a] = static_cast<std::uint32_t>(count);
 
-    const std::vector<VipWeight>& shares = sharesCache_[a];
+    const std::span<const VipWeight> shares = resolvers_.view(app);
     double shareTotal = 0.0;
     for (const VipWeight& w : shares) shareTotal += w.weight;
 
@@ -271,9 +264,6 @@ void SessionEngine::tick() {
   const std::size_t numShards = shards_.size();
   if (perAppSeq_.size() < numApps) {
     perAppSeq_.resize(numApps, 0);
-    sharesCache_.resize(numApps);
-    sharesSeen_.resize(numApps, 0);
-    sharesFresh_.resize(numApps, 0);
     rejectedPerApp_.resize(numApps, 0);
   }
   candidates_.assign(numApps, 0);
@@ -284,7 +274,7 @@ void SessionEngine::tick() {
   admit_.assign(numApps, 0);
   for (auto& b : buckets_) b.clear();
 
-  prefetchShares();
+  ensurePools();
 
   // Phase S: O(due-this-tick) expiry, one worker per shard range.
   if (pool_ != nullptr) {

@@ -12,17 +12,18 @@
 //
 //  * storage is one ConnectionShard per switch — struct-of-arrays session
 //    records plus a timing wheel, so expiry is O(sessions due this tick);
-//  * the tick is a deterministic pipeline: (P) serial share prefetch,
-//    (S) per-shard expiry, (G) per-app arrival generation into
-//    per-(worker, shard) buckets, (A) serial global-cap admission in
-//    ascending app order, (I) per-shard inserts draining buckets in
-//    worker-slot order.  Phases S/G/I fan out over the ThreadPool's
-//    parallelRanges; because each app's randomness comes from its own
-//    mix(seed, app, epoch) stream, each shard is mutated by exactly one
-//    worker, and bucket concatenation in slot order equals ascending app
-//    order, the tick is bit-identical for ANY worker count — including
-//    the `sharded = false` reference path with no pool at all.  The
-//    randomized equivalence suite enforces this;
+//  * the tick is a deterministic pipeline: (P) serial resolver-pool
+//    materialisation (generation then reads shares in place), (S)
+//    per-shard expiry, (G) per-app arrival generation into per-(worker,
+//    shard) buckets, (A) serial global-cap admission in ascending app
+//    order, (I) per-shard inserts draining buckets in worker-slot order.
+//    Phases S/G/I fan out over the ThreadPool's parallelRanges; because
+//    each app's randomness comes from its own mix(seed, app, epoch)
+//    stream, each shard is mutated by exactly one worker, and bucket
+//    concatenation in slot order equals ascending app order, the tick is
+//    bit-identical for ANY worker count — including the `sharded = false`
+//    reference path with no pool at all.  The randomized equivalence
+//    suite enforces this;
 //  * quiescent VIP transfer is a first-class drain: beginDrain() steers
 //    DNS away (weight 0), the tick watches the owning switch's resident
 //    count, and on quiescence transfers the VIP and restores the weight,
@@ -187,7 +188,7 @@ class SessionEngine {
     SpanId span;
   };
 
-  void prefetchShares();
+  void ensurePools();
   void generateApps(unsigned slot, std::size_t lo, std::size_t hi,
                     SimTime now);
   void admitSerial();
@@ -212,9 +213,6 @@ class SessionEngine {
 
   // Per-app persistent state.
   std::vector<std::uint32_t> perAppSeq_;  // session-id sequence numbers
-  std::vector<std::vector<VipWeight>> sharesCache_;
-  std::vector<std::uint64_t> sharesSeen_;  // sharesVersion at last fetch
-  std::vector<std::uint8_t> sharesFresh_;  // cache ever filled
 
   // Per-tick scratch, cleared each tick.
   std::vector<std::uint32_t> candidates_;  // arrivals drawn per app

@@ -51,8 +51,9 @@ std::uint64_t Rng::uniformInt(std::uint64_t n) {
   MDC_EXPECT(n > 0, "uniformInt: n == 0");
   // Lemire-style rejection-free enough for simulation purposes; the modulo
   // bias at n << 2^64 is negligible, but use multiply-shift anyway.
-  const unsigned __int128 m =
-      static_cast<unsigned __int128>(nextU64()) * n;
+  // __extension__ marks the GNU 128-bit type as intended under -Wpedantic.
+  __extension__ using U128 = unsigned __int128;
+  const U128 m = static_cast<U128>(nextU64()) * n;
   return static_cast<std::uint64_t>(m >> 64);
 }
 

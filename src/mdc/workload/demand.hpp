@@ -23,12 +23,6 @@ class DemandModel {
  public:
   virtual ~DemandModel() = default;
   [[nodiscard]] virtual double rps(AppId app, SimTime t) const = 0;
-
-  /// True when rps(app, t) does not depend on t.  The incremental epoch
-  /// engine uses this as a fast path: with a time-invariant model, a
-  /// cached per-app demand needs no per-epoch re-evaluation.  Models that
-  /// vary over time keep the default.
-  [[nodiscard]] virtual bool timeInvariant() const noexcept { return false; }
 };
 
 /// Constant per-app demand (the app's base rate scaled by `factor`).
@@ -36,7 +30,6 @@ class StaticDemand final : public DemandModel {
  public:
   StaticDemand(std::vector<double> baseRps, double factor = 1.0);
   [[nodiscard]] double rps(AppId app, SimTime t) const override;
-  [[nodiscard]] bool timeInvariant() const noexcept override { return true; }
 
  private:
   std::vector<double> base_;

@@ -1,7 +1,11 @@
 // Unit tests for the authoritative DNS and resolver-population model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "mdc/dns/dns.hpp"
@@ -181,6 +185,105 @@ TEST(ResolverPopulation, ConfigValidation) {
   bad = fastConfig();
   bad.lingerFraction = 1.5;
   EXPECT_THROW((ResolverPopulation{dns, bad}), PreconditionError);
+}
+
+TEST(ResolverPopulation, ViewMatchesSharesUnderRandomDnsChurn) {
+  // view() keeps each pool's effective shares up to date in place;
+  // shares() recombines the two client populations afresh.  After every
+  // DNS add, remove, setWeight and setWeights and after every advance
+  // they must agree bit for bit, and a tracked-VIP list may only grow by
+  // appending (re-exposing a dropped VIP keeps its old position).
+  constexpr std::uint32_t kApps = 4;
+  AuthoritativeDns dns;
+  ResolverPopulation pop{dns, ResolverConfig{}};  // 5% lingering clients
+  std::mt19937 rng(0xD45);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto weight = [&] { return unit(rng) < 0.25 ? 0.0 : 3.0 * unit(rng); };
+  std::vector<std::vector<VipId>> dropped(kApps);
+  std::vector<std::vector<VipId>> tracked(kApps);
+  std::uint32_t nextVip = 0;
+  for (std::uint32_t a = 0; a < kApps; ++a) {
+    dns.registerApp(AppId{a});
+    dns.addVip(AppId{a}, VipId{nextVip++}, 1.0);
+    dns.addVip(AppId{a}, VipId{nextVip++}, 2.0);
+  }
+  // App 3's pool materialises only when the churn first reads it.
+  for (std::uint32_t a = 0; a + 1 < kApps; ++a) (void)pop.shares(AppId{a});
+
+  const auto expectViewIsShares = [&](AppId app, bool viewFirst,
+                                      const std::string& what) {
+    SCOPED_TRACE(what);
+    std::vector<VipWeight> seen;
+    if (viewFirst) seen.assign(pop.view(app).begin(), pop.view(app).end());
+    const std::vector<VipWeight> fresh = pop.shares(app);
+    if (!viewFirst) seen.assign(pop.view(app).begin(), pop.view(app).end());
+    ASSERT_EQ(seen.size(), fresh.size());
+    std::vector<VipId>& list = tracked[app.index()];
+    ASSERT_GE(seen.size(), list.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].vip, fresh[i].vip);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(seen[i].weight),
+                std::bit_cast<std::uint64_t>(fresh[i].weight))
+          << "position " << i;
+      if (i < list.size()) {
+        EXPECT_EQ(seen[i].vip, list[i]) << "tracked VIP moved";
+      } else {
+        list.push_back(seen[i].vip);
+      }
+    }
+  };
+
+  SimTime now = 0.0;
+  for (int step = 0; step < 3000; ++step) {
+    const AppId app{static_cast<std::uint32_t>(rng() % kApps)};
+    const auto exposed = dns.vips(app);
+    const std::string what = "step " + std::to_string(step);
+    switch (rng() % 6) {
+      case 0: {  // expose a fresh VIP, or re-expose a dropped one
+        std::vector<VipId>& pool = dropped[app.index()];
+        if (!pool.empty() && rng() % 2 == 0) {
+          dns.addVip(app, pool.back(), weight());
+          pool.pop_back();
+        } else {
+          dns.addVip(app, VipId{nextVip++}, weight());
+        }
+        break;
+      }
+      case 1:
+        if (!exposed.empty()) {
+          const VipId vip = exposed[rng() % exposed.size()].vip;
+          dns.removeVip(app, vip);
+          dropped[app.index()].push_back(vip);
+        }
+        break;
+      case 2:
+        if (!exposed.empty()) {
+          dns.setWeight(app, exposed[rng() % exposed.size()].vip, weight());
+        }
+        break;
+      case 3: {
+        std::vector<VipWeight> all(exposed.begin(), exposed.end());
+        for (VipWeight& vw : all) vw.weight = weight();
+        dns.setWeights(app, all);
+        break;
+      }
+      default: {  // advance; every pool must be current without a read
+        now += rng() % 4 == 0 ? 0.0 : 120.0 * unit(rng);
+        pop.advance(now);
+        for (std::uint32_t a = 0; a < kApps; ++a) {
+          if (!tracked[a].empty()) {
+            expectViewIsShares(AppId{a}, /*viewFirst=*/true, what);
+          }
+        }
+        continue;
+      }
+    }
+    // Half the DNS changes are read at once, half first at the next
+    // advance, so both fold paths are covered.
+    if (rng() % 2 == 0) expectViewIsShares(app, /*viewFirst=*/false, what);
+    if (HasFatalFailure() || HasNonfatalFailure()) break;  // don't spam
+  }
+  for (std::uint32_t a = 0; a < kApps; ++a) EXPECT_FALSE(tracked[a].empty());
 }
 
 }  // namespace
