@@ -263,22 +263,9 @@ void GlobalManager::leaseTick() {
   ++failovers_;
   leaseExpiry_ = sim_.now() + options_.failover.leaseSeconds;
   // Recover from the durable state: new fencing term (agents will reject
-  // anything older), journal replay, reopened serialization queue...
+  // anything older), journal replay, RIPs of destroyed VMs removed from
+  // the replayed intent, reopened serialization queue...
   viprip_->recoverAsLeader(term_);
-  // Replay can resurrect a RIP binding whose DeleteRip record died with
-  // the damaged journal tail; the VM behind it may be long gone, and the
-  // reconciler would trust the rebuilt intent forever.  Purge such
-  // bindings through the normal journaled path.
-  std::vector<VmId> deadVms;
-  viprip_->intent().forEach([&](VipId, const VipIntent& in) {
-    for (const RipEntry& r : in.rips) {
-      if (r.targetsVm() && !hosts_.vmExists(r.vm)) deadVms.push_back(r.vm);
-    }
-  });
-  std::sort(deadVms.begin(), deadVms.end(),
-            [](VmId a, VmId b) { return a.value() < b.value(); });
-  deadVms.erase(std::unique(deadVms.begin(), deadVms.end()), deadVms.end());
-  for (VmId vm : deadVms) requestRipRemoval(vm, nullptr);
   // ...and an immediate audit re-derives pending work from the rebuilt
   // IntentStore instead of waiting out the periodic round.
   if (reconciler_ != nullptr) reconciler_->auditRound();
@@ -313,10 +300,7 @@ void GlobalManager::restartPod(PodId pod) {
 double GlobalManager::intendedVmWeight(VmId vm) const {
   double total = 0.0;
   for (const VipRipManager::RipRef& ref : viprip_->ripsOf(vm)) {
-    const VipIntent* in = viprip_->intent().find(ref.vip);
-    if (in == nullptr) continue;
-    const RipEntry* rip = in->findRip(ref.rip);
-    if (rip != nullptr) total += rip->weight;
+    total += viprip_->intent().find(ref.vip)->findRip(ref.rip)->weight;
   }
   return total;
 }

@@ -269,7 +269,7 @@ void PodManager::applyAssignment(const PlacementInput& input,
     if (ex == existing.end()) {
       const double weight = a.rps;
       auto created = hosts_.createVm(
-          app, server, slice, options_.useFastClone,
+          app, server, slice, /*clone=*/true,
           [this, app, weight](VmId vm) {
             rips_.requestNewRip(app, vm, weight);
           });

@@ -85,7 +85,6 @@ class PodManager {
     SimTime controlPeriod = 10.0;
     double headroom = 1.2;          // slice sizing slack over demand
     double overloadUtilization = 0.85;
-    bool useFastClone = true;
     /// Decision-time budget; beyond it the pod manager reports itself
     /// overloaded (the "more subtle issue" of §III-A).
     double decisionBudgetSeconds = 1.0;

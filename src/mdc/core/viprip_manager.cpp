@@ -92,7 +92,6 @@ VipRipManager::VipRipManager(Simulation& sim, SwitchFleet& fleet,
       machine_(journal_.changelog(), state::DurableStateMachine::Options{}),
       admission_(admissionOptionsFor(options)) {
   MDC_EXPECT(options.processSeconds >= 0.0, "negative process time");
-  routerVipCount_.assign(topo.accessLinkCount(), 0);
   setupStateMachine();
   // Balancers move VIPs directly (SwitchFleet::transferVip); the journal
   // learns those placements here so intent tracks reality synchronously.
@@ -125,7 +124,16 @@ VipRipManager::~VipRipManager() {
 void VipRipManager::intend(IntentRecord record) {
   record.at = sim_.now();
   journal_.append(record);
+  applyIntent(record);
+}
+
+void VipRipManager::applyIntent(const IntentRecord& record) {
   intent_.apply(record);
+  // An id in intent must never be issued again, whether this manager
+  // allocated it, adopted it from a switch table (RestoreVip), or
+  // replayed it from the journal.
+  vipIds_.ensureBeyond(record.vip);
+  ripIds_.ensureBeyond(record.rip.rip);
 }
 
 void VipRipManager::attachTracer(Tracer* tracer) {
@@ -249,27 +257,20 @@ void VipRipManager::computeFootprint(const VipRipRequest& req,
       break;
     case VipRipOp::DeleteRip: {
       fp.write(K::Vm, req.vm.index());
-      const auto it = vmRips_.find(req.vm);
-      if (it != vmRips_.end()) {
-        for (const RipRef& ref : it->second) {
-          fp.write(K::Vip, ref.vip.index());
-          const VipIntent* in = intent_.find(ref.vip);
-          // The refill path reads the app's instance list.
-          if (in != nullptr) fp.read(K::App, in->app.index());
-        }
+      for (const RipRef& ref : ripsOf(req.vm)) {
+        fp.write(K::Vip, ref.vip.index());
+        // The refill path reads the app's instance list.
+        fp.read(K::App, intent_.find(ref.vip)->app.index());
       }
       break;
     }
     case VipRipOp::SetWeight: {
       fp.write(K::Vm, req.vm.index());
-      const auto it = vmRips_.find(req.vm);
-      if (it != vmRips_.end()) {
-        // Weight changes on distinct RIPs of a shared VIP commute (each
-        // recomputes the VIP's DNS weight from the full intent), so the
-        // bound VIPs are read keys: SetWeights batch with each other but
-        // serialize against DeleteVip/RestoreVip on the same VIP.
-        for (const RipRef& ref : it->second) fp.read(K::Vip, ref.vip.index());
-      }
+      // Weight changes on distinct RIPs of a shared VIP commute (each
+      // recomputes the VIP's DNS weight from the full intent), so the
+      // bound VIPs are read keys: SetWeights batch with each other but
+      // serialize against DeleteVip/RestoreVip on the same VIP.
+      for (const RipRef& ref : ripsOf(req.vm)) fp.read(K::Vip, ref.vip.index());
       break;
     }
     case VipRipOp::RestoreVip: {
@@ -423,12 +424,13 @@ std::optional<SwitchId> VipRipManager::pickSwitchForVip(VipId ignoring) const {
 }
 
 AccessRouterId VipRipManager::pickAccessRouter() const {
-  MDC_EXPECT(!routerVipCount_.empty(), "no access routers");
-  std::uint32_t best = 0;
-  for (std::uint32_t i = 1; i < routerVipCount_.size(); ++i) {
-    if (routerVipCount_[i] < routerVipCount_[best]) best = i;
+  MDC_EXPECT(topo_.accessLinkCount() > 0, "no access routers");
+  AccessRouterId best{0};
+  for (std::uint32_t i = 1; i < topo_.accessLinkCount(); ++i) {
+    const AccessRouterId ar{i};
+    if (intent_.vipsAt(ar) < intent_.vipsAt(best)) best = ar;
   }
-  return AccessRouterId{best};
+  return best;
 }
 
 void VipRipManager::applyNewVip(const VipRipRequest& req, DoneGuard done) {
@@ -454,8 +456,6 @@ void VipRipManager::applyNewVip(const VipRipRequest& req, DoneGuard done) {
 
   // Selective exposure: advertise at (typically) exactly one router.
   routes_.advertise(vip, ar, sim_.now());
-  vipRouter_.emplace(vip, ar);
-  ++routerVipCount_[ar.index()];
 
   SwitchCommand cmd;
   cmd.kind = CmdKind::ConfigureVip;
@@ -477,8 +477,6 @@ void VipRipManager::applyNewVip(const VipRipRequest& req, DoneGuard done) {
                  apps_.removeVip(app, vip);
                  dns_.removeVip(app, vip);
                  routes_.withdraw(vip, ar, sim_.now());
-                 vipRouter_.erase(vip);
-                 --routerVipCount_[ar.index()];
                  IntentRecord undo;
                  undo.op = IntentOp::RemoveVip;
                  undo.vip = vip;
@@ -530,7 +528,6 @@ void VipRipManager::applyNewRip(const VipRipRequest& req, DoneGuard done) {
   rec.vip = bestVip;
   rec.rip = entry;
   intend(rec);
-  vmRips_[req.vm].push_back(RipRef{bestVip, entry.rip});
 
   SwitchCommand cmd;
   cmd.kind = CmdKind::AddRip;
@@ -539,10 +536,9 @@ void VipRipManager::applyNewRip(const VipRipRequest& req, DoneGuard done) {
   cmd.trace = req.trace;
   cmd.parentSpan = req.traceSpan;
   sender_.send(target, cmd,
-               [this, vip = bestVip, vm = req.vm, rip = entry.rip,
-                done](Status s) mutable {
+               [this, vip = bestVip, rip = entry.rip, done](Status s) mutable {
                  if (!s.ok()) {
-                   if (!isCancelled(s)) dropRipIntent(vip, rip, vm);
+                   if (!isCancelled(s)) dropRipIntent(vip, rip);
                    return done.fire(std::move(s));
                  }
                  syncVipDnsWeight(vip);
@@ -580,19 +576,11 @@ void VipRipManager::applyDeleteVip(const VipRipRequest& req, DoneGuard done) {
   if (in == nullptr) return done.fire(Status::fail("vip_unowned"));
   const AppId app = in->app;
   const SwitchId sw = in->sw;
+  const AccessRouterId ar = in->router;
   if (fleet_.at(sw).up() && fleet_.at(sw).activeConnections(req.vip) > 0) {
     return done.fire(Status::fail("vip_has_connections"));
   }
 
-  // Detach RIP bookkeeping (from intent: the authoritative RIP set).
-  for (const RipEntry& r : in->rips) {
-    if (!r.vm.valid()) continue;
-    const auto refs = vmRips_.find(r.vm);
-    if (refs == vmRips_.end()) continue;
-    std::erase_if(refs->second,
-                  [&](const RipRef& ref) { return ref.vip == req.vip; });
-    if (refs->second.empty()) vmRips_.erase(refs);
-  }
   IntentRecord rec;
   rec.op = IntentOp::RemoveVip;
   rec.vip = req.vip;
@@ -601,12 +589,7 @@ void VipRipManager::applyDeleteVip(const VipRipRequest& req, DoneGuard done) {
   apps_.removeVip(app, req.vip);
   dns_.removeVip(app, req.vip);
   exposureFactor_.erase(req.vip);
-  const auto ar = vipRouter_.find(req.vip);
-  if (ar != vipRouter_.end()) {
-    routes_.withdraw(req.vip, ar->second, sim_.now());
-    --routerVipCount_[ar->second.index()];
-    vipRouter_.erase(ar);
-  }
+  if (ar.valid()) routes_.withdraw(req.vip, ar, sim_.now());
 
   SwitchCommand cmd;
   cmd.kind = CmdKind::RemoveVip;
@@ -626,18 +609,19 @@ void VipRipManager::applyDeleteVip(const VipRipRequest& req, DoneGuard done) {
 
 void VipRipManager::applyDeleteRip(const VipRipRequest& req, DoneGuard done) {
   MDC_EXPECT(req.vm.valid(), "DeleteRip needs a vm");
-  const auto it = vmRips_.find(req.vm);
-  if (it == vmRips_.end() || it->second.empty()) {
+  const std::span<const RipRef> bound = ripsOf(req.vm);
+  if (bound.empty()) {
     return done.fire(Status::okStatus());  // idempotent: nothing bound
   }
-  const std::vector<RipRef> refs = std::move(it->second);
-  vmRips_.erase(it);
-  // Removal is best effort per ref: a VIP deleted or moved meanwhile must
-  // not leak the remaining refs, so the joined outcome stays ok.
+  // Copied: each RemoveRip below shrinks the store's index.
+  const std::vector<RipRef> refs(bound.begin(), bound.end());
+  // Removal is best effort per ref: a failed switch command must not
+  // leak the remaining refs, so the joined outcome stays ok.
   const auto barrier = std::make_shared<CmdBarrier>(std::move(done), true);
   for (const RipRef& ref : refs) {
     const VipIntent* in = intent_.find(ref.vip);
-    if (in == nullptr || in->findRip(ref.rip) == nullptr) continue;
+    MDC_ENSURE(in != nullptr && in->findRip(ref.rip) != nullptr,
+               "DeleteRip: bound rip not in intent");
     const SwitchId sw = in->sw;
     const AppId app = in->app;
     IntentRecord rec;
@@ -680,16 +664,14 @@ bool VipRipManager::refillVip(VipId vip, AppId app, VmId excluding,
   for (VmId vm : apps_.app(app).instances) {
     if (vm == excluding) continue;
     if (vmAlive_ && !vmAlive_(vm)) continue;
-    const auto existing = vmRips_.find(vm);
     // Reuse the VM's current intended weight so traffic shares stay
     // consistent.
     double weight = 1.0;
-    if (existing != vmRips_.end() && !existing->second.empty()) {
-      const VipIntent* other = intent_.find(existing->second.front().vip);
-      if (other != nullptr) {
-        const RipEntry* r = other->findRip(existing->second.front().rip);
-        if (r != nullptr) weight = r->weight;
-      }
+    const std::span<const RipRef> existing = ripsOf(vm);
+    if (!existing.empty()) {
+      weight = intent_.find(existing.front().vip)
+                   ->findRip(existing.front().rip)
+                   ->weight;
     }
     RipEntry entry;
     entry.rip = ripIds_.next();
@@ -700,16 +682,15 @@ bool VipRipManager::refillVip(VipId vip, AppId app, VmId excluding,
     rec.vip = vip;
     rec.rip = entry;
     intend(rec);
-    vmRips_[vm].push_back(RipRef{vip, entry.rip});
     SwitchCommand cmd;
     cmd.kind = CmdKind::AddRip;
     cmd.vip = vip;
     cmd.rip = entry;
     cmd.trace = trace;
     cmd.parentSpan = parentSpan;
-    sender_.send(sw, cmd, [this, vip, vm, rip = entry.rip](Status s) {
+    sender_.send(sw, cmd, [this, vip, rip = entry.rip](Status s) {
       if (!s.ok()) {
-        if (!isCancelled(s)) dropRipIntent(vip, rip, vm);
+        if (!isCancelled(s)) dropRipIntent(vip, rip);
         return;
       }
       syncVipDnsWeight(vip);
@@ -719,38 +700,30 @@ bool VipRipManager::refillVip(VipId vip, AppId app, VmId excluding,
   return false;
 }
 
-void VipRipManager::dropRipIntent(VipId vip, RipId rip, VmId vm) {
-  if (intent_.find(vip) != nullptr) {
-    IntentRecord rec;
-    rec.op = IntentOp::RemoveRip;
-    rec.vip = vip;
-    rec.rip.rip = rip;
-    intend(rec);
-  }
-  if (!vm.valid()) return;
-  const auto it = vmRips_.find(vm);
-  if (it == vmRips_.end()) return;
-  std::erase_if(it->second, [&](const RipRef& ref) {
-    return ref.vip == vip && ref.rip == rip;
-  });
-  if (it->second.empty()) vmRips_.erase(it);
+void VipRipManager::dropRipIntent(VipId vip, RipId rip) {
+  if (intent_.find(vip) == nullptr) return;
+  IntentRecord rec;
+  rec.op = IntentOp::RemoveRip;
+  rec.vip = vip;
+  rec.rip.rip = rip;
+  intend(rec);
 }
 
 void VipRipManager::applySetWeight(const VipRipRequest& req, DoneGuard done) {
   MDC_EXPECT(req.vm.valid(), "SetWeight needs a vm");
-  const auto it = vmRips_.find(req.vm);
-  if (it == vmRips_.end() || it->second.empty()) {
-    return done.fire(Status::fail("vm_has_no_rips"));
-  }
+  // SetRipWeight records leave the binding index untouched, so the view
+  // stays valid through the loop.
+  const std::span<const RipRef> refs = ripsOf(req.vm);
+  if (refs.empty()) return done.fire(Status::fail("vm_has_no_rips"));
   if (req.weight < 0.0) return done.fire(Status::fail("bad_weight"));
   // `weight` is the VM's total serving weight; split it across the VM's
   // RIPs so a VM reachable through k VIPs is not handed k shares.
-  const double perRip =
-      req.weight / static_cast<double>(it->second.size());
+  const double perRip = req.weight / static_cast<double>(refs.size());
   const auto barrier = std::make_shared<CmdBarrier>(std::move(done), false);
-  for (const RipRef& ref : it->second) {
+  for (const RipRef& ref : refs) {
     const VipIntent* in = intent_.find(ref.vip);
-    if (in == nullptr || in->findRip(ref.rip) == nullptr) continue;
+    MDC_ENSURE(in != nullptr && in->findRip(ref.rip) != nullptr,
+               "SetWeight: bound rip not in intent");
     IntentRecord rec;
     rec.op = IntentOp::SetRipWeight;
     rec.vip = ref.vip;
@@ -787,34 +760,21 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
   const std::optional<SwitchId> sw = pickSwitchForVip(req.vip);
   if (!sw.has_value()) return done.fire(Status::fail("vip_table_full"));
 
-  // The orphan's RIP set, minus entries whose VM died with the switch —
-  // their bookkeeping refs leave too, or later weight updates would chase
-  // a ghost.
+  // The orphan's RIP set, minus entries whose VM died with the switch.
   std::vector<RipEntry> desired;
   for (const RipEntry& r : req.rips) {
-    if (r.targetsVm() && vmAlive_ && !vmAlive_(r.vm)) {
-      const auto refs = vmRips_.find(r.vm);
-      if (refs != vmRips_.end()) {
-        std::erase_if(refs->second, [&](const RipRef& ref) {
-          return ref.vip == req.vip && ref.rip == r.rip;
-        });
-        if (refs->second.empty()) vmRips_.erase(refs);
-      }
-      continue;
-    }
+    if (r.targetsVm() && vmAlive_ && !vmAlive_(r.vm)) continue;
     desired.push_back(r);
   }
 
   // Point the intent at the new home; a VIP this manager has no record of
-  // (a journal predating it) is adopted fresh.
+  // (a journal predating it) is adopted fresh, with no known router.
   if (intent_.find(req.vip) == nullptr) {
     IntentRecord rec;
     rec.op = IntentOp::AddVip;
     rec.vip = req.vip;
     rec.app = req.app;
     rec.sw = *sw;
-    const auto ar = vipRouter_.find(req.vip);
-    rec.router = ar != vipRouter_.end() ? ar->second : AccessRouterId{};
     intend(rec);
   } else {
     IntentRecord rec;
@@ -824,7 +784,9 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
     intend(rec);
   }
   // Square the intended RIP set with the desired one (normally identical;
-  // they diverge when commands were lost around the crash).
+  // they diverge when commands were lost around the crash).  Dropping a
+  // RIP unbinds its VM in the store, so a VM left with no RIP fails its
+  // next SetWeight with "vm_has_no_rips" and its owner re-binds it.
   std::unordered_set<RipId> want;
   for (const RipEntry& r : desired) want.insert(r.rip);
   std::vector<RipId> toDrop;
@@ -846,14 +808,6 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
     rec.vip = req.vip;
     rec.rip = r;
     intend(rec);
-    if (r.targetsVm()) {
-      auto& refs = vmRips_[r.vm];
-      const bool known = std::any_of(
-          refs.begin(), refs.end(), [&](const RipRef& ref) {
-            return ref.vip == req.vip && ref.rip == r.rip;
-          });
-      if (!known) refs.push_back(RipRef{req.vip, r.rip});
-    }
   }
 
   SwitchCommand cfg;
@@ -901,9 +855,7 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
           cmd.parentSpan = span;
           barrier->add();
           sender_.send(target, cmd, [this, vip, r, barrier](Status rs) {
-            if (!rs.ok() && !isCancelled(rs)) {
-              dropRipIntent(vip, r.rip, r.targetsVm() ? r.vm : VmId{});
-            }
+            if (!rs.ok() && !isCancelled(rs)) dropRipIntent(vip, r.rip);
             barrier->complete(rs);
           });
         }
@@ -1006,9 +958,9 @@ void VipRipManager::setupStateMachine() {
     if (!r.ok()) return false;
     if (vipNext > 0) vipIds_.ensureBeyond(VipId{vipNext - 1});
     if (ripNext > 0) ripIds_.ensureBeyond(RipId{ripNext - 1});
-    // The intent store is rebuilt through the same apply() the live
-    // path and replay use, so snapshot-install can never diverge from
-    // a from-scratch replay of the same state.
+    // The intent store is rebuilt through the same applyIntent() the
+    // live path and replay use, so snapshot-install can never diverge
+    // from a full replay of the same state.
     const std::uint64_t nVips = r.u64();
     for (std::uint64_t i = 0; i < nVips; ++i) {
       IntentRecord add;
@@ -1019,7 +971,7 @@ void VipRipManager::setupStateMachine() {
       add.router = r.id<AccessRouterId>();
       const std::uint64_t nRips = r.u64();
       if (!r.ok() || !intent_.canApply(add)) return false;
-      intent_.apply(add);
+      applyIntent(add);
       for (std::uint64_t j = 0; j < nRips; ++j) {
         IntentRecord bind;
         bind.op = IntentOp::AddRip;
@@ -1029,7 +981,7 @@ void VipRipManager::setupStateMachine() {
         bind.rip.mvip = r.id<VipId>();
         bind.rip.weight = r.f64();
         if (!r.ok() || !intent_.canApply(bind)) return false;
-        intent_.apply(bind);
+        applyIntent(bind);
       }
     }
     return r.ok();
@@ -1052,9 +1004,7 @@ void VipRipManager::setupStateMachine() {
     // A CRC-valid record the store cannot legally apply marks the end
     // of the trustworthy prefix (it can only arise from data damage).
     if (!intent_.canApply(entry.record)) return false;
-    intent_.apply(entry.record);
-    vipIds_.ensureBeyond(entry.record.vip);
-    ripIds_.ensureBeyond(entry.record.rip.rip);
+    applyIntent(entry.record);
     return true;
   };
   hooks.buildAdvisory = [this](state::ByteWriter& w) {
@@ -1121,21 +1071,8 @@ state::DurableStateMachine::SnapshotResult VipRipManager::snapshotNow(
 void VipRipManager::recoverFromDurable() {
   const state::DurableStateMachine::RecoveryStats stats =
       machine_.recover(sim_.now());
-  journal_.resyncFromDurable();
   admission_.clearSilently();  // queued requests die with the crashed manager
-  vipRouter_.clear();
-  vmRips_.clear();
   exposureFactor_.clear();
-  routerVipCount_.assign(topo_.accessLinkCount(), 0);
-  intent_.forEach([&](VipId vip, const VipIntent& in) {
-    if (in.router.valid()) {
-      vipRouter_.emplace(vip, in.router);
-      ++routerVipCount_[in.router.index()];
-    }
-    for (const RipEntry& r : in.rips) {
-      if (r.targetsVm()) vmRips_[r.vm].push_back(RipRef{vip, r.rip});
-    }
-  });
   // The mirror of the lost-AddVip repair below: a RemoveRip whose switch
   // acks landed (so the caller destroyed the VM) but whose journal tail
   // did not survive the crash is resurrected by replay.  Left alone, the
@@ -1143,12 +1080,11 @@ void VipRipManager::recoverFromDurable() {
   // switch and both sides would agree on a permanently dangling entry.
   // Re-remove it here, write-ahead, so the repair itself is durable.
   if (vmAlive_) {
-    std::vector<std::pair<VmId, RipRef>> dead;
-    for (const auto& [vm, refs] : vmRips_) {
-      if (vmAlive_(vm)) continue;
-      for (const RipRef& ref : refs) dead.emplace_back(vm, ref);
-    }
-    for (const auto& [vm, ref] : dead) dropRipIntent(ref.vip, ref.rip, vm);
+    std::vector<RipRef> dead;
+    intent_.forEachBound([&](VmId vm, std::span<const RipRef> refs) {
+      if (!vmAlive_(vm)) dead.insert(dead.end(), refs.begin(), refs.end());
+    });
+    for (const RipRef& ref : dead) dropRipIntent(ref.vip, ref.rip);
   }
   resyncExternalFromIntent();
   if (tracer_ != nullptr) {
@@ -1216,17 +1152,13 @@ void VipRipManager::resyncExternalFromIntent() {
 }
 
 void VipRipManager::moveVipRoute(VipId vip, AccessRouterId to) {
-  const auto it = vipRouter_.find(vip);
-  MDC_EXPECT(it != vipRouter_.end(), "vip has no advertised router");
-  const AccessRouterId from = it->second;
+  const AccessRouterId from = routerOf(vip);
   if (from == to) return;
-  if (intent_.find(vip) != nullptr) {
-    IntentRecord rec;
-    rec.op = IntentOp::MoveRoute;
-    rec.vip = vip;
-    rec.router = to;
-    intend(rec);
-  }
+  IntentRecord rec;
+  rec.op = IntentOp::MoveRoute;
+  rec.vip = vip;
+  rec.router = to;
+  intend(rec);
   // Pad the old route (drains but stays reachable), announce the new one,
   // and withdraw the old once the padded path has had time to drain.
   routes_.pad(vip, from, sim_.now());
@@ -1237,21 +1169,13 @@ void VipRipManager::moveVipRoute(VipId vip, AccessRouterId to) {
       routes_.withdraw(vip, from, sim_.now());
     }
   });
-  --routerVipCount_[from.index()];
-  ++routerVipCount_[to.index()];
-  it->second = to;
 }
 
 AccessRouterId VipRipManager::routerOf(VipId vip) const {
-  const auto it = vipRouter_.find(vip);
-  MDC_EXPECT(it != vipRouter_.end(), "vip has no advertised router");
-  return it->second;
-}
-
-std::vector<VipRipManager::RipRef> VipRipManager::ripsOf(VmId vm) const {
-  const auto it = vmRips_.find(vm);
-  if (it == vmRips_.end()) return {};
-  return it->second;
+  const VipIntent* in = intent_.find(vip);
+  MDC_EXPECT(in != nullptr && in->router.valid(),
+             "vip has no advertised router");
+  return in->router;
 }
 
 }  // namespace mdc

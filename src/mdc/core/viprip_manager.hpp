@@ -27,12 +27,21 @@
 // channel leaves between the IntentStore and the switches' actual tables.
 // With the default reliable channel every command round trip completes
 // inline and behavior is identical to the seed's in-process calls.
+//
+// The manager keeps no copy of what intent already says: each VM's RIP
+// bindings, each VIP's access router and each router's VIP count are
+// read from the IntentStore, which derives them in apply().  Every
+// record the manager applies — issued live, adopted from a switch table
+// by RestoreVip, or replayed from the journal — goes through one helper
+// that also advances the VIP/RIP id allocators past its ids, so an id
+// that is in intent is never issued again.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -131,12 +140,13 @@ class VipRipManager {
   /// old route, advertise at `to`, withdraw the old route after a drain
   /// window.  Used by the re-advertisement baseline in E4.
   void moveVipRoute(VipId vip, AccessRouterId to);
-  /// RIPs currently bound to a VM: (vip, rip) pairs.
-  struct RipRef {
-    VipId vip;
-    RipId rip;
-  };
-  [[nodiscard]] std::vector<RipRef> ripsOf(VmId vm) const;
+  /// RIPs intended for a VM: (vip, rip) pairs in the order they were
+  /// bound.  A view into the IntentStore, invalidated by the next intent
+  /// mutation.
+  using RipRef = RipBinding;
+  [[nodiscard]] std::span<const RipRef> ripsOf(VmId vm) const {
+    return intent_.bindingsOf(vm);
+  }
 
   // --- control plane (E14) -----------------------------------------------
 
@@ -151,9 +161,6 @@ class VipRipManager {
   /// The intended (authoritative) VIP/RIP state, audited by the
   /// Reconciler against the fleet's actual tables.
   [[nodiscard]] const IntentStore& intent() const noexcept { return intent_; }
-  [[nodiscard]] const IntentJournal& intentJournal() const noexcept {
-    return journal_;
-  }
 
   // --- durable state machine (E17) ---------------------------------------
 
@@ -306,11 +313,14 @@ class VipRipManager {
   void applyRestoreVip(const VipRipRequest& req, DoneGuard done);
 
   /// Stamps the record with the current time, appends it to the journal
-  /// (write-ahead), then applies it to the in-memory store.
+  /// (write-ahead), then applies it with applyIntent().
   void intend(IntentRecord record);
-  /// Rolls an intended RIP back out (a rejected AddRip command) and drops
-  /// the VM bookkeeping ref.
-  void dropRipIntent(VipId vip, RipId rip, VmId vm);
+  /// Applies one intent record to the store and advances the id
+  /// allocators past its VIP and RIP ids.  The live path and journal
+  /// replay both apply through here.
+  void applyIntent(const IntentRecord& record);
+  /// Rolls an intended RIP back out (a rejected AddRip command).
+  void dropRipIntent(VipId vip, RipId rip);
 
   /// The most underloaded *healthy* switch with intended VIP-table space,
   /// if any.  Scored on intent, not actual tables: under in-flight or
@@ -332,8 +342,9 @@ class VipRipManager {
   /// Serializes the replayable state: fencing term, id watermarks, and
   /// the intent store in canonical (id-sorted) order.
   void serializeDurable(state::ByteWriter& w) const;
-  /// Rebuilds intent/directories from snapshot + tail replay, then
-  /// re-syncs the externally visible side effects (DNS records, route
+  /// Rebuilds intent (and with it every derived index) from snapshot +
+  /// tail replay, removes RIPs of VMs that no longer exist, then re-syncs
+  /// the externally visible side effects (DNS records, route
   /// advertisements) with the recovered intent — a lost tail record must
   /// not leave a deleted VIP exposed or a recovered VIP unreachable.
   void recoverFromDurable();
@@ -381,9 +392,6 @@ class VipRipManager {
 
   IdAllocator<VipId> vipIds_;
   IdAllocator<RipId> ripIds_;
-  std::unordered_map<VipId, AccessRouterId> vipRouter_;
-  std::unordered_map<VmId, std::vector<RipRef>> vmRips_;
-  std::vector<std::uint32_t> routerVipCount_;
 };
 
 }  // namespace mdc

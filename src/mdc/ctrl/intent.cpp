@@ -90,6 +90,32 @@ std::uint32_t IntentStore::ripsOn(SwitchId sw) const {
   return it == ripCount_.end() ? 0 : it->second;
 }
 
+std::uint32_t IntentStore::vipsAt(AccessRouterId router) const {
+  const auto it = routerVips_.find(router);
+  return it == routerVips_.end() ? 0 : it->second;
+}
+
+std::span<const RipBinding> IntentStore::bindingsOf(VmId vm) const {
+  const auto it = bindings_.find(vm);
+  if (it == bindings_.end()) return {};
+  return it->second;
+}
+
+void IntentStore::forEachBound(
+    const std::function<void(VmId, std::span<const RipBinding>)>& fn) const {
+  for (const auto& [vm, refs] : bindings_) fn(vm, refs);
+}
+
+void IntentStore::unbind(VmId vm, VipId vip, RipId rip) {
+  if (!vm.valid()) return;  // an m-VIP RIP binds no VM
+  const auto it = bindings_.find(vm);
+  MDC_ENSURE(it != bindings_.end(), "intended rip missing from vm index");
+  std::erase_if(it->second, [&](const RipBinding& b) {
+    return b.vip == vip && b.rip == rip;
+  });
+  if (it->second.empty()) bindings_.erase(it);
+}
+
 bool IntentStore::canApply(const IntentRecord& record) const {
   switch (record.op) {
     case IntentOp::AddVip:
@@ -115,14 +141,17 @@ void IntentStore::apply(const IntentRecord& record) {
       vips_.emplace(record.vip,
                     VipIntent{record.app, record.sw, record.router, {}});
       ++vipCount_[record.sw];
+      if (record.router.valid()) ++routerVips_[record.router];
       return;
     }
     case IntentOp::RemoveVip: {
       const auto it = vips_.find(record.vip);
       MDC_EXPECT(it != vips_.end(), "RemoveVip: vip not intended");
-      ripCount_[it->second.sw] -=
-          static_cast<std::uint32_t>(it->second.rips.size());
-      --vipCount_[it->second.sw];
+      const VipIntent& in = it->second;
+      for (const RipEntry& r : in.rips) unbind(r.vm, record.vip, r.rip);
+      ripCount_[in.sw] -= static_cast<std::uint32_t>(in.rips.size());
+      --vipCount_[in.sw];
+      if (in.router.valid()) --routerVips_[in.router];
       vips_.erase(it);
       return;
     }
@@ -142,7 +171,10 @@ void IntentStore::apply(const IntentRecord& record) {
     case IntentOp::MoveRoute: {
       const auto it = vips_.find(record.vip);
       MDC_EXPECT(it != vips_.end(), "MoveRoute: vip not intended");
-      it->second.router = record.router;
+      VipIntent& in = it->second;
+      if (in.router.valid()) --routerVips_[in.router];
+      in.router = record.router;
+      if (in.router.valid()) ++routerVips_[in.router];
       return;
     }
     case IntentOp::AddRip: {
@@ -152,16 +184,23 @@ void IntentStore::apply(const IntentRecord& record) {
                  "AddRip: rip already intended");
       it->second.rips.push_back(record.rip);
       ++ripCount_[it->second.sw];
+      if (record.rip.targetsVm()) {
+        bindings_[record.rip.vm].push_back(
+            RipBinding{record.vip, record.rip.rip});
+      }
       return;
     }
     case IntentOp::RemoveRip: {
       const auto it = vips_.find(record.vip);
       MDC_EXPECT(it != vips_.end(), "RemoveRip: vip not intended");
       auto& rips = it->second.rips;
-      const auto sizeBefore = rips.size();
-      std::erase_if(rips,
-                    [&](const RipEntry& r) { return r.rip == record.rip.rip; });
-      if (rips.size() < sizeBefore) --ripCount_[it->second.sw];
+      const auto r = std::find_if(
+          rips.begin(), rips.end(),
+          [&](const RipEntry& e) { return e.rip == record.rip.rip; });
+      if (r == rips.end()) return;  // already gone: a no-op
+      unbind(r->vm, record.vip, r->rip);
+      rips.erase(r);
+      --ripCount_[it->second.sw];
       return;
     }
     case IntentOp::SetRipWeight: {
@@ -183,11 +222,10 @@ void IntentStore::forEach(
   for (const auto& [vip, intent] : vips_) fn(vip, intent);
 }
 
-void IntentJournal::append(IntentRecord record) {
+void IntentJournal::append(const IntentRecord& record) {
   state::ByteWriter w;
   encodeIntentRecord(record, w);
   log_.append(w.bytes());
-  records_.push_back(std::move(record));
 }
 
 void IntentJournal::appendTermChange(std::uint64_t term) {
@@ -195,7 +233,6 @@ void IntentJournal::appendTermChange(std::uint64_t term) {
   w.u8(kJournalTagTermChange);
   w.u64(term);
   log_.append(w.bytes());
-  lastTerm_ = term;
 }
 
 void IntentJournal::appendAdmission(const AdmissionRoundRecord& round) {
@@ -206,34 +243,6 @@ void IntentJournal::appendAdmission(const AdmissionRoundRecord& round) {
   w.u32(round.expired);
   w.u32(round.deferred);
   log_.append(w.bytes());
-}
-
-IntentStore IntentJournal::replay() const {
-  IntentStore store;
-  const state::Changelog::Replay rep = log_.replay();
-  for (const auto& payload : rep.records) {
-    JournalEntry entry;
-    if (!decodeJournalEntry(payload, entry)) break;
-    if (entry.tag != kJournalTagIntent) continue;
-    if (!store.canApply(entry.record)) break;
-    store.apply(entry.record);
-  }
-  return store;
-}
-
-void IntentJournal::resyncFromDurable() {
-  records_.clear();
-  lastTerm_ = 0;
-  const state::Changelog::Replay rep = log_.replay();
-  for (const auto& payload : rep.records) {
-    JournalEntry entry;
-    if (!decodeJournalEntry(payload, entry)) break;
-    if (entry.tag == kJournalTagIntent) {
-      records_.push_back(entry.record);
-    } else if (entry.tag == kJournalTagTermChange) {
-      lastTerm_ = entry.term;
-    }
-  }
 }
 
 }  // namespace mdc

@@ -7,11 +7,14 @@
 // manager's *authoritative* picture — which switch each VIP should live
 // on, with which RIP set and weights — kept separate from the fleet's
 // actual tables; the anti-entropy reconciler compares the two and heals
-// the difference.
+// the difference.  Every index the manager reads (VIPs and RIPs per
+// switch, VIPs per access router, each VM's RIP bindings) is derived
+// inside IntentStore::apply(), the one function live mutations, journal
+// replay and snapshot install all go through, so no copy can drift.
 //
 // Every intent mutation is a small IntentRecord appended to the journal
-// *before* it is applied to the store (write-ahead).  The journal's
-// durable form is a checksummed state::Changelog: each record is framed
+// *before* it is applied to the store (write-ahead).  The journal is the
+// checksummed state::Changelog and nothing else: each record is framed
 // with a length prefix and CRC32, so replay after a simulated crash
 // trusts only the longest valid prefix of the bytes — a torn tail or a
 // corrupted record is cut off, never replayed as garbage.  Fencing-term
@@ -21,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +44,12 @@ struct VipIntent {
 
   [[nodiscard]] const RipEntry* findRip(RipId rip) const;
   [[nodiscard]] double totalWeight() const;
+};
+
+/// One intended RIP bound to a VM: the VIP it sits behind and its id.
+struct RipBinding {
+  VipId vip;
+  RipId rip;
 };
 
 enum class IntentOp : std::uint8_t {
@@ -106,55 +116,50 @@ class IntentStore {
   /// commands, where actual tables lag intent).
   [[nodiscard]] std::uint32_t vipsOn(SwitchId sw) const;
   [[nodiscard]] std::uint32_t ripsOn(SwitchId sw) const;
+  /// VIPs intended to be advertised at `router` (VIPs without a valid
+  /// router count nowhere).
+  [[nodiscard]] std::uint32_t vipsAt(AccessRouterId router) const;
+  /// The VM's intended RIPs, in the order their AddRip records were
+  /// applied.  The view is invalidated by the next apply().
+  [[nodiscard]] std::span<const RipBinding> bindingsOf(VmId vm) const;
+  /// Every VM with at least one intended RIP, with its bindings.
+  void forEachBound(
+      const std::function<void(VmId, std::span<const RipBinding>)>& fn)
+      const;
 
   /// Whether apply() would accept the record.  The live path asserts on
   /// the same conditions (a malformed live mutation is a bug); replay
   /// checks first and treats a refusal as end-of-valid-journal.
   [[nodiscard]] bool canApply(const IntentRecord& record) const;
 
-  /// Applies one mutation.  The same function serves live updates and
-  /// journal replay, so the two can never diverge.
+  /// Applies one mutation and updates every derived index.  The same
+  /// function serves live updates, journal replay and snapshot install,
+  /// so none of them can diverge.
   void apply(const IntentRecord& record);
 
   void forEach(
       const std::function<void(VipId, const VipIntent&)>& fn) const;
 
  private:
+  void unbind(VmId vm, VipId vip, RipId rip);
+
   std::unordered_map<VipId, VipIntent> vips_;
   std::unordered_map<SwitchId, std::uint32_t> vipCount_;
   std::unordered_map<SwitchId, std::uint32_t> ripCount_;
+  std::unordered_map<AccessRouterId, std::uint32_t> routerVips_;
+  std::unordered_map<VmId, std::vector<RipBinding>> bindings_;
 };
 
-/// Write-ahead journal over a checksummed changelog.  The in-memory
-/// record cache mirrors the durable bytes for cheap iteration; replay
-/// and recovery always parse the bytes.
+/// Write-ahead journal: encodes records into the checksummed changelog.
+/// It keeps no in-memory copy; recovery parses the durable bytes once,
+/// through the state machine.
 class IntentJournal {
  public:
-  void append(IntentRecord record);
-  /// Journals a fencing-term change (not an intent mutation: term
-  /// records are invisible to records()/size()).
+  void append(const IntentRecord& record);
+  /// Journals a fencing-term change (not an intent mutation).
   void appendTermChange(std::uint64_t term);
-  /// Journals one scheduling round's admission counts (invisible to
-  /// records()/size(), like term changes).
+  /// Journals one scheduling round's admission counts.
   void appendAdmission(const AdmissionRoundRecord& round);
-
-  [[nodiscard]] const std::vector<IntentRecord>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-
-  /// Rebuilds the intended state by replaying the longest valid prefix
-  /// of the durable bytes — stops at the first malformed record instead
-  /// of asserting or propagating garbage.
-  [[nodiscard]] IntentStore replay() const;
-
-  /// Re-derives the record cache (and the highest journaled term) from
-  /// the durable valid prefix.  Called after recovery truncated the
-  /// changelog, so records() never shows records replay would reject.
-  void resyncFromDurable();
-
-  /// Highest term ever journaled (0 before the first term change).
-  [[nodiscard]] std::uint64_t lastTerm() const noexcept { return lastTerm_; }
 
   [[nodiscard]] state::Changelog& changelog() noexcept { return log_; }
   [[nodiscard]] const state::Changelog& changelog() const noexcept {
@@ -163,8 +168,6 @@ class IntentJournal {
 
  private:
   state::Changelog log_;
-  std::vector<IntentRecord> records_;
-  std::uint64_t lastTerm_ = 0;
 };
 
 }  // namespace mdc

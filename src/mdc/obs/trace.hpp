@@ -27,7 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "mdc/sim/simulation.hpp"
@@ -96,11 +96,14 @@ struct TraceEvent {
   SimTime at = 0.0;
   std::uint64_t a = 0;  // hop-specific: seq, switch id, ...
   std::uint64_t b = 0;  // hop-specific: term, attempt, ...
-  char code[16] = {};   // status / op, truncated to 15 chars
+  char code[24] = {};   // status / op; the longest code is 21 chars
 
+  /// Copies `s`, cut to the first sizeof(code) - 1 characters.
   void setCode(const char* s) noexcept {
-    std::strncpy(code, s == nullptr ? "" : s, sizeof(code) - 1);
-    code[sizeof(code) - 1] = '\0';
+    const std::string_view text =
+        std::string_view(s == nullptr ? "" : s).substr(0, sizeof(code) - 1);
+    text.copy(code, text.size());
+    code[text.size()] = '\0';
   }
 };
 

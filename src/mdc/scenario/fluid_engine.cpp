@@ -558,26 +558,22 @@ EpochReport FluidEngine::step() {
   if (decorate_) decorate_(report);
 
   // Recorded series.
-  const bool room =
-      options_.maxSamples == 0 || satisfaction_.size() < options_.maxSamples;
-  if (room) {
-    linkImbalance_.record(now, maxOverMean(report.accessLinkUtil));
-    switchImbalance_.record(now, maxOverMean(report.switchUtil));
-    maxLinkUtil_.record(
-        now, report.accessLinkUtil.empty()
-                 ? 0.0
-                 : *std::max_element(report.accessLinkUtil.begin(),
-                                     report.accessLinkUtil.end()));
-    maxSwitchUtil_.record(
-        now, report.switchUtil.empty()
-                 ? 0.0
-                 : *std::max_element(report.switchUtil.begin(),
-                                     report.switchUtil.end()));
-    const double demandTotal = report.totalDemandRps();
-    satisfaction_.record(
-        now, demandTotal > 0.0 ? report.totalServedRps() / demandTotal : 1.0);
-    unrouted_.record(now, report.unroutedRps);
-  }
+  linkImbalance_.record(now, maxOverMean(report.accessLinkUtil));
+  switchImbalance_.record(now, maxOverMean(report.switchUtil));
+  maxLinkUtil_.record(
+      now, report.accessLinkUtil.empty()
+               ? 0.0
+               : *std::max_element(report.accessLinkUtil.begin(),
+                                   report.accessLinkUtil.end()));
+  maxSwitchUtil_.record(
+      now, report.switchUtil.empty()
+               ? 0.0
+               : *std::max_element(report.switchUtil.begin(),
+                                   report.switchUtil.end()));
+  const double demandTotal = report.totalDemandRps();
+  satisfaction_.record(
+      now, demandTotal > 0.0 ? report.totalServedRps() / demandTotal : 1.0);
+  unrouted_.record(now, report.unroutedRps);
 
   latest_ = report;
   return report;

@@ -60,8 +60,6 @@ class FluidEngine {
  public:
   struct Options {
     SimTime epoch = 5.0;
-    /// Stop recording time series after this many samples (0 = unlimited).
-    std::size_t maxSamples = 0;
     /// Serve unchanged apps from the flow-tree cache.  false = recompute
     /// every app every epoch (the always-correct fallback; also what the
     /// equivalence tests compare the cache against).

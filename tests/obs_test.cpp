@@ -72,8 +72,8 @@ TEST(TraceRing, BeforeWrapNothingIsLost) {
 
 TEST(TraceRing, EventCodeTruncatesSafely) {
   TraceEvent e;
-  e.setCode("a_status_code_longer_than_fifteen_chars");
-  EXPECT_EQ(std::string(e.code), "a_status_code_l");
+  e.setCode("a_status_code_longer_than_twenty_three_chars");
+  EXPECT_EQ(std::string(e.code), "a_status_code_longer_th");
   e.setCode(nullptr);
   EXPECT_EQ(std::string(e.code), "");
 }
@@ -94,6 +94,22 @@ TEST(Tracer, DisabledMintsNothingAndRecordsNothing) {
   // An untraced command (trace 0) stays invisible even when enabled.
   tracer.record(0, 1, 0, HopKind::CmdSend, "x");
   EXPECT_EQ(tracer.ring().total(), 1u);
+}
+
+TEST(Tracer, LongestRecordedCodesRoundTrip) {
+  Simulation sim;
+  Tracer tracer{sim, Tracer::Options{16, true}};
+  const TraceId t = tracer.begin();
+  // The longest status codes in the library: a host's capacity refusal
+  // (21 characters) and an expired admission request (16).
+  tracer.record(t, tracer.newSpan(), 0, HopKind::RequestDone,
+                "insufficient_capacity");
+  tracer.record(t, tracer.newSpan(), 0, HopKind::RequestDone,
+                "deadline_expired");
+  const auto events = tracer.ring().snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(std::string(events[0].code), "insufficient_capacity");
+  EXPECT_EQ(std::string(events[1].code), "deadline_expired");
 }
 
 // --- metrics registry ------------------------------------------------------

@@ -14,7 +14,6 @@
 
 #include "mdc/core/epoch_report.hpp"
 #include "mdc/ctrl/command_sender.hpp"
-#include "mdc/ctrl/intent.hpp"
 #include "mdc/scenario/megadc.hpp"
 #include "mdc/sim/rng.hpp"
 #include "mdc/state/changelog.hpp"
@@ -399,72 +398,6 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
     EXPECT_GT(machine.recoveries(), 0u);
     EXPECT_GT(machine.compactedRecordsTotal(), 0u);
   }
-}
-
-// --- intent journal (crash-mid-write regression) --------------------------
-
-IntentRecord addVip(std::uint32_t vip) {
-  IntentRecord rec;
-  rec.op = IntentOp::AddVip;
-  rec.vip = VipId{vip};
-  rec.app = AppId{0};
-  rec.sw = SwitchId{0};
-  rec.router = AccessRouterId{0};
-  return rec;
-}
-
-TEST(IntentJournalDurability, ReplayStopsAtFirstMalformedRecord) {
-  IntentJournal journal;
-  for (std::uint32_t v = 1; v <= 4; ++v) journal.append(addVip(v));
-
-  // Crash mid-write: the last record's frame is half on "disk".
-  ASSERT_TRUE(journal.changelog().tearTail(/*entropy=*/5));
-
-  // Replay must stop at the valid prefix — the torn record is cut off,
-  // records before it all land.
-  const IntentStore replayed = journal.replay();
-  EXPECT_EQ(replayed.vipCount(), 3u);
-  EXPECT_NE(replayed.find(VipId{3}), nullptr);
-  EXPECT_EQ(replayed.find(VipId{4}), nullptr);
-
-  // A CRC-valid prefix followed by a corrupt record: same contract.
-  IntentJournal journal2;
-  for (std::uint32_t v = 1; v <= 4; ++v) journal2.append(addVip(v));
-  ASSERT_TRUE(journal2.changelog().corruptTail(/*entropy=*/0x3cu));
-  EXPECT_EQ(journal2.replay().vipCount(), 3u);
-}
-
-TEST(IntentJournalDurability, ResyncAfterTruncationDropsDeadRecords) {
-  IntentJournal journal;
-  for (std::uint32_t v = 1; v <= 4; ++v) journal.append(addVip(v));
-  journal.appendTermChange(7);
-  ASSERT_EQ(journal.size(), 4u);  // term changes are not intent records
-
-  ASSERT_TRUE(journal.changelog().tearTail(/*entropy=*/9));
-  journal.changelog().truncateToValidPrefix();
-  journal.resyncFromDurable();
-  // The term record was the torn tail: the cache keeps all four intent
-  // records but the journaled term is gone.
-  EXPECT_EQ(journal.size(), 4u);
-  EXPECT_EQ(journal.lastTerm(), 0u);
-}
-
-TEST(IntentJournalDurability, SemanticallyMalformedRecordStopsReplay) {
-  IntentJournal journal;
-  journal.append(addVip(1));
-  // A CRC-valid record the store must refuse: AddRip to a VIP that does
-  // not exist.  Replay treats the refusal as end-of-trustworthy-prefix.
-  IntentRecord bad;
-  bad.op = IntentOp::AddRip;
-  bad.vip = VipId{77};
-  bad.rip = RipEntry{RipId{1}, VmId{1}, VipId{}, 1.0};
-  journal.append(bad);
-  journal.append(addVip(2));  // after the stop: never replayed
-
-  const IntentStore replayed = journal.replay();
-  EXPECT_EQ(replayed.vipCount(), 1u);
-  EXPECT_NE(replayed.find(VipId{1}), nullptr);
-  EXPECT_EQ(replayed.find(VipId{2}), nullptr);
 }
 
 // --- whole-DC snapshot + recovery through the manager ---------------------

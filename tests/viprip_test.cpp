@@ -184,6 +184,186 @@ TEST(VipRipManager, RestoreVipRehostsOrphanWithOriginalRips) {
                    7.0);
 }
 
+TEST(VipRipManager, AdoptedRipIdIsNeverIssuedAgain) {
+  Fixture f;
+  const AppId app = f.makeApp();
+  const auto vip = f.viprip.createVipNow(app);
+  ASSERT_TRUE(vip.ok());
+  ASSERT_TRUE(f.viprip.createRipNow(app, VmId{0}, 1.0).ok());
+  const RipId lost = f.viprip.ripsOf(VmId{0})[0].rip;
+
+  // The AddRip record is the journal's tail, and a crash mid-write tears
+  // it: the recovered intent (and id watermark) predate the RIP, while
+  // the switch still holds it.
+  ASSERT_TRUE(f.viprip.stateMachine().changelog().tearTail(/*entropy=*/5));
+  f.viprip.crash();
+  f.viprip.recoverAsLeader(2);
+  ASSERT_TRUE(f.viprip.ripsOf(VmId{0}).empty());
+
+  // The switch dies; restoring its orphan adopts the lost id back into
+  // intent from the switch table.
+  const SwitchId owner = *f.fleet.ownerOf(vip.value());
+  ASSERT_EQ(f.fleet.crashSwitch(owner, f.sim.now()), 1u);
+  auto orphans = f.fleet.takeOrphans(owner);
+  ASSERT_EQ(orphans.size(), 1u);
+  ASSERT_EQ(orphans[0].rips.size(), 1u);
+  ASSERT_EQ(orphans[0].rips[0].rip, lost);
+  VipRipRequest restore;
+  restore.op = VipRipOp::RestoreVip;
+  restore.app = orphans[0].app;
+  restore.vip = orphans[0].vip;
+  restore.rips = orphans[0].rips;
+  Status restored = Status::fail("pending");
+  restore.done = [&](Status s) { restored = s; };
+  f.viprip.submit(std::move(restore));
+  f.sim.runUntil(f.sim.now() + 10.0);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_EQ(f.viprip.ripsOf(VmId{0}).size(), 1u);
+  EXPECT_EQ(f.viprip.ripsOf(VmId{0})[0].rip, lost);
+
+  // A following NewRip (same app, so the same VIP) gets a fresh id.
+  VipRipRequest add;
+  add.op = VipRipOp::NewRip;
+  add.app = app;
+  add.vm = VmId{1};
+  add.weight = 1.0;
+  Status added = Status::fail("pending");
+  add.done = [&](Status s) { added = s; };
+  f.viprip.submit(std::move(add));
+  f.sim.runUntil(f.sim.now() + 10.0);
+  ASSERT_TRUE(added.ok());
+  ASSERT_EQ(f.viprip.ripsOf(VmId{1}).size(), 1u);
+  EXPECT_NE(f.viprip.ripsOf(VmId{1})[0].rip, lost);
+  EXPECT_EQ(f.fleet.findVip(vip.value())->rips.size(), 2u);
+}
+
+TEST(VipRipManager, RestoreThatDropsARipUnbindsItsVm) {
+  Fixture f;
+  const AppId app = f.makeApp();
+  const auto vip = f.viprip.createVipNow(app);
+  ASSERT_TRUE(vip.ok());
+  ASSERT_TRUE(f.viprip.createRipNow(app, VmId{0}, 2.0).ok());
+  ASSERT_TRUE(f.viprip.createRipNow(app, VmId{1}, 3.0).ok());
+  const RipId dropped = f.viprip.ripsOf(VmId{0})[0].rip;
+
+  const SwitchId owner = *f.fleet.ownerOf(vip.value());
+  ASSERT_EQ(f.fleet.crashSwitch(owner, f.sim.now()), 1u);
+  auto orphans = f.fleet.takeOrphans(owner);
+  ASSERT_EQ(orphans.size(), 1u);
+
+  // The orphaned table lacks VM 0's RIP, which intent holds.  VM 1's RIP
+  // stays, so the VIP keeps a backend and nothing re-binds VM 0.
+  VipRipRequest req;
+  req.op = VipRipOp::RestoreVip;
+  req.app = orphans[0].app;
+  req.vip = orphans[0].vip;
+  for (const RipEntry& r : orphans[0].rips) {
+    if (r.rip != dropped) req.rips.push_back(r);
+  }
+  ASSERT_EQ(req.rips.size(), 1u);
+  Status restored = Status::fail("pending");
+  req.done = [&](Status s) { restored = s; };
+  f.viprip.submit(std::move(req));
+  f.sim.runUntil(10.0);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(f.viprip.intent().find(vip.value())->findRip(dropped), nullptr);
+  EXPECT_TRUE(f.viprip.ripsOf(VmId{0}).empty());
+  EXPECT_EQ(f.viprip.ripsOf(VmId{1}).size(), 1u);
+
+  // The manager knows VM 0 is unbound, so its owner hears it and can
+  // re-bind the VM.
+  VipRipRequest w;
+  w.op = VipRipOp::SetWeight;
+  w.vm = VmId{0};
+  w.weight = 5.0;
+  std::string code = "pending";
+  w.done = [&](Status s) { code = s.ok() ? "ok" : s.error().code; };
+  f.viprip.submit(std::move(w));
+  f.sim.runUntil(20.0);
+  EXPECT_EQ(code, "vm_has_no_rips");
+}
+
+// --- intent journal: recovery over the manager's own changelog ------------
+// The fixture's manager takes no periodic snapshots, so every recovery is a
+// full replay of its changelog.
+
+/// Journals four AddVip records (VIPs 0..3) and nothing else.
+void addFourVips(Fixture& f, AppId app) {
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(f.viprip.createVipNow(app).ok());
+  ASSERT_EQ(f.viprip.stateMachine().changelog().size(), 4u);
+}
+
+TEST(IntentJournalDurability, ReplayStopsAtFirstMalformedRecord) {
+  // A crash mid-write tears the last frame; bit rot fails its CRC.  Either
+  // way recovery replays the valid prefix and cuts the damaged record off.
+  for (const bool torn : {true, false}) {
+    SCOPED_TRACE(torn ? "torn tail" : "corrupt record");
+    Fixture f;
+    const AppId app = f.makeApp();
+    addFourVips(f, app);
+    state::Changelog& log = f.viprip.stateMachine().changelog();
+    ASSERT_TRUE(torn ? log.tearTail(/*entropy=*/5)
+                     : log.corruptTail(/*entropy=*/0x3cu));
+
+    f.viprip.rebuildIntentFromJournal();
+    const IntentStore& intent = f.viprip.intent();
+    EXPECT_EQ(intent.vipCount(), 3u);
+    EXPECT_NE(intent.find(VipId{2}), nullptr);
+    EXPECT_EQ(intent.find(VipId{3}), nullptr);
+    EXPECT_EQ(f.viprip.stateMachine().lastRecovery().replayedRecords, 3u);
+    EXPECT_GT(f.viprip.stateMachine().lastRecovery().truncatedBytes, 0u);
+    EXPECT_EQ(log.size(), 3u);
+    // The VIP the recovered history never created is retracted from DNS.
+    EXPECT_EQ(f.dns.vips(app).size(), 3u);
+  }
+}
+
+TEST(IntentJournalDurability, ResyncAfterTruncationDropsDeadRecords) {
+  Fixture f;
+  addFourVips(f, f.makeApp());
+  f.viprip.crash();
+  f.viprip.recoverAsLeader(3);
+  f.viprip.crash();
+  f.viprip.recoverAsLeader(7);
+  ASSERT_EQ(f.viprip.durableTerm(), 7u);
+
+  // The term-7 record is the torn tail: recovery drops it, so the durable
+  // term falls back to the earlier one, while every intent record before
+  // it survives.
+  state::Changelog& log = f.viprip.stateMachine().changelog();
+  ASSERT_TRUE(log.tearTail(/*entropy=*/9));
+  f.viprip.rebuildIntentFromJournal();
+  EXPECT_EQ(f.viprip.durableTerm(), 3u);
+  EXPECT_EQ(f.viprip.intent().vipCount(), 4u);
+  EXPECT_EQ(log.size(), 5u);  // four AddVips and the term-3 record
+}
+
+TEST(IntentJournalDurability, SemanticallyMalformedRecordStopsReplay) {
+  Fixture f;
+  const AppId app = f.makeApp();
+  ASSERT_TRUE(f.viprip.createVipNow(app).ok());  // VIP 0
+  // A CRC-valid record the store must refuse: AddRip to a VIP that does
+  // not exist.  Recovery treats the refusal as end-of-trustworthy-prefix.
+  IntentRecord bad;
+  bad.op = IntentOp::AddRip;
+  bad.vip = VipId{77};
+  bad.rip = RipEntry{RipId{1}, VmId{1}, VipId{}, 1.0};
+  ASSERT_FALSE(f.viprip.intent().canApply(bad));
+  state::ByteWriter bytes;
+  encodeIntentRecord(bad, bytes);
+  state::Changelog& log = f.viprip.stateMachine().changelog();
+  log.append(bytes.bytes());
+  ASSERT_TRUE(f.viprip.createVipNow(app).ok());  // after the stop
+
+  f.viprip.rebuildIntentFromJournal();
+  const IntentStore& intent = f.viprip.intent();
+  EXPECT_EQ(intent.vipCount(), 1u);
+  EXPECT_NE(intent.find(VipId{0}), nullptr);
+  EXPECT_EQ(intent.find(VipId{1}), nullptr);
+  EXPECT_EQ(f.viprip.stateMachine().lastRecovery().replayedRecords, 1u);
+  EXPECT_EQ(log.size(), 1u);  // the refused record and its successor are cut
+}
+
 TEST(VipRipManager, RipGoesToSwitchHostingAppVip) {
   Fixture f;
   const AppId app = f.makeApp();
