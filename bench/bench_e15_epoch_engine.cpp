@@ -1,13 +1,12 @@
 // E15 — epoch engine throughput: incremental cache + parallel fan-out.
 //
-// Sweeps application count x dirty fraction x worker count over three
-// engine modes and measures wall-clock epochs/sec and step latency:
-//   * legacy       — a faithful reimplementation of the pre-cache engine
-//                    (per-flow std::vector paths, unordered_map
-//                    accumulators, full recompute) through public APIs,
-//                    kept here as the honest baseline;
-//   * full         — the current engine with the cache disabled;
-//   * incremental  — the current engine re-descending only dirty apps.
+// Sweeps application count x dirty fraction x worker count over the
+// engine's two modes and measures wall-clock epochs/sec and step latency:
+//   * full         — the engine with the cache disabled
+//                    (Options::incremental = false), re-descending every
+//                    app every epoch: the yardstick, and the oracle the
+//                    EpochCache equivalence tests compare against;
+//   * incremental  — the engine re-descending only dirty apps.
 // "Dirty fraction" is driven the way control loops dirty the world: RIP
 // weight updates on a rotating subset of apps between epochs.
 //
@@ -20,39 +19,30 @@
 // scale across, and the old workers=4-slower-than-1 oversubscription
 // penalty is exactly what the clamp removed.
 //
-// Flags:
-//   --smoke           small fixed cell only (CI); seconds, not minutes
+// Flags: those of bench/harness.hpp (--smoke: the small fixed cell only),
+// plus
 //   --mega            paper-scale cell instead: 300k apps x 20 VMs =
 //                     6M VMs on 300k servers / 960 switches (60 pods of
 //                     16), worker sweep 1/2/4/8; writes BENCH_E15B.json
-//   --out FILE        write machine-readable JSON (default BENCH_E15.json,
-//                     BENCH_E15B.json with --mega)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
+//   --profile         per-phase wall-clock breakdown of every cell
+#include <algorithm>
 #include <array>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <functional>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/obs/phase_profiler.hpp"
 #include "mdc/scenario/fluid_engine.hpp"
-#include "mdc/util/stats.hpp"
 
 namespace {
 using namespace mdc;
-
-constexpr double kEpsRps = 1e-9;
-constexpr int kMaxVipDepth = 3;
 
 // One app -> one VIP -> `vmsPerApp` VMs; ids are all derived from the
 // app index.
@@ -172,200 +162,6 @@ struct BenchWorld {
   }
 };
 
-// The pre-PR FluidEngine, preserved through public APIs: this is the
-// measured baseline the incremental engine is compared against,
-// including its end-of-step report copy and series recording.
-struct LegacyEngine {
-  EpochReport latest;
-  TimeSeries linkImbalance{"link-imbalance(max/mean)"};
-  TimeSeries switchImbalance{"switch-imbalance(max/mean)"};
-  TimeSeries maxLinkUtil{"max-link-util"};
-  TimeSeries maxSwitchUtil{"max-switch-util"};
-  TimeSeries satisfaction{"served/demand"};
-  TimeSeries unrouted{"unrouted-rps"};
-};
-
-EpochReport legacyStep(BenchWorld& w, LegacyEngine& eng) {
-  const SimTime now = w.sim.now();
-  w.resolvers->advance(now);
-  w.routes.settle(now);
-
-  EpochReport report;
-  report.time = now;
-
-  std::vector<double> linkOffered(w.topo.network().linkCount(), 0.0);
-  struct VmFlowRecord {
-    VmId vm;
-    AppId app;
-    double rps = 0.0;
-    std::vector<LinkId> path;
-  };
-  std::vector<VmFlowRecord> vmFlows;
-
-  std::function<void(VipId, double, AppId, std::vector<LinkId>, int)>
-      descend = [&](VipId vip, double rps, AppId app,
-                    std::vector<LinkId> prefix, int depth) {
-        if (rps <= kEpsRps) return;
-        if (depth >= kMaxVipDepth) {
-          report.unroutedRps += rps;
-          report.unroutedByCause["depth"] += rps;
-          return;
-        }
-        const auto owner = w.fleet.ownerOf(vip);
-        if (!owner.has_value()) {
-          report.unroutedRps += rps;
-          report.unroutedByCause["no_owner"] += rps;
-          return;
-        }
-        const VipEntry* entry = w.fleet.at(*owner).findVip(vip);
-        const double totalWeight = entry->totalWeight();
-        if (entry->rips.empty() || totalWeight <= 0.0) {
-          report.unroutedRps += rps;
-          report.unroutedByCause["no_rips"] += rps;
-          return;
-        }
-        report.vipDemandGbps[vip] +=
-            rps * w.apps.app(app).sla.gbpsPerKrps / 1000.0;
-        prefix.push_back(w.topo.switchTrunk(*owner));
-        for (const RipEntry& rip : entry->rips) {
-          const double ripRps = rps * rip.weight / totalWeight;
-          if (ripRps <= kEpsRps) continue;
-          if (rip.targetsVm()) {
-            if (!w.hosts.vmExists(rip.vm)) {
-              report.unroutedRps += ripRps;
-              report.unroutedByCause["dead_vm"] += ripRps;
-              continue;
-            }
-            const ServerInfo& srv =
-                w.topo.server(w.hosts.vm(rip.vm).server);
-            VmFlowRecord rec;
-            rec.vm = rip.vm;
-            rec.app = app;
-            rec.rps = ripRps;
-            rec.path = prefix;
-            if (w.topo.config().fabric == FabricKind::TraditionalTree) {
-              rec.path.push_back(w.topo.siloUplink(srv.silo));
-            }
-            rec.path.push_back(srv.nic);
-            vmFlows.push_back(std::move(rec));
-          } else {
-            descend(rip.mvip, ripRps, app, prefix, depth + 1);
-          }
-        }
-      };
-
-  for (const Application& app : w.apps.all()) {
-    const double demandRps = w.demand->rps(app.id, now);
-    report.appDemandRps[app.id] = demandRps;
-    if (demandRps <= kEpsRps) continue;
-    if (!w.dns.hasApp(app.id)) {
-      report.unroutedRps += demandRps;
-      report.unroutedByCause["no_dns"] += demandRps;
-      continue;
-    }
-    const auto shares = w.resolvers->shares(app.id);
-    double shareSum = 0.0;
-    for (const VipWeight& sh : shares) shareSum += sh.weight;
-    if (shares.empty() || shareSum <= kEpsRps) {
-      report.unroutedRps += demandRps;
-      report.unroutedByCause["no_shares"] += demandRps;
-      continue;
-    }
-    for (const VipWeight& sh : shares) {
-      const double vipRps = demandRps * sh.weight;
-      if (vipRps <= kEpsRps) continue;
-      auto routers = w.routes.activeRouters(sh.vip);
-      if (routers.empty()) routers = w.routes.reachableRouters(sh.vip);
-      if (routers.empty()) {
-        report.unroutedRps += vipRps;
-        report.unroutedByCause["no_route"] += vipRps;
-        continue;
-      }
-      const double perRouter = vipRps / static_cast<double>(routers.size());
-      for (AccessRouterId ar : routers) {
-        descend(sh.vip, perRouter, app.id,
-                {w.topo.accessLinkFor(ar).link}, 0);
-      }
-    }
-  }
-
-  for (const VmFlowRecord& f : vmFlows) {
-    const AppSla& sla = w.apps.app(f.app).sla;
-    const double gbps = f.rps * sla.gbpsPerKrps / 1000.0;
-    for (LinkId l : f.path) linkOffered[l.index()] += gbps;
-  }
-
-  w.hosts.forEachVm([](VmRecord& vm) {
-    vm.offeredRps = 0.0;
-    vm.servedRps = 0.0;
-  });
-  std::unordered_map<VmId, double> netServedRps;
-  for (const VmFlowRecord& f : vmFlows) {
-    double fraction = 1.0;
-    for (LinkId l : f.path) {
-      const double cap = w.topo.network().link(l).capacityGbps;
-      const double off = linkOffered[l.index()];
-      if (off > cap) {
-        fraction = std::min(fraction, cap > 0.0 ? cap / off : 0.0);
-      }
-    }
-    VmRecord& vm = w.hosts.vmMutable(f.vm);
-    vm.offeredRps += f.rps;
-    netServedRps[f.vm] += f.rps * fraction;
-  }
-  // netServedRps iterates in hash order; EpochReport's maps are now
-  // sorted-vector FlatMaps, so random-order operator[] would be
-  // quadratic and unfairly slow this baseline.  Accumulate densely and
-  // emit in app order instead (the report shape the old engine produced).
-  std::vector<double> servedByApp(w.numApps, 0.0);
-  std::vector<char> appTouched(w.numApps, 0);
-  for (const auto& [vmId, rps] : netServedRps) {
-    VmRecord& vm = w.hosts.vmMutable(vmId);
-    const AppSla& sla = w.apps.app(vm.app).sla;
-    vm.servedRps = std::min(rps, sla.servableRps(vm.effectiveSlice));
-    servedByApp[vm.app.index()] += vm.servedRps;
-    appTouched[vm.app.index()] = 1;
-  }
-  for (std::uint32_t a = 0; a < w.numApps; ++a) {
-    if (appTouched[a] != 0) report.appServedRps[AppId{a}] = servedByApp[a];
-  }
-
-  report.accessLinkUtil.resize(w.topo.accessLinkCount());
-  for (std::size_t i = 0; i < w.topo.accessLinkCount(); ++i) {
-    const Link& l = w.topo.network().link(w.topo.accessLink(i).link);
-    const double off = linkOffered[l.id.index()];
-    report.accessLinkUtil[i] = l.capacityGbps > 0.0
-                                   ? off / l.capacityGbps
-                                   : (off > 0.0 ? 1e9 : 0.0);
-    report.externalOfferedGbps += off;
-    report.externalServedGbps += std::min(off, l.capacityGbps);
-  }
-  report.switchUtil.resize(w.topo.switchCount());
-  for (std::size_t i = 0; i < w.topo.switchCount(); ++i) {
-    const SwitchId sw{static_cast<SwitchId::value_type>(i)};
-    const Link& trunk = w.topo.network().link(w.topo.switchTrunk(sw));
-    const double off = linkOffered[trunk.id.index()];
-    report.switchUtil[i] =
-        trunk.capacityGbps > 0.0 ? off / trunk.capacityGbps : 0.0;
-    if (i < w.fleet.size()) w.fleet.at(sw).setOfferedGbps(off);
-  }
-
-  const SimTime t = now;
-  eng.linkImbalance.record(t, maxOverMean(report.accessLinkUtil));
-  eng.switchImbalance.record(t, maxOverMean(report.switchUtil));
-  eng.maxLinkUtil.record(t, *std::max_element(report.accessLinkUtil.begin(),
-                                              report.accessLinkUtil.end()));
-  eng.maxSwitchUtil.record(t, *std::max_element(report.switchUtil.begin(),
-                                                report.switchUtil.end()));
-  const double demandTotal = report.totalDemandRps();
-  eng.satisfaction.record(
-      t, demandTotal > 0.0 ? report.totalServedRps() / demandTotal : 1.0);
-  eng.unrouted.record(t, report.unroutedRps);
-
-  eng.latest = report;
-  return report;
-}
-
 struct CellResult {
   std::string mode;
   std::uint32_t numApps = 0;
@@ -377,7 +173,7 @@ struct CellResult {
   double p99Ms = 0.0;
   double cacheHitRate = 0.0;
   double servedRps = 0.0;  // sanity: modes must agree
-  // Per-phase wall-clock breakdown (--profile; engine modes only).
+  // Per-phase wall-clock breakdown (--profile).
   bool profiled = false;
   std::array<std::uint64_t, PhaseProfiler::kPhases> phaseNs{};
   std::array<std::uint64_t, PhaseProfiler::kPhases> phaseCalls{};
@@ -390,83 +186,54 @@ struct CellResult {
 CellResult runCellIn(BenchWorld& w, const std::string& mode,
                      double dirtyFrac, unsigned workers, int epochs,
                      bool profile = false) {
-  LegacyEngine legacy;
-  std::unique_ptr<FluidEngine> engine;
-  if (mode != "legacy") {
-    FluidEngine::Options opt;
-    opt.incremental = (mode == "incremental");
-    opt.workers = workers;
-    engine = std::make_unique<FluidEngine>(w.sim, w.topo, w.apps, w.dns,
-                                           *w.resolvers, w.routes, w.fleet,
-                                           w.hosts, *w.demand, opt);
-    if (profile) engine->profiler().setEnabled(true);
-  }
-
-  const auto stepOnce = [&] {
-    return engine ? engine->step() : legacyStep(w, legacy);
-  };
+  FluidEngine::Options opt;
+  opt.incremental = (mode == "incremental");
+  opt.workers = workers;
+  FluidEngine engine{w.sim,    w.topo,  w.apps,  w.dns,     *w.resolvers,
+                     w.routes, w.fleet, w.hosts, *w.demand, opt};
+  if (profile) engine.profiler().setEnabled(true);
 
   // Warmup: populate caches / pools outside the timed window.
   for (int i = 0; i < 2; ++i) {
     w.sim.runUntil(w.sim.now() + 1.0);
-    (void)stepOnce();
+    (void)engine.step();
   }
-  if (engine) engine->profiler().reset();  // profile the timed window only
+  engine.profiler().reset();  // profile the timed window only
 
-  // Two independent timed windows, best (lowest-p50) one kept: this
-  // box's virtualized core throttles in multi-second bursts, and with
-  // cells run back-to-back a single burst lands entirely on one cell
-  // and fakes a 25%+ spread between identical configurations.  A burst
-  // now has to cover both windows of a cell to bias its median.
   std::uint64_t recomputed = 0;
   std::uint64_t cached = 0;
   EpochReport last;
-  double bestP50 = -1.0;
-  double bestP99 = -1.0;
   std::uint64_t epochIdx = 0;
-  for (int window = 0; window < 2; ++window) {
-    std::vector<double> stepMs;
-    stepMs.reserve(static_cast<std::size_t>(epochs));
+  const bench::Window best = bench::bestOf(2, [&](bench::Window& window) {
     for (int e = 0; e < epochs; ++e) {
       w.dirtyApps(dirtyFrac, epochIdx++);
       w.sim.runUntil(w.sim.now() + 1.0);
-      const auto t0 = std::chrono::steady_clock::now();
-      last = stepOnce();
-      const auto t1 = std::chrono::steady_clock::now();
-      stepMs.push_back(
-          1000.0 * std::chrono::duration<double>(t1 - t0).count());
+      window.time([&] { last = engine.step(); });
       recomputed += last.engineAppsRecomputed;
       cached += last.engineAppsCached;
     }
-    const double p50 = percentile(stepMs, 50.0);
-    if (bestP50 < 0.0 || p50 < bestP50) {
-      bestP50 = p50;
-      bestP99 = percentile(stepMs, 99.0);
-    }
-  }
+  });
 
   CellResult r;
   r.mode = mode;
   r.numApps = w.numApps;
   r.dirtyFraction = dirtyFrac;
-  r.requestedWorkers = engine ? workers : 1;
-  r.workers = engine ? engine->workerCount() : 1;
-  r.p50Ms = bestP50;
-  r.p99Ms = bestP99;
-  // Median-based throughput: robust against scheduler hiccups on shared
-  // machines, which skew a mean badly at 100+ ms step times.
-  r.epochsPerSec = r.p50Ms > 0.0 ? 1000.0 / r.p50Ms : 0.0;
+  r.requestedWorkers = workers;
+  r.workers = engine.workerCount();
+  r.p50Ms = best.p50();
+  r.p99Ms = best.p99();
+  r.epochsPerSec = best.stepsPerSecond();
   r.cacheHitRate = (recomputed + cached) > 0
                        ? static_cast<double>(cached) /
                              static_cast<double>(recomputed + cached)
                        : 0.0;
   r.servedRps = last.totalServedRps();
-  if (profile && engine) {
+  if (profile) {
     r.profiled = true;
     for (std::size_t p = 0; p < PhaseProfiler::kPhases; ++p) {
       const auto phase = static_cast<PhaseProfiler::Phase>(p);
-      r.phaseNs[p] = engine->profiler().ns(phase);
-      r.phaseCalls[p] = engine->profiler().calls(phase);
+      r.phaseNs[p] = engine.profiler().ns(phase);
+      r.phaseCalls[p] = engine.profiler().calls(phase);
     }
   }
   return r;
@@ -480,8 +247,8 @@ CellResult runCell(const std::string& mode, std::uint32_t numApps,
   return runCellIn(w, mode, dirtyFrac, workers, epochs, profile);
 }
 
-void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"apps\": " << r.numApps
+void appendJson(std::ostream& out, const CellResult& r) {
+  out << "\"mode\": \"" << r.mode << "\", \"apps\": " << r.numApps
       << ", \"dirty_fraction\": " << r.dirtyFraction
       << ", \"workers_requested\": " << r.requestedWorkers
       << ", \"workers\": " << r.workers
@@ -498,50 +265,23 @@ void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
     }
     out << "}";
   }
-  out << "}" << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
   bool mega = false;
   bool profile = false;
-  std::string outFile;
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--mega") {
-      mega = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke|--mega] [--profile] [--out FILE]"
-                   " [--baseline FILE]\n";
-      return 2;
-    }
-  }
+  bench::Cli cli{""};
+  cli.flag("--mega", mega).flag("--profile", profile);
+  cli.parseOrExit(
+      argc, argv, "[--smoke|--mega] [--profile] [--out FILE] [--baseline FILE]");
+  const bool smoke = cli.smoke;
   if (smoke && mega) {
     std::cerr << "--smoke and --mega are mutually exclusive\n";
     return 2;
   }
-  if (outFile.empty()) outFile = mega ? "BENCH_E15B.json" : "BENCH_E15.json";
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  if (cli.out.empty()) cli.out = mega ? "BENCH_E15B.json" : "BENCH_E15.json";
 
   std::vector<CellResult> results;
   Table table{"E15: epoch engine throughput (mode x apps x dirty x workers)",
@@ -575,7 +315,10 @@ int main(int argc, char** argv) {
   // --- smoke + full-sweep checks ------------------------------------------
   constexpr std::uint32_t kSmokeApps = 2000;
   constexpr double kSmokeDirty = 0.05;
-  double smokeLegacy = -1.0;
+  // The acceptance gate: incremental (4 workers) over full at 50k apps,
+  // 5% dirty.  The committed 1-core file reads 3.66; five full sweeps on a
+  // 4-vCPU VM read 2.85-3.39.
+  constexpr double kTargetSpeedup = 3.0;
   double smokeFull = -1.0;
   double smokeInc = -1.0;
   double smokeEfficiency = -1.0;
@@ -612,22 +355,20 @@ int main(int argc, char** argv) {
     // apples-to-apples.  The incremental worker sweep shares the
     // 1-worker cell as its scaling denominator.
     const int smokeEpochs = smoke ? 10 : 20;
-    record(runCell("legacy", kSmokeApps, kSmokeDirty, 1, smokeEpochs));
     record(runCell("full", kSmokeApps, kSmokeDirty, 1, smokeEpochs, profile));
     for (const unsigned workers : kSweep) {
       record(runCell("incremental", kSmokeApps, kSmokeDirty, workers,
                      smokeEpochs, profile));
     }
-    smokeLegacy = results[0].epochsPerSec;
-    smokeFull = results[1].epochsPerSec;
-    smokeInc = results[2].epochsPerSec;  // the workers=1 cell
+    smokeFull = results[0].epochsPerSec;
+    smokeInc = results[1].epochsPerSec;  // the workers=1 cell
     smokeMinRatio = 1e18;
-    for (std::size_t i = 3; i < 2 + kSweep.size(); ++i) {
+    for (std::size_t i = 2; i < 1 + kSweep.size(); ++i) {
       const CellResult& r = results[i];
       const double ratio = r.epochsPerSec / smokeInc;
       smokeMinRatio = std::min(smokeMinRatio, ratio);
       // Efficiency at the widest sweep cell: per-effective-core speedup.
-      if (i + 1 == 2 + kSweep.size()) {
+      if (i == kSweep.size()) {
         smokeEfficiency = ratio / static_cast<double>(r.workers);
       }
     }
@@ -637,7 +378,6 @@ int main(int argc, char** argv) {
       for (const std::uint32_t apps : {10'000u, 50'000u}) {
         const int epochs = apps >= 50'000 ? 16 : 20;
         for (const double dirty : {0.0, 0.05, 0.5}) {
-          record(runCell("legacy", apps, dirty, 1, epochs));
           record(runCell("full", apps, dirty, 1, epochs, profile));
           for (const unsigned workers : {1u, 4u}) {
             record(
@@ -645,15 +385,15 @@ int main(int argc, char** argv) {
           }
         }
       }
-      double legacy50k = -1.0;
+      double full50k = -1.0;
       double tenk1w = -1.0;
       tenkMinRatio = 1e18;
       for (const CellResult& r : results) {
         if (r.numApps == 50'000 && r.dirtyFraction == 0.05) {
-          if (r.mode == "legacy") legacy50k = r.epochsPerSec;
-          if (r.mode == "incremental" && r.workers >= 1) {
+          if (r.mode == "full") full50k = r.epochsPerSec;
+          if (r.mode == "incremental") {
             // Prefer the 4-worker cell; the 1-worker one comes first.
-            mainSpeedup = r.epochsPerSec / legacy50k;
+            mainSpeedup = r.epochsPerSec / full50k;
             mainHitRate = r.cacheHitRate;
           }
         }
@@ -692,25 +432,17 @@ int main(int argc, char** argv) {
     }
     phases.print(std::cout);
   }
-  std::cout << "expected shape: full mode tracks legacy (flat arrays and"
-               " inline flow paths shave constants); incremental mode scales"
-               " with the dirty fraction, not the app count — at low churn"
-               " it re-descends a few percent of apps and epochs/sec jumps"
-               " by an order of magnitude; worker sweeps scale with"
-               " *effective* (post-clamp) cores\n";
+  std::cout << "expected shape: incremental mode scales with the dirty"
+               " fraction, not the app count — at low churn it re-descends"
+               " a few percent of apps and beats full mode several times"
+               " over; worker sweeps scale with *effective* (post-clamp)"
+               " cores\n";
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"e15_epoch_engine"
-       << (mega ? "_mega" : "") << "\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    appendJson(json, results[i], i + 1 == results.size());
-  }
+  bench::jsonRows(json, "runs", results, appendJson);
   if (mega) {
     const bool megaOk = megaScalingEff4 >= 0.7 && megaMinRatio >= 0.9;
-    json << "  ],\n  \"checks\": {\n"
+    json << ",\n  \"checks\": {\n"
          << "    \"mega_apps\": " << kMegaApps << ",\n"
          << "    \"mega_vms_per_app\": " << kMegaVmsPerApp << ",\n"
          << "    \"mega_vms\": " << kMegaApps * kMegaVmsPerApp << ",\n"
@@ -721,28 +453,26 @@ int main(int argc, char** argv) {
          << "    \"workers_min_ratio\": " << megaMinRatio << ",\n"
          << "    \"target_scaling_efficiency\": 0.7,\n"
          << "    \"meets_target\": " << (megaOk ? "true" : "false") << "\n"
-         << "  }\n}\n";
+         << "  }\n";
   } else {
-    json << "  ],\n  \"checks\": {\n"
+    json << ",\n  \"checks\": {\n"
          << "    \"smoke_apps\": " << kSmokeApps << ",\n"
          << "    \"smoke_incremental_epochs_per_sec\": " << smokeInc << ",\n"
-         << "    \"smoke_speedup_vs_legacy\": " << smokeInc / smokeLegacy
-         << ",\n"
          << "    \"smoke_incremental_over_full_ratio\": "
          << smokeInc / smokeFull << ",\n"
          << "    \"smoke_parallel_efficiency\": " << smokeEfficiency << ",\n"
          << "    \"smoke_workers_min_ratio\": " << smokeMinRatio << ",\n"
          << "    \"tenk_workers_min_ratio\": " << tenkMinRatio << ",\n"
-         << "    \"speedup_50k_5pct_4w\": " << mainSpeedup << ",\n"
+         << "    \"speedup_vs_full_50k_5pct_4w\": " << mainSpeedup << ",\n"
          << "    \"cache_hit_rate_50k_5pct\": " << mainHitRate << ",\n"
-         << "    \"target_speedup\": 4.0,\n"
+         << "    \"target_speedup\": " << kTargetSpeedup << ",\n"
          << "    \"meets_target\": "
-         << ((smoke || mainSpeedup >= 4.0) ? "true" : "false") << "\n"
-         << "  }\n}\n";
+         << ((smoke || mainSpeedup >= kTargetSpeedup) ? "true" : "false")
+         << "\n  }\n";
   }
-
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
+  bench::writeResult(cli.out,
+                     mega ? "e15_epoch_engine_mega" : "e15_epoch_engine", smoke,
+                     json.str());
 
   if (mega) {
     if (megaScalingEff4 < 0.7) {
@@ -765,16 +495,9 @@ int main(int argc, char** argv) {
               << " < 0.9 — workers>1 regressed vs workers=1\n";
     return 1;
   }
-  // 4.0, down from 5.0: the 5x target was calibrated against the old
-  // legacy baseline, whose hash-order report writes turned quadratic
-  // when EpochReport moved to sorted-vector FlatMaps.  With that fixed
-  // (dense app-order emission above) the baseline is ~15% faster, so
-  // the same engine measures lower against it; 4.0 still requires the
-  // cache + struct-of-arrays rework to dominate outright (measured
-  // 4.6-5.1x across runs on a 1-core box).
-  if (!smoke && mainSpeedup < 4.0) {
-    std::cerr << "FAIL: incremental speedup " << mainSpeedup
-              << "x < 4x target at 50k apps / 5% dirty\n";
+  if (!smoke && mainSpeedup < kTargetSpeedup) {
+    std::cerr << "FAIL: incremental speedup " << mainSpeedup << "x < "
+              << kTargetSpeedup << "x over full at 50k apps / 5% dirty\n";
     return 1;
   }
   // 0.8, not 0.9: 10k-app steps are ~7 ms, where this box's virtualized
@@ -790,32 +513,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    const double baseSpeedup =
-        extractNumber(base, "smoke_speedup_vs_legacy");
-    const double baseRatio =
-        extractNumber(base, "smoke_incremental_over_full_ratio");
-    const double newSpeedup = smokeInc / smokeLegacy;
-    const double newRatio = smokeInc / smokeFull;
-    std::cout << "baseline compare: speedup " << newSpeedup << " vs "
-              << baseSpeedup << ", inc/full ratio " << newRatio << " vs "
-              << baseRatio << " (fail below 70% of baseline)\n";
-    if (baseSpeedup > 0.0 && newSpeedup < 0.7 * baseSpeedup) {
-      std::cerr << "FAIL: smoke speedup regressed >30% vs baseline\n";
-      return 1;
-    }
-    if (baseRatio > 0.0 && newRatio < 0.7 * baseRatio) {
-      std::cerr << "FAIL: incremental/full ratio regressed >30%\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::compareBaseline(cli, "smoke_incremental_over_full_ratio",
+                                smokeInc / smokeFull,
+                                "incremental/full ratio regressed >30%");
 }

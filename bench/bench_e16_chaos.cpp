@@ -14,16 +14,12 @@
 // counts, repair delays — so any run can be reproduced bit-identically
 // from the artifact alone.
 //
-// Flags:
-//   --smoke           small fixed cells only (CI); seconds, not minutes
-//   --out FILE        write machine-readable JSON (default BENCH_E16.json)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
+// Flags: those of bench/harness.hpp (--smoke: the small fixed cells
+// only), plus
 //   --trace FILE      run the storm smoke cell with causal tracing on and
 //                     dump the span trace as JSONL
 //   --metrics FILE    dump the storm smoke cell's metrics registry as
 //                     JSONL after quiesce
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -31,11 +27,11 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "mdc/fault/chaos.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/obs/export.hpp"
 #include "mdc/scenario/megadc.hpp"
-#include "mdc/util/stats.hpp"
 
 namespace {
 using namespace mdc;
@@ -143,13 +139,9 @@ CellResult runCell(const std::string& mode, std::uint32_t numApps,
   if (stormy) r.stormWaves = storm.waves();
 
   dc.runUntil(windowStart);
-  std::vector<double> stepMs;
+  bench::Window window;
   while (dc.sim.now() < windowEnd) {
-    const auto t0 = std::chrono::steady_clock::now();
-    dc.runUntil(dc.sim.now() + epoch);
-    const auto t1 = std::chrono::steady_clock::now();
-    stepMs.push_back(1000.0 *
-                     std::chrono::duration<double>(t1 - t0).count());
+    window.time([&] { dc.runUntil(dc.sim.now() + epoch); });
     ++r.epochs;
     r.epochViolations += inv.checkEpoch().size();
   }
@@ -165,11 +157,11 @@ CellResult runCell(const std::string& mode, std::uint32_t numApps,
     r.quiesced = inv.checkQuiesced().empty();
   }
 
-  r.p50Ms = percentile(stepMs, 50.0);
-  r.p99Ms = percentile(stepMs, 99.0);
-  // Median-based throughput, robust against scheduler hiccups (and, in
-  // storm cells, against the few epochs that carry a whole repair wave).
-  r.epochsPerSec = r.p50Ms > 0.0 ? 1000.0 / r.p50Ms : 0.0;
+  r.p50Ms = window.p50();
+  r.p99Ms = window.p99();
+  // Median-based throughput: in storm cells, also robust against the few
+  // epochs that carry a whole repair wave.
+  r.epochsPerSec = window.stepsPerSecond();
   r.failovers = dc.manager->failovers();
   r.maxLeaderlessRun = inv.maxLeaderlessRun();
   r.faultsInjected = dc.faults->faultsInjected();
@@ -189,8 +181,8 @@ CellResult runCell(const std::string& mode, std::uint32_t numApps,
   return r;
 }
 
-void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"apps\": " << r.numApps
+void appendJson(std::ostream& out, const CellResult& r) {
+  out << "\"mode\": \"" << r.mode << "\", \"apps\": " << r.numApps
       << ", \"epochs_per_sec\": " << r.epochsPerSec
       << ", \"p50_ms\": " << r.p50Ms << ", \"p99_ms\": " << r.p99Ms
       << ", \"epochs\": " << r.epochs
@@ -216,43 +208,20 @@ void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
         << ", \"global_manager_crashes\": " << w.globalManagerCrashes
         << ", \"repair_after\": " << w.repairAfter << "}";
   }
-  out << "]}" << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
+  out << "]";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E16.json";
-  std::string baselineFile;
   std::string traceFile;
   std::string metricsFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      traceFile = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metricsFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]"
-                   " [--trace FILE] [--metrics FILE]\n";
-      return 2;
-    }
-  }
+  bench::Cli cli{"BENCH_E16.json"};
+  cli.file("--trace", traceFile).file("--metrics", metricsFile);
+  cli.parseOrExit(argc, argv,
+                  "[--smoke] [--out FILE] [--baseline FILE] [--trace FILE]"
+                  " [--metrics FILE]");
+  const bool smoke = cli.smoke;
 
   std::vector<CellResult> results;
   Table table{"E16: epochs/sec and recovery under chaos storms",
@@ -305,42 +274,18 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"e16_chaos\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    appendJson(json, results[i], i + 1 == results.size());
-  }
-  json << "  ],\n  \"checks\": {\n"
+  bench::jsonRows(json, "runs", results, appendJson);
+  json << ",\n  \"checks\": {\n"
        << "    \"smoke_apps\": " << kSmokeApps << ",\n"
        << "    \"smoke_calm_epochs_per_sec\": " << smokeCalm << ",\n"
        << "    \"smoke_storm_epochs_per_sec\": " << smokeStorm << ",\n"
        << "    \"smoke_storm_over_calm_ratio\": " << smokeStorm / smokeCalm
        << ",\n"
        << "    \"invariants_clean\": " << (healthy ? "true" : "false")
-       << "\n  }\n}\n";
-
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
+       << "\n  }\n";
+  bench::writeResult(cli.out, "e16_chaos", smoke, json.str());
   if (!healthy) return 1;
 
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    const double baseStorm =
-        extractNumber(base, "smoke_storm_epochs_per_sec");
-    std::cout << "baseline compare: storm epochs/sec " << smokeStorm
-              << " vs " << baseStorm << " (fail below 70% of baseline)\n";
-    if (baseStorm > 0.0 && smokeStorm < 0.7 * baseStorm) {
-      std::cerr << "FAIL: storm epochs/sec regressed >30% vs baseline\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::compareBaseline(cli, "smoke_storm_epochs_per_sec", smokeStorm,
+                                "storm epochs/sec regressed >30% vs baseline");
 }

@@ -16,25 +16,18 @@
 // The headline check: snapshot+tail beats cold replay at histories of
 // 10k records and beyond, and the gap widens linearly with N.
 //
-// Flags:
-//   --smoke           small cells only (CI); well under a second
-//   --out FILE        write machine-readable JSON (default BENCH_E17.json)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
-#include <algorithm>
-#include <chrono>
+// Flags: those of bench/harness.hpp (--smoke: small cells only, well
+// under a second).
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/sim/rng.hpp"
 #include "mdc/state/state_machine.hpp"
-#include "mdc/util/stats.hpp"
 
 namespace {
 using namespace mdc;
@@ -130,15 +123,12 @@ CellResult runCell(const std::string& mode, std::uint64_t records,
   log.append(recordPayload(rng.nextU64()));
   log.tearTail(rng.nextU64());
 
-  std::vector<double> ms;
+  bench::Window window;
   DurableStateMachine::RecoveryStats stats;
   for (int rep = 0; rep < repeats; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    stats = machine.recover(now);
-    const auto t1 = std::chrono::steady_clock::now();
-    ms.push_back(1000.0 * std::chrono::duration<double>(t1 - t0).count());
+    window.time([&] { stats = machine.recover(now); });
   }
-  r.recoverMs = *std::min_element(ms.begin(), ms.end());
+  r.recoverMs = window.minMs();
   r.replayedRecords = stats.replayedRecords;
   r.truncatedBytes = stats.truncatedBytes;
   r.usedSnapshot = stats.usedSnapshot;
@@ -152,45 +142,23 @@ CellResult runCell(const std::string& mode, std::uint64_t records,
   return r;
 }
 
-void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"records\": " << r.records
+void appendJson(std::ostream& out, const CellResult& r) {
+  out << "\"mode\": \"" << r.mode << "\", \"records\": " << r.records
       << ", \"snapshot_interval\": " << r.interval
       << ", \"recover_ms\": " << r.recoverMs
       << ", \"replayed_records\": " << r.replayedRecords
       << ", \"truncated_bytes\": " << r.truncatedBytes
       << ", \"used_snapshot\": " << (r.usedSnapshot ? "true" : "false")
       << ", \"hash_matches\": " << (r.hashMatches ? "true" : "false")
-      << ", \"state_hash\": " << r.stateHash << "}"
-      << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
+      << ", \"state_hash\": " << r.stateHash;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E17.json";
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]\n";
-      return 2;
-    }
-  }
+  bench::Cli cli{"BENCH_E17.json"};
+  cli.parseOrExit(argc, argv, "[--smoke] [--out FILE] [--baseline FILE]");
+  const bool smoke = cli.smoke;
 
   constexpr std::uint64_t kInterval = 512;  // snapshot cadence (records)
   const int repeats = smoke ? 3 : 5;
@@ -259,38 +227,15 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"e17_recovery\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"snapshot_interval\": " << kInterval << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    appendJson(json, results[i], i + 1 == results.size());
-  }
-  json << "  ],\n  \"checks\": {\n"
+  json << "  \"snapshot_interval\": " << kInterval << ",\n";
+  bench::jsonRows(json, "runs", results, appendJson);
+  json << ",\n  \"checks\": {\n"
        << "    \"speedup_at_10k\": " << speedup10k << ",\n"
        << "    \"deterministic\": " << (healthy ? "true" : "false")
-       << "\n  }\n}\n";
-
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
+       << "\n  }\n";
+  bench::writeResult(cli.out, "e17_recovery", smoke, json.str());
   if (!healthy) return 1;
 
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const double baseSpeedup =
-        extractNumber(buf.str(), "speedup_at_10k");
-    std::cout << "baseline compare: speedup_at_10k " << speedup10k
-              << " vs " << baseSpeedup << " (fail below 70% of baseline)\n";
-    if (baseSpeedup > 0.0 && speedup10k < 0.7 * baseSpeedup) {
-      std::cerr << "FAIL: recovery speedup regressed vs baseline\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::compareBaseline(cli, "speedup_at_10k", speedup10k,
+                                "recovery speedup regressed vs baseline");
 }

@@ -28,19 +28,14 @@
 //       epoch, and after quiesce the journal is replayed from durable
 //       state to a bit-identical state hash.
 //
-// Flags:
-//   --smoke           small cells only (CI); seconds, not minutes
-//   --out FILE        write machine-readable JSON (default BENCH_E18.json)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
+// Flags: those of bench/harness.hpp (--smoke: small cells only).
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "mdc/core/viprip_manager.hpp"
 #include "mdc/fault/chaos.hpp"
 #include "mdc/metrics/table.hpp"
@@ -310,44 +305,22 @@ ChaosCell runChaosCell(bool smoke) {
 
 // --- JSON plumbing ---------------------------------------------------------
 
-void appendThroughputJson(std::ostringstream& out, const ThroughputCell& r,
-                          bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"workload\": \"" << r.workload
+void appendThroughputJson(std::ostream& out, const ThroughputCell& r) {
+  out << "\"mode\": \"" << r.mode << "\", \"workload\": \"" << r.workload
       << "\", \"offered_rps\": " << r.offered
       << ", \"sustained_rps\": " << r.sustained
       << ", \"p50_latency_s\": " << r.p50 << ", \"p99_latency_s\": " << r.p99
       << ", \"processed\": " << r.processed << ", \"rounds\": " << r.rounds
       << ", \"conflict_deferred\": " << r.deferred
-      << ", \"final_queue\": " << r.finalQueue << "}" << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
+      << ", \"final_queue\": " << r.finalQueue;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E18.json";
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]\n";
-      return 2;
-    }
-  }
+  bench::Cli cli{"BENCH_E18.json"};
+  cli.parseOrExit(argc, argv, "[--smoke] [--out FILE] [--baseline FILE]");
+  const bool smoke = cli.smoke;
 
   const double duration = smoke ? 60.0 : 300.0;
   std::vector<ThroughputCell> cells;
@@ -452,13 +425,8 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"e18_command_plane\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    appendThroughputJson(json, cells[i], i + 1 == cells.size());
-  }
-  json << "  ],\n  \"shedding\": {\n"
+  bench::jsonRows(json, "runs", cells, appendThroughputJson);
+  json << ",\n  \"shedding\": {\n"
        << "    \"bulk_shed\": " << shed.bulkShed << ",\n"
        << "    \"capacity_shed\": " << shed.capacityShed << ",\n"
        << "    \"critical_shed\": " << shed.criticalShed << ",\n"
@@ -484,28 +452,11 @@ int main(int argc, char** argv) {
        << "    \"pipelined_speedup_conflicting\": " << speedupConflicting
        << ",\n"
        << "    \"shedding_ok\": " << (sheddingOk ? "true" : "false") << ",\n"
-       << "    \"healthy\": " << (healthy ? "true" : "false") << "\n  }\n}\n";
-
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
+       << "    \"healthy\": " << (healthy ? "true" : "false") << "\n  }\n";
+  bench::writeResult(cli.out, "e18_command_plane", smoke, json.str());
   if (!healthy) return 1;
 
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const double base = extractNumber(buf.str(), "pipelined_speedup_disjoint");
-    std::cout << "baseline compare: pipelined_speedup_disjoint "
-              << speedupDisjoint << " vs " << base
-              << " (fail below 70% of baseline)\n";
-    if (base > 0.0 && speedupDisjoint < 0.7 * base) {
-      std::cerr << "FAIL: pipelined speedup regressed vs baseline\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::compareBaseline(cli, "pipelined_speedup_disjoint",
+                                speedupDisjoint,
+                                "pipelined speedup regressed vs baseline");
 }

@@ -11,33 +11,29 @@
 //     connections while ticking in real time, sweeping workers 1/2/4/8
 //     with a >= 0.7 per-effective-core scaling gate (post-clamp workers,
 //     same honest accounting as E15);
-//   * equivalence — the sharded tick is bit-identical to the serialized
-//     reference tick (counters and full state hash), re-checked here on
-//     every run, not just in ctest;
+//   * equivalence — the tick on the sweep's widest granted worker count
+//     is bit-identical to the 1-worker tick (counters and full state
+//     hash), re-checked here on every run, not just in ctest;
 //
 // plus the paper's TTL argument in numbers: quiescent VIP drains at DNS
 // TTL 1 s / 30 s / 300 s, reporting sim-time drain-latency p50/p99 from
 // the engine's histogram (the transfer-drain gate).
 //
-// Flags:
-//   --smoke           small world, seconds not minutes (CI)
-//   --out FILE        machine-readable JSON (default BENCH_E19.json)
-//   --baseline FILE   compare against a previous JSON; exit non-zero on a
-//                     >30% connections/sec regression
+// Flags: those of bench/harness.hpp (--smoke: a small world, seconds not
+// minutes).
+#include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/scenario/session_engine.hpp"
-#include "mdc/util/stats.hpp"
 
 namespace {
 using namespace mdc;
@@ -65,7 +61,7 @@ struct SessionWorld {
   std::unique_ptr<SessionEngine> engine;
   std::uint64_t epoch = 0;
 
-  SessionWorld(const WorldSpec& spec, bool sharded, unsigned workers)
+  SessionWorld(const WorldSpec& spec, unsigned workers)
       : resolvers{dns,
                   ResolverConfig{spec.ttlSeconds, spec.lingerFraction,
                                  1800.0}} {
@@ -112,7 +108,6 @@ struct SessionWorld {
     o.tick = 1.0;
     o.maxActiveSessions = spec.maxActiveSessions;
     o.workers = workers;
-    o.sharded = sharded;
     engine = std::make_unique<SessionEngine>(sim, apps, *demand, dns,
                                              resolvers, fleet, o);
   }
@@ -121,6 +116,11 @@ struct SessionWorld {
     ++epoch;
     sim.runUntil(static_cast<SimTime>(epoch));
     engine->tick();
+  }
+
+  /// Admitted session opens so far.
+  [[nodiscard]] std::uint64_t opens() const {
+    return engine->totalArrivals() - engine->rejectedSessions();
   }
 };
 
@@ -136,80 +136,60 @@ struct CellResult {
   std::uint64_t stateHash = 0;
 };
 
-/// Warm a fresh world to steady state, then time `epochs` ticks three
-/// times (best-of-3, same virtualized-core rationale as E15) and report
-/// wall-clock connections/sec of admitted opens.
-CellResult runCell(const WorldSpec& spec, bool sharded, unsigned workers,
-                   int warmup, int epochs) {
-  SessionWorld w{spec, sharded, workers};
+/// Warm a fresh world to steady state, then time `epochs` ticks in each of
+/// three windows (best of 3 by p50) and report wall-clock connections/sec
+/// of admitted opens.
+CellResult runCell(const WorldSpec& spec, unsigned workers, int warmup,
+                   int epochs) {
+  SessionWorld w{spec, workers};
   for (int i = 0; i < warmup; ++i) w.step();
 
-  double bestP50 = -1.0;
-  double bestP99 = -1.0;
-  double bestConns = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    std::vector<double> stepMs;
-    stepMs.reserve(static_cast<std::size_t>(epochs));
-    const std::uint64_t opens0 =
-        w.engine->totalArrivals() - w.engine->rejectedSessions();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int e = 0; e < epochs; ++e) {
-      const auto s0 = std::chrono::steady_clock::now();
-      w.step();
-      const auto s1 = std::chrono::steady_clock::now();
-      stepMs.push_back(1000.0 *
-                       std::chrono::duration<double>(s1 - s0).count());
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall = std::chrono::duration<double>(t1 - t0).count();
-    const std::uint64_t opens =
-        w.engine->totalArrivals() - w.engine->rejectedSessions() - opens0;
-    const double p50 = percentile(stepMs, 50.0);
-    if (bestP50 < 0.0 || p50 < bestP50) {
-      bestP50 = p50;
-      bestP99 = percentile(stepMs, 99.0);
-      bestConns = wall > 0.0 ? static_cast<double>(opens) / wall : 0.0;
-    }
-  }
+  const bench::Window best = bench::bestOf(3, [&](bench::Window& window) {
+    const std::uint64_t opens0 = w.opens();
+    for (int e = 0; e < epochs; ++e) window.time([&] { w.step(); });
+    window.ops = static_cast<double>(w.opens() - opens0);
+  });
 
   CellResult r;
-  r.mode = sharded ? "sharded" : "serialized";
-  r.requestedWorkers = sharded ? workers : 1;
+  r.mode = "sharded";
+  r.requestedWorkers = workers;
   r.workers = w.engine->workerCount();
   r.activeSessions = w.engine->activeSessions();
-  r.connsPerSec = bestConns;
-  r.ticksPerSec = bestP50 > 0.0 ? 1000.0 / bestP50 : 0.0;
-  r.p50Ms = bestP50;
-  r.p99Ms = bestP99;
+  r.connsPerSec = best.opsPerSecond();
+  r.ticksPerSec = best.stepsPerSecond();
+  r.p50Ms = best.p50();
+  r.p99Ms = best.p99();
   r.stateHash = w.engine->stateHash();
   return r;
 }
 
-/// Serialized-vs-sharded bit-identity, re-proven on every bench run: two
-/// twin worlds, same seed, N epochs, equal counters and state hash.
-bool checkEquivalence(const WorldSpec& spec, int epochs,
+/// Worker-count bit-identity, re-proven on every bench run: a 1-worker
+/// world and a `workers`-worker twin, same seed, N epochs, equal counters
+/// and state hash.
+bool checkEquivalence(const WorldSpec& spec, int epochs, unsigned workers,
                       std::string& detail) {
-  SessionWorld ser{spec, /*sharded=*/false, 0};
-  SessionWorld shd{spec, /*sharded=*/true, 0};
+  SessionWorld one{spec, 1};
+  SessionWorld many{spec, workers};
   for (int e = 0; e < epochs; ++e) {
-    ser.step();
-    shd.step();
-    if (ser.engine->stateHash() != shd.engine->stateHash() ||
-        ser.engine->totalArrivals() != shd.engine->totalArrivals() ||
-        ser.engine->activeSessions() != shd.engine->activeSessions() ||
-        ser.engine->completedSessions() != shd.engine->completedSessions() ||
-        ser.engine->rejectedSessions() != shd.engine->rejectedSessions()) {
+    one.step();
+    many.step();
+    if (one.engine->stateHash() != many.engine->stateHash() ||
+        one.engine->totalArrivals() != many.engine->totalArrivals() ||
+        one.engine->activeSessions() != many.engine->activeSessions() ||
+        one.engine->completedSessions() !=
+            many.engine->completedSessions() ||
+        one.engine->rejectedSessions() != many.engine->rejectedSessions()) {
       std::ostringstream msg;
-      msg << "divergence at epoch " << (e + 1) << ": serialized hash "
-          << ser.engine->stateHash() << " vs sharded "
-          << shd.engine->stateHash();
+      msg << "divergence at epoch " << (e + 1) << ": 1-worker hash "
+          << one.engine->stateHash() << " vs " << workers << "-worker "
+          << many.engine->stateHash();
       detail = msg.str();
       return false;
     }
   }
   std::ostringstream msg;
   msg << "identical over " << epochs << " epochs (hash "
-      << ser.engine->stateHash() << ", " << ser.engine->totalArrivals()
+      << one.engine->stateHash() << ", " << one.engine->totalArrivals()
       << " arrivals)";
   detail = msg.str();
   return true;
@@ -237,7 +217,7 @@ DrainResult runDrainCell(double ttlSeconds, bool smoke) {
   spec.meanSessionSeconds = 15.0;
   spec.ttlSeconds = ttlSeconds;
   spec.maxActiveSessions = 100'000;
-  SessionWorld w{spec, /*sharded=*/true, 0};
+  SessionWorld w{spec, 0};
   for (int i = 0; i < 60; ++i) w.step();
 
   DrainResult d;
@@ -266,34 +246,30 @@ DrainResult runDrainCell(double ttlSeconds, bool smoke) {
   return d;
 }
 
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
+void appendCellJson(std::ostream& out, const CellResult& r) {
+  out << "\"mode\": \"" << r.mode
+      << "\", \"workers_requested\": " << r.requestedWorkers
+      << ", \"workers\": " << r.workers
+      << ", \"active_sessions\": " << r.activeSessions
+      << ", \"conns_per_sec\": " << r.connsPerSec
+      << ", \"ticks_per_sec\": " << r.ticksPerSec << ", \"p50_ms\": " << r.p50Ms
+      << ", \"p99_ms\": " << r.p99Ms << ", \"state_hash\": " << r.stateHash;
+}
+
+void appendDrainJson(std::ostream& out, const DrainResult& d) {
+  out << "\"ttl_seconds\": " << d.ttlSeconds << ", \"started\": " << d.started
+      << ", \"completed\": " << d.completed << ", \"aborted\": " << d.aborted
+      << ", \"broken\": " << d.broken
+      << ", \"drain_p50_seconds\": " << d.p50Seconds
+      << ", \"drain_p99_seconds\": " << d.p99Seconds;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E19.json";
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]\n";
-      return 2;
-    }
-  }
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  bench::Cli cli{"BENCH_E19.json"};
+  cli.parseOrExit(argc, argv, "[--smoke] [--out FILE] [--baseline FILE]");
+  const bool smoke = cli.smoke;
 
   WorldSpec spec;
   if (smoke) {
@@ -328,33 +304,33 @@ int main(int argc, char** argv) {
                      spec.meanSessionSeconds
               << " live sessions...\n";
   }
-  record(runCell(spec, /*sharded=*/false, 0, warmup, epochs));
   for (const unsigned workers : kSweep) {
-    record(runCell(spec, /*sharded=*/true, workers, warmup, epochs));
+    record(runCell(spec, workers, warmup, epochs));
   }
 
   // Hash identity across the whole sweep: every cell ran the same virtual
   // world, so every cell must end in the same state.
   bool sweepHashOk = true;
+  unsigned widest = 1;
   for (const CellResult& r : results) {
     if (r.stateHash != results[0].stateHash) sweepHashOk = false;
+    widest = std::max(widest, r.workers);
   }
 
-  const double serializedConns = results[0].connsPerSec;
-  const double sharded1w = results[1].connsPerSec;
-  const std::uint64_t peakActive = results[1].activeSessions;
+  const double conns1w = results[0].connsPerSec;
+  const std::uint64_t peakActive = results[0].activeSessions;
   double minRatio = 1e18;
   double scalingEff = -1.0;
   bool ratioOk = true;
-  for (std::size_t i = 2; i < results.size(); ++i) {
-    const double ratio = results[i].connsPerSec / sharded1w;
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    const double ratio = results[i].connsPerSec / conns1w;
     minRatio = std::min(minRatio, ratio);
     // When the pool clamps a cell down to the same effective core count
     // as the 1-worker baseline (single-core box), both cells run the
     // exact same work and the ratio only measures scheduler noise on a
     // virtualized core — gate that at 0.75.  Cells with genuinely more
     // effective cores must not run slower than 1 worker: floor 0.9.
-    const double floor = results[i].workers > results[1].workers ? 0.9 : 0.75;
+    const double floor = results[i].workers > results[0].workers ? 0.9 : 0.75;
     if (ratio < floor) ratioOk = false;
     if (i + 1 == results.size()) {
       scalingEff = ratio / static_cast<double>(results[i].workers);
@@ -368,8 +344,9 @@ int main(int argc, char** argv) {
   eqSpec.rpsPerApp = 8000.0;
   eqSpec.maxActiveSessions = 20'000;  // tight: the Cap path equivalence too
   std::string eqDetail;
-  const bool eqOk = checkEquivalence(eqSpec, smoke ? 30 : 80, eqDetail);
-  std::cout << "serialized-vs-sharded equivalence: "
+  const bool eqOk =
+      checkEquivalence(eqSpec, smoke ? 30 : 80, widest, eqDetail);
+  std::cout << "1-worker vs " << widest << "-worker equivalence: "
             << (eqOk ? "OK — " : "FAIL — ") << eqDetail << "\n";
 
   // --- drain latency vs TTL -------------------------------------------------
@@ -412,43 +389,18 @@ int main(int argc, char** argv) {
                " quiescent drain ever breaks a session\n";
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"e19_session_plane\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    json << "    {\"mode\": \"" << r.mode
-         << "\", \"workers_requested\": " << r.requestedWorkers
-         << ", \"workers\": " << r.workers
-         << ", \"active_sessions\": " << r.activeSessions
-         << ", \"conns_per_sec\": " << r.connsPerSec
-         << ", \"ticks_per_sec\": " << r.ticksPerSec
-         << ", \"p50_ms\": " << r.p50Ms << ", \"p99_ms\": " << r.p99Ms
-         << ", \"state_hash\": " << r.stateHash << "}"
-         << (i + 1 == results.size() ? "\n" : ",\n");
-  }
-  json << "  ],\n  \"drains\": [\n";
-  for (std::size_t i = 0; i < drains.size(); ++i) {
-    const DrainResult& d = drains[i];
-    json << "    {\"ttl_seconds\": " << d.ttlSeconds
-         << ", \"started\": " << d.started
-         << ", \"completed\": " << d.completed
-         << ", \"aborted\": " << d.aborted << ", \"broken\": " << d.broken
-         << ", \"drain_p50_seconds\": " << d.p50Seconds
-         << ", \"drain_p99_seconds\": " << d.p99Seconds << "}"
-         << (i + 1 == drains.size() ? "\n" : ",\n");
-  }
+  bench::jsonRows(json, "runs", results, appendCellJson);
+  json << ",\n";
+  bench::jsonRows(json, "drains", drains, appendDrainJson);
   const bool capacityOk = smoke || peakActive >= 2'000'000;
   const bool scalingOk = scalingEff >= 0.7 && ratioOk;
   const bool meets =
       capacityOk && scalingOk && eqOk && sweepHashOk && drainsOk;
-  json << "  ],\n  \"checks\": {\n"
+  json << ",\n  \"checks\": {\n"
        << "    \"peak_active_sessions\": " << peakActive << ",\n"
        << "    \"target_active_sessions\": "
        << (smoke ? 0 : 2'000'000) << ",\n"
-       << "    \"conns_per_sec_serialized\": " << serializedConns << ",\n"
-       << "    \"conns_per_sec_1w\": " << sharded1w << ",\n"
+       << "    \"conns_per_sec_1w\": " << conns1w << ",\n"
        << "    \"scaling_efficiency\": " << scalingEff << ",\n"
        << "    \"workers_min_ratio\": " << minRatio << ",\n"
        << "    \"target_scaling_efficiency\": 0.7,\n"
@@ -458,14 +410,13 @@ int main(int argc, char** argv) {
        << "    \"drains_ok\": " << (drainsOk ? "true" : "false") << ",\n"
        << "    \"drain_p99_widest_ttl_seconds\": " << drainP99Widest << ",\n"
        << "    \"meets_target\": " << (meets ? "true" : "false") << "\n"
-       << "  }\n}\n";
-
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
+       << "  }\n";
+  bench::writeResult(cli.out, "e19_session_plane", smoke, json.str());
 
   if (!eqOk) {
-    std::cerr << "FAIL: sharded tick diverged from serialized reference — "
-              << eqDetail << "\n";
+    std::cerr << "FAIL: the " << widest
+              << "-worker tick diverged from the 1-worker tick — " << eqDetail
+              << "\n";
     return 1;
   }
   if (!sweepHashOk) {
@@ -491,41 +442,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
+  if (!cli.baseline.empty()) {
+    // Absolute conns/sec does not transfer between the smoke world and a
+    // full-scale baseline (the smoke world amortizes per-tick overhead
+    // over far fewer arrivals), so the gate applies only when this run's
+    // mode matches the baseline's.
+    const bench::Baseline base = bench::Baseline::load(cli.baseline);
+    const double baseConns = base.number("conns_per_sec_1w");
+    if (base.smoke() == smoke &&
+        !bench::holdsBaseline("conns/sec", conns1w, baseConns,
+                              "connections/sec regressed >30% vs baseline")) {
       return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    // The sharded/serialized throughput ratio is scale-free, so it
-    // transfers between the smoke world and the full-scale committed
-    // baseline; absolute conns/sec does not (the smoke world amortizes
-    // per-tick overhead over far fewer arrivals), so that gate only
-    // applies when this run's mode matches the baseline's.
-    const double baseSerialized = extractNumber(base, "conns_per_sec_serialized");
-    const double baseConns = extractNumber(base, "conns_per_sec_1w");
-    const double baseRatio =
-        baseSerialized > 0.0 ? baseConns / baseSerialized : 0.0;
-    const double ratioNow =
-        serializedConns > 0.0 ? sharded1w / serializedConns : 0.0;
-    std::cout << "baseline compare: sharded/serialized ratio " << ratioNow
-              << " vs " << baseRatio << " (fail below 70% of baseline)\n";
-    if (baseRatio > 0.0 && ratioNow < 0.7 * baseRatio) {
-      std::cerr << "FAIL: sharded throughput regressed >30% vs the"
-                   " serialized reference, relative to baseline\n";
-      return 1;
-    }
-    const bool baseSmoke = base.find("\"smoke\": true") != std::string::npos;
-    if (baseSmoke == smoke) {
-      std::cout << "baseline compare: conns/sec " << sharded1w << " vs "
-                << baseConns << " (fail below 70% of baseline)\n";
-      if (baseConns > 0.0 && sharded1w < 0.7 * baseConns) {
-        std::cerr << "FAIL: connections/sec regressed >30% vs baseline\n";
-        return 1;
-      }
     }
   }
   return 0;

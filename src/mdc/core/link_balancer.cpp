@@ -8,6 +8,16 @@
 
 namespace mdc {
 
+namespace {
+/// The access router `vip` is advertised at, or an invalid id when intent
+/// names none: a VIP that RestoreVip adopted after a recovery that lost
+/// the journal prefix has no advertised link to balance.
+AccessRouterId advertisedRouter(const VipRipManager& viprip, VipId vip) {
+  const VipIntent* in = viprip.intent().find(vip);
+  return in != nullptr ? in->router : AccessRouterId{};
+}
+}  // namespace
+
 AccessLinkBalancer::AccessLinkBalancer(Simulation& sim, AuthoritativeDns& dns,
                                        VipRipManager& viprip,
                                        AppRegistry& apps,
@@ -51,7 +61,8 @@ void AccessLinkBalancer::runSelectiveExposure() {
     for (VipId vip : app.vips) {
       const double current = viprip_.vipExposureFactor(vip);
       if (current == 0.0) continue;  // drain in progress elsewhere
-      const AccessRouterId ar = viprip_.routerOf(vip);
+      const AccessRouterId ar = advertisedRouter(viprip_, vip);
+      if (!ar.valid()) continue;
       const double util = ar.index() < latest_.accessLinkUtil.size()
                               ? latest_.accessLinkUtil[ar.index()]
                               : 0.0;
@@ -87,7 +98,8 @@ void AccessLinkBalancer::runReadvertisement() {
   };
   std::vector<Candidate> candidates;
   for (const auto& [vip, gbps] : latest_.vipDemandGbps) {
-    if (viprip_.routerOf(vip).index() == hot) {
+    const AccessRouterId ar = advertisedRouter(viprip_, vip);
+    if (ar.valid() && ar.index() == hot) {
       candidates.push_back(Candidate{vip, gbps});
     }
   }

@@ -102,7 +102,8 @@ SessionEngine::SessionEngine(Simulation& sim, const AppRegistry& apps,
       dns_(dns),
       resolvers_(resolvers),
       fleet_(fleet),
-      options_(options) {
+      options_(options),
+      pool_(ThreadPool::resolveWorkers(options.workers)) {
   MDC_EXPECT(options.sessionsPerSecondPerKrps >= 0.0, "negative arrival rate");
   MDC_EXPECT(options.meanSessionSeconds > 0.0, "session duration <= 0");
   MDC_EXPECT(options.tick > 0.0, "tick <= 0");
@@ -113,12 +114,7 @@ SessionEngine::SessionEngine(Simulation& sim, const AppRegistry& apps,
     shards_.push_back(std::make_unique<ConnectionShard>(options_.wheelSlots));
     fleet_.at(SwitchId{s}).attachShard(shards_.back().get());
   }
-  if (options_.sharded) {
-    pool_ = std::make_unique<ThreadPool>(
-        ThreadPool::resolveWorkers(options_.workers));
-  }
-  const unsigned slots = pool_ != nullptr ? pool_->workers() : 1;
-  buckets_.resize(static_cast<std::size_t>(slots) * shards_.size());
+  buckets_.resize(static_cast<std::size_t>(pool_.workers()) * shards_.size());
   shardRejects_.resize(shards_.size());
   room_.resize(shards_.size());
 }
@@ -225,7 +221,7 @@ void SessionEngine::admitSerial() {
 
 void SessionEngine::insertShards(std::size_t lo, std::size_t hi) {
   const std::size_t numShards = shards_.size();
-  const unsigned slots = pool_ != nullptr ? pool_->workers() : 1;
+  const unsigned slots = pool_.workers();
   for (std::size_t s = lo; s < hi; ++s) {
     ConnectionShard& shard = *shards_[s];
     auto& rejects = shardRejects_[s];
@@ -277,27 +273,18 @@ void SessionEngine::tick() {
   ensurePools();
 
   // Phase S: O(due-this-tick) expiry, one worker per shard range.
-  if (pool_ != nullptr) {
-    pool_->parallelRanges(numShards,
-                          [this](unsigned, std::size_t lo, std::size_t hi) {
-                            for (std::size_t s = lo; s < hi; ++s) {
-                              shards_[s]->expireDue(epoch_);
-                            }
-                          });
-  } else {
-    for (std::size_t s = 0; s < numShards; ++s) shards_[s]->expireDue(epoch_);
-  }
+  pool_.parallelRanges(numShards,
+                       [this](unsigned, std::size_t lo, std::size_t hi) {
+                         for (std::size_t s = lo; s < hi; ++s) {
+                           shards_[s]->expireDue(epoch_);
+                         }
+                       });
 
   // Phase G: arrival generation over contiguous ascending app ranges.
-  if (pool_ != nullptr) {
-    pool_->parallelRanges(numApps,
-                          [this, now](unsigned slot, std::size_t lo,
-                                      std::size_t hi) {
-                            generateApps(slot, lo, hi, now);
-                          });
-  } else {
-    generateApps(0, 0, numApps, now);
-  }
+  pool_.parallelRanges(
+      numApps, [this, now](unsigned slot, std::size_t lo, std::size_t hi) {
+        generateApps(slot, lo, hi, now);
+      });
 
   // Phase A: global-cap admission, serial, ascending app order.
   admitSerial();
@@ -312,14 +299,10 @@ void SessionEngine::tick() {
                    : 0;
     shardRejects_[s].clear();
   }
-  if (pool_ != nullptr) {
-    pool_->parallelRanges(numShards,
-                          [this](unsigned, std::size_t lo, std::size_t hi) {
-                            insertShards(lo, hi);
-                          });
-  } else {
-    insertShards(0, numShards);
-  }
+  pool_.parallelRanges(numShards,
+                       [this](unsigned, std::size_t lo, std::size_t hi) {
+                         insertShards(lo, hi);
+                       });
   for (std::size_t s = 0; s < numShards; ++s) {
     for (const auto& [app, count] : shardRejects_[s]) {
       rejected_ += count;

@@ -21,9 +21,9 @@
 //    each app's randomness comes from its own mix(seed, app, epoch)
 //    stream, each shard is mutated by exactly one worker, and bucket
 //    concatenation in slot order equals ascending app order, the tick is
-//    bit-identical for ANY worker count — including the `sharded = false`
-//    reference path with no pool at all.  The randomized equivalence
-//    suite enforces this;
+//    bit-identical for ANY worker count.  A 1-worker pool runs every
+//    phase inline over one range — the serial tick — and the randomized
+//    equivalence suite holds the other worker counts to it;
 //  * quiescent VIP transfer is a first-class drain: beginDrain() steers
 //    DNS away (weight 0), the tick watches the owning switch's resident
 //    count, and on quiescence transfers the VIP and restores the weight,
@@ -77,9 +77,6 @@ class SessionEngine {
     /// Worker knob for the sharded tick: 0 = MDC_THREADS else 1 (see
     /// ThreadPool::resolveWorkers).
     unsigned workers = 0;
-    /// false = reference serialized tick (no pool, plain loops) — the
-    /// oracle the equivalence suite compares the sharded tick against.
-    bool sharded = true;
     /// Timing-wheel slots per shard (rounded up to a power of two).
     std::uint32_t wheelSlots = 1024;
   };
@@ -161,7 +158,7 @@ class SessionEngine {
   [[nodiscard]] std::uint64_t stateHash() const noexcept;
 
   [[nodiscard]] unsigned workerCount() const noexcept {
-    return pool_ != nullptr ? pool_->workers() : 1;
+    return pool_.workers();
   }
   [[nodiscard]] std::uint64_t epochsTicked() const noexcept { return epoch_; }
 
@@ -207,7 +204,7 @@ class SessionEngine {
   Tracer* tracer_ = nullptr;
 
   std::vector<std::unique_ptr<ConnectionShard>> shards_;  // by switch index
-  std::unique_ptr<ThreadPool> pool_;  // null in serialized mode
+  ThreadPool pool_;
 
   std::uint64_t epoch_ = 0;  // tick index; expiry wheel key
 

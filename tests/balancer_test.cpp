@@ -130,6 +130,71 @@ TEST(AccessLinkBalancerTest, NoReportNoAction) {
   EXPECT_EQ(lb.weightUpdates(), 0u);
 }
 
+TEST(AccessLinkBalancerTest, SkipsVipAdoptedWithoutRouter) {
+  Fixture f;
+  const AppId app = f.apps.create("a", AppSla{}, 1000.0);
+  const auto kept = f.viprip->createVipNow(app);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(f.viprip->createRipNow(app, VmId{0}, 1.0).ok());
+  const auto adopted = f.viprip->createVipNow(app);
+  ASSERT_TRUE(adopted.ok());
+
+  // A crash tears the second VIP's AddVip record, the journal's tail: the
+  // recovered intent has no record of the VIP while its switch hosts it.
+  ASSERT_TRUE(f.viprip->stateMachine().changelog().tearTail(/*entropy=*/5));
+  f.viprip->crash();
+  f.viprip->recoverAsLeader(2);
+  ASSERT_EQ(f.viprip->intent().find(adopted.value()), nullptr);
+
+  // Its switch dies, and restoring the orphan adopts it with no router.
+  const SwitchId owner = *f.fleet.ownerOf(adopted.value());
+  ASSERT_EQ(f.fleet.crashSwitch(owner, f.sim.now()), 1u);
+  auto orphans = f.fleet.takeOrphans(owner);
+  ASSERT_EQ(orphans.size(), 1u);
+  VipRipRequest restore;
+  restore.op = VipRipOp::RestoreVip;
+  restore.app = orphans[0].app;
+  restore.vip = orphans[0].vip;
+  restore.rips = orphans[0].rips;
+  Status restored = Status::fail("pending");
+  restore.done = [&](Status s) { restored = s; };
+  f.viprip->submit(std::move(restore));
+  f.sim.runUntil(f.sim.now() + 10.0);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_FALSE(f.viprip->intent().find(adopted.value())->router.valid());
+
+  // The next failover re-attaches every VIP intent holds to its app, this
+  // one included, still without a router.
+  f.viprip->crash();
+  f.viprip->recoverAsLeader(3);
+  ASSERT_EQ(f.apps.app(app).vips.size(), 2u);
+  ASSERT_FALSE(f.viprip->intent().find(adopted.value())->router.valid());
+
+  // Both policies balance the VIP that has a link and skip the other.
+  EpochReport r = f.report();
+  const AccessRouterId hot = f.viprip->routerOf(kept.value());
+  r.accessLinkUtil[hot.index()] = 0.95;
+  r.vipDemandGbps[kept.value()] = 1.0;
+  r.vipDemandGbps[adopted.value()] = 5.0;
+  AccessLinkBalancer exposure{f.sim,   f.dns,  *f.viprip,
+                              f.apps,  f.fleet, f.topo,
+                              AccessLinkBalancer::Options{}};
+  exposure.observe(r);
+  exposure.runOnce();
+  EXPECT_EQ(exposure.weightUpdates(), 1u);
+  EXPECT_EQ(f.viprip->vipExposureFactor(adopted.value()), 1.0);
+
+  AccessLinkBalancer::Options opt;
+  opt.policy = LinkBalancePolicy::Readvertisement;
+  AccessLinkBalancer readvertise{f.sim,  f.dns,   *f.viprip, f.apps,
+                                 f.fleet, f.topo, opt};
+  readvertise.observe(r);
+  readvertise.runOnce();
+  EXPECT_EQ(readvertise.vipMoves(), 1u);
+  EXPECT_NE(f.viprip->routerOf(kept.value()), hot);
+  EXPECT_FALSE(f.viprip->intent().find(adopted.value())->router.valid());
+}
+
 // ------------------------------------------------- switch balancer ----
 
 TEST(SwitchBalancerTest, DrainsHotSwitchAndTransfers) {

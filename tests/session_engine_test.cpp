@@ -261,12 +261,12 @@ TEST(SessionEngine, BeginDrainErrorTaxonomy) {
 // ---------------------------------------------------------------------------
 // Randomized serialized-vs-sharded equivalence (the tentpole's proof).
 //
-// Five identical worlds run 200 epochs of the same arrival process and
+// Four identical worlds run 200 epochs of the same arrival process and
 // the same scripted mutation storm (DNS weight changes, drains, forced
-// transfers, switch crashes and recoveries).  One world runs the
-// serialized reference tick (no thread pool at all); the others run the
-// sharded tick with 1, 2, 4, and 8 workers.  Every epoch, every counter
-// and the full state hash must be bit-identical across all five.
+// transfers, switch crashes and recoveries), ticking with 1, 2, 4, and 8
+// workers.  The 1-worker world is the reference: its pool runs every
+// phase inline over one range, the serialized tick.  Every epoch, every
+// counter and the full state hash must be bit-identical across all four.
 // ---------------------------------------------------------------------------
 
 struct TwinWorld {
@@ -282,7 +282,7 @@ struct TwinWorld {
   std::vector<AppId> ids;
   std::unique_ptr<SessionEngine> engine;
 
-  TwinWorld(bool sharded, unsigned workers, std::uint64_t seed)
+  TwinWorld(unsigned workers, std::uint64_t seed)
       : demand{rates()} {
     for (std::size_t a = 0; a < kApps; ++a) {
       ids.push_back(
@@ -313,7 +313,6 @@ struct TwinWorld {
     o.tick = 1.0;
     o.maxActiveSessions = 1500;  // tight enough to exercise Cap admission
     o.workers = workers;
-    o.sharded = sharded;
     o.wheelSlots = 64;
     engine = std::make_unique<SessionEngine>(sim, apps, demand, dns, resolvers,
                                              fleet, o);
@@ -413,10 +412,11 @@ TEST(SessionEngineEquivalence, RandomizedShardedMatchesSerializedBitExact) {
   constexpr std::uint64_t kEpochs = 200;
   const std::uint64_t seed = 20260809;
 
-  TwinWorld ref{/*sharded=*/false, 0, seed};
+  TwinWorld ref{1, seed};
+  EXPECT_EQ(ref.engine->workerCount(), 1u);
   std::vector<std::unique_ptr<TwinWorld>> sharded;
-  for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    sharded.push_back(std::make_unique<TwinWorld>(true, workers, seed));
+  for (unsigned workers : {2u, 4u, 8u}) {
+    sharded.push_back(std::make_unique<TwinWorld>(workers, seed));
     EXPECT_EQ(sharded.back()->engine->workerCount(), workers);
   }
 
