@@ -2,7 +2,7 @@
 //
 // The seed SessionEngine scheduled one simulation event per session and
 // fell over around 1M.  The sharded engine keeps per-connection state in
-// struct-of-arrays shards (one per switch) with timing-wheel expiry, so a
+// slot-record shards (one per switch) with timing-wheel expiry, so a
 // tick costs O(arrivals + expirations due), not O(live sessions).  This
 // bench proves the two acceptance claims:
 //

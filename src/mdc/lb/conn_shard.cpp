@@ -31,38 +31,33 @@ void ConnectionShard::open(std::uint64_t sessionId, AppId app, VipId vip,
                            RipId rip, std::uint64_t expiryTick) {
   std::uint32_t slot;
   if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(id_.size());
-    id_.push_back(sessionId);
-    app_.push_back(app.value());
-    vip_.push_back(vip.value());
-    rip_.push_back(rip.value());
-    expiry_.push_back(expiryTick);
-    gen_.push_back(0);
-    live_.push_back(1);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{});
   } else {
     slot = free_.back();
     free_.pop_back();
-    id_[slot] = sessionId;
-    app_[slot] = app.value();
-    vip_[slot] = vip.value();
-    rip_[slot] = rip.value();
-    expiry_[slot] = expiryTick;
-    live_[slot] = 1;
   }
-  wheel_[expiryTick & mask_].push_back((static_cast<std::uint64_t>(slot) << 32) |
-                                       gen_[slot]);
+  Slot& s = slots_[slot];
+  s.id = sessionId;
+  s.expiry = expiryTick;
+  s.app = app.value();
+  s.vip = vip.value();
+  s.rip = rip.value();
+  ++s.gen;  // odd: live
+  wheel_[expiryTick & mask_].push_back(
+      (static_cast<std::uint64_t>(slot) << 32) | s.gen);
   ++perVip_[vip];
   ++size_;
   ++opened_;
 }
 
 void ConnectionShard::closeSlot(std::uint32_t slot) {
-  const auto pv = perVip_.find(VipId{vip_[slot]});
+  Slot& s = slots_[slot];
+  const auto pv = perVip_.find(VipId{s.vip});
   MDC_ENSURE(pv != perVip_.end() && pv->second > 0,
              "shard per-vip count corrupt");
-  if (--pv->second == 0) perVip_.erase(pv);
-  live_[slot] = 0;
-  ++gen_[slot];  // wheel entries pointing here are now stale
+  --pv->second;
+  ++s.gen;  // even: free; wheel entries pointing here are now stale
   free_.push_back(slot);
   --size_;
 }
@@ -74,8 +69,9 @@ std::uint64_t ConnectionShard::expireDue(std::uint64_t tick) {
   for (const std::uint64_t entry : bucket) {
     const auto slot = static_cast<std::uint32_t>(entry >> 32);
     const auto gen = static_cast<std::uint32_t>(entry);
-    if (live_[slot] == 0 || gen_[slot] != gen) continue;  // stale: drop
-    if (expiry_[slot] <= tick) {
+    const Slot& s = slots_[slot];
+    if (s.gen != gen) continue;  // stale: drop
+    if (s.expiry <= tick) {
       closeSlot(slot);
       ++done;
     } else {
@@ -90,8 +86,8 @@ std::uint64_t ConnectionShard::expireDue(std::uint64_t tick) {
 std::uint64_t ConnectionShard::severVip(VipId vip) {
   if (countForVip(vip) == 0) return 0;
   std::uint64_t severed = 0;
-  for (std::uint32_t slot = 0; slot < live_.size(); ++slot) {
-    if (live_[slot] != 0 && vip_[slot] == vip.value()) {
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].live() && slots_[slot].vip == vip.value()) {
       closeSlot(slot);
       ++severed;
     }
@@ -102,13 +98,7 @@ std::uint64_t ConnectionShard::severVip(VipId vip) {
 
 std::uint64_t ConnectionShard::severAll() {
   const std::uint64_t severed = size_;
-  id_.clear();
-  app_.clear();
-  vip_.clear();
-  rip_.clear();
-  expiry_.clear();
-  gen_.clear();
-  live_.clear();
+  slots_.clear();
   free_.clear();
   for (auto& bucket : wheel_) bucket.clear();
   perVip_.clear();
@@ -126,20 +116,17 @@ void ConnectionShard::forEachOfVip(
     VipId vip,
     const std::function<void(std::uint64_t, RipId)>& fn) const {
   if (countForVip(vip) == 0) return;
-  for (std::uint32_t slot = 0; slot < live_.size(); ++slot) {
-    if (live_[slot] != 0 && vip_[slot] == vip.value()) {
-      fn(id_[slot], RipId{rip_[slot]});
-    }
+  for (const Slot& s : slots_) {
+    if (s.live() && s.vip == vip.value()) fn(s.id, RipId{s.rip});
   }
 }
 
 void ConnectionShard::forEach(
     const std::function<void(std::uint64_t, AppId, VipId, RipId,
                              std::uint64_t)>& fn) const {
-  for (std::uint32_t slot = 0; slot < live_.size(); ++slot) {
-    if (live_[slot] != 0) {
-      fn(id_[slot], AppId{app_[slot]}, VipId{vip_[slot]}, RipId{rip_[slot]},
-         expiry_[slot]);
+  for (const Slot& s : slots_) {
+    if (s.live()) {
+      fn(s.id, AppId{s.app}, VipId{s.vip}, RipId{s.rip}, s.expiry);
     }
   }
 }
@@ -150,13 +137,13 @@ std::uint64_t ConnectionShard::stateHash() const noexcept {
   fnvMix(h, opened_);
   fnvMix(h, completed_);
   fnvMix(h, broken_);
-  for (std::uint32_t slot = 0; slot < live_.size(); ++slot) {
-    if (live_[slot] == 0) continue;
-    fnvMix(h, id_[slot]);
-    fnvMix(h, app_[slot]);
-    fnvMix(h, vip_[slot]);
-    fnvMix(h, rip_[slot]);
-    fnvMix(h, expiry_[slot]);
+  for (const Slot& s : slots_) {
+    if (!s.live()) continue;
+    fnvMix(h, s.id);
+    fnvMix(h, s.app);
+    fnvMix(h, s.vip);
+    fnvMix(h, s.rip);
+    fnvMix(h, s.expiry);
   }
   return h;
 }

@@ -2,8 +2,10 @@
 //
 // The paper's quiescence argument (§IV-B) rests on the fact that only the
 // owning switch knows each TCP session's RIP mapping.  This shard IS that
-// knowledge: a struct-of-arrays table of live sessions pinned to one
-// switch, sized for the reference hardware's 1M concurrent connections.
+// knowledge: a slot table of live sessions pinned to one switch, sized for
+// the reference hardware's 1M concurrent connections.  Each slot is one
+// 32-byte record (id, expiry, app, vip, rip, generation), aligned so an
+// open or an expiry touches one cache line.
 //
 // Design constraints, in order:
 //  * deterministic — slot assignment (LIFO free list) and expiry order
@@ -15,6 +17,10 @@
 //    stale-entry deletion (generation counters) replaces the seed
 //    engine's one-simulation-event-per-session scheme, which fell over
 //    long before a million sessions;
+//  * no allocation in steady state — freed slots, wheel buckets and the
+//    per-VIP counts keep their storage (a VIP's count stays at 0 rather
+//    than being erased), so opens and closes reuse what earlier sessions
+//    left behind;
 //  * cheap bulk severs — a switch crash (severAll) or a forced VIP
 //    transfer (severVip) is a control-plane-rate operation, so it may
 //    scan, but it must never leave stale wheel entries behind that a
@@ -85,16 +91,24 @@ class ConnectionShard {
   [[nodiscard]] std::uint64_t stateHash() const noexcept;
 
  private:
+  /// One session slot.  `gen` is odd while the slot holds a live session
+  /// and is bumped on both open and close, so a wheel entry naming an
+  /// older generation is stale.
+  struct alignas(32) Slot {
+    std::uint64_t id;
+    std::uint64_t expiry;
+    std::uint32_t app;
+    std::uint32_t vip;
+    std::uint32_t rip;
+    std::uint32_t gen;
+
+    [[nodiscard]] bool live() const noexcept { return (gen & 1u) != 0; }
+  };
+  static_assert(sizeof(Slot) == 32);
+
   void closeSlot(std::uint32_t slot);
 
-  // Struct-of-arrays session records, indexed by slot.
-  std::vector<std::uint64_t> id_;
-  std::vector<std::uint32_t> app_;
-  std::vector<std::uint32_t> vip_;
-  std::vector<std::uint32_t> rip_;
-  std::vector<std::uint64_t> expiry_;
-  std::vector<std::uint32_t> gen_;  // bumped on close; invalidates wheel refs
-  std::vector<std::uint8_t> live_;
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // LIFO: deterministic slot reuse
 
   // Timing wheel: bucket = expiryTick & mask_; entries pack
@@ -103,7 +117,7 @@ class ConnectionShard {
   std::vector<std::vector<std::uint64_t>> wheel_;
   std::uint64_t mask_;
 
-  std::unordered_map<VipId, std::uint64_t> perVip_;
+  std::unordered_map<VipId, std::uint64_t> perVip_;  // zero counts kept
 
   std::uint64_t size_ = 0;
   std::uint64_t opened_ = 0;

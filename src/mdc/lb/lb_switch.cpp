@@ -76,7 +76,6 @@ Status LbSwitch::removeVip(VipId vip) {
   }
   vips_.pop_back();
   vipIndex_.erase(it);
-  connsPerVip_.erase(vip);
   ++reconfigOps_;
   return Status::okStatus();
 }
@@ -127,49 +126,6 @@ Status LbSwitch::setRipWeight(VipId vip, RipId rip, double weight) {
   return Status::okStatus();
 }
 
-Result<RipId> LbSwitch::openConnection(ConnId conn, VipId vip, Rng& rng) {
-  MDC_EXPECT(conn.valid(), "openConnection: invalid conn id");
-  MDC_EXPECT(!conns_.contains(conn), "openConnection: conn already open");
-  if (!up_) return Error{"switch_down", ""};
-  const VipEntry* e = findVip(vip);
-  if (e == nullptr) return Error{"vip_unknown", ""};
-  if (e->rips.empty() || e->totalWeight() <= 0.0) {
-    return Error{"no_rips", ""};
-  }
-  if (activeConnections() >= limits_.maxConnections) {
-    return Error{"conn_table_full", ""};
-  }
-  std::vector<double> w;
-  w.reserve(e->rips.size());
-  for (const RipEntry& r : e->rips) w.push_back(r.weight);
-  const RipId rip = e->rips[rng.weightedIndex(w)].rip;
-  conns_.emplace(conn, ConnRecord{vip, rip});
-  ++connsPerVip_[vip];
-  return rip;
-}
-
-std::optional<RipId> LbSwitch::connectionRip(ConnId conn) const {
-  const auto it = conns_.find(conn);
-  if (it == conns_.end()) return std::nullopt;
-  return it->second.rip;
-}
-
-void LbSwitch::closeConnection(ConnId conn) {
-  const auto it = conns_.find(conn);
-  MDC_EXPECT(it != conns_.end(), "closeConnection: unknown connection");
-  const auto pv = connsPerVip_.find(it->second.vip);
-  MDC_ENSURE(pv != connsPerVip_.end() && pv->second > 0,
-             "per-vip connection count corrupt");
-  if (--pv->second == 0) connsPerVip_.erase(pv);
-  conns_.erase(it);
-}
-
-std::uint64_t LbSwitch::activeConnections(VipId vip) const {
-  const auto it = connsPerVip_.find(vip);
-  const std::uint64_t legacy = it == connsPerVip_.end() ? 0 : it->second;
-  return legacy + (shard_ != nullptr ? shard_->countForVip(vip) : 0);
-}
-
 void LbSwitch::attachShard(ConnectionShard* shard) {
   MDC_EXPECT(shard == nullptr || shard_ == nullptr,
              "attachShard: a shard is already attached");
@@ -178,14 +134,11 @@ void LbSwitch::attachShard(ConnectionShard* shard) {
 
 std::uint64_t LbSwitch::crash() {
   MDC_EXPECT(up_, "crash: switch already down");
-  std::uint64_t severed = conns_.size();
-  if (shard_ != nullptr) severed += shard_->severAll();
+  const std::uint64_t severed = shard_ != nullptr ? shard_->severAll() : 0;
   up_ = false;
   vips_.clear();
   vipIndex_.clear();
   ripCount_ = 0;
-  conns_.clear();
-  connsPerVip_.clear();
   offeredGbps_ = 0.0;
   return severed;
 }
@@ -193,21 +146,6 @@ std::uint64_t LbSwitch::crash() {
 void LbSwitch::recover() {
   MDC_EXPECT(!up_, "recover: switch is not down");
   up_ = true;
-}
-
-std::uint64_t LbSwitch::dropConnections(VipId vip) {
-  std::uint64_t dropped = 0;
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (it->second.vip == vip) {
-      it = conns_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  connsPerVip_.erase(vip);
-  if (shard_ != nullptr) dropped += shard_->severVip(vip);
-  return dropped;
 }
 
 }  // namespace mdc

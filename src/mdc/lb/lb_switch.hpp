@@ -11,19 +11,20 @@
 // load-balancing layer, used by the two-LB-layer architecture of §V-B).
 //
 // Connection tracking: packets of one TCP session must keep hitting the
-// same RIP, and only the owning switch knows the mapping (§IV-B).  The
-// session engine registers connections here; VIP transfer is only safe
-// when a VIP has no registered connections.
+// same RIP, and only the owning switch knows the mapping (§IV-B).  That
+// mapping lives in the ConnectionShard the session engine attaches to
+// each switch; the switch reads it for its connection-table limit, to
+// refuse removing a VIP that still has sessions, and to sever them on a
+// forced removal or a crash.  VIP transfer is only safe when a VIP has no
+// tracked sessions.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "mdc/lb/conn_shard.hpp"
-#include "mdc/sim/rng.hpp"
 #include "mdc/util/ids.hpp"
 #include "mdc/util/result.hpp"
 #include "mdc/util/units.hpp"
@@ -102,47 +103,34 @@ class LbSwitch {
     return limits_.maxRips - ripCount();
   }
 
-  // --- connection tracking (session engine) ----------------------------
-
-  /// Opens a connection on `vip`, choosing a RIP by weight.
-  /// Errors: "vip_unknown", "no_rips", "conn_table_full".
-  Result<RipId> openConnection(ConnId conn, VipId vip, Rng& rng);
-
-  /// The RIP a tracked connection is pinned to (affinity lookup).
-  [[nodiscard]] std::optional<RipId> connectionRip(ConnId conn) const;
-
-  /// Closes a tracked connection.  Precondition: the connection exists.
-  void closeConnection(ConnId conn);
-
-  [[nodiscard]] std::uint64_t activeConnections() const noexcept {
-    return conns_.size() + (shard_ != nullptr ? shard_->size() : 0);
-  }
-  [[nodiscard]] std::uint64_t activeConnections(VipId vip) const;
-
-  /// Drops every connection of `vip` (what a forced VIP transfer does to
-  /// in-flight sessions).  Returns how many were dropped.
-  std::uint64_t dropConnections(VipId vip);
-
-  // --- session data plane (SessionEngine's per-switch shard) -----------
+  // --- connection tracking (the attached ConnectionShard) --------------
 
   /// Attaches (or, with nullptr, detaches) the SessionEngine's connection
   /// shard for this switch.  While attached, shard sessions count toward
-  /// the connection-table limit, block VIP removal/transfer like legacy
-  /// tracked connections, and are severed by crash()/dropConnections().
-  /// The engine owns the shard's lifetime and detaches on destruction.
+  /// the connection-table limit, block VIP removal and transfer, and are
+  /// severed by crash()/dropConnections().  The engine owns the shard's
+  /// lifetime and detaches on destruction.  Without a shard the switch
+  /// tracks no connections.
   void attachShard(ConnectionShard* shard);
   [[nodiscard]] ConnectionShard* shard() const noexcept { return shard_; }
 
-  /// Connections tracked through the legacy per-ConnId table only (the
-  /// engine budgets shard opens against maxConnections minus this).
-  [[nodiscard]] std::uint64_t legacyConnections() const noexcept {
-    return conns_.size();
+  [[nodiscard]] std::uint64_t activeConnections() const noexcept {
+    return shard_ != nullptr ? shard_->size() : 0;
+  }
+  [[nodiscard]] std::uint64_t activeConnections(VipId vip) const {
+    return shard_ != nullptr ? shard_->countForVip(vip) : 0;
+  }
+
+  /// Drops every connection of `vip` (what a forced VIP transfer does to
+  /// in-flight sessions).  Returns how many were dropped.
+  std::uint64_t dropConnections(VipId vip) {
+    return shard_ != nullptr ? shard_->severVip(vip) : 0;
   }
 
   // --- failure semantics ------------------------------------------------
 
   /// Whether the switch is powered and forwarding.  All table mutations
-  /// and connection opens fail with "switch_down" while it is not.
+  /// fail with "switch_down" while it is not.
   [[nodiscard]] bool up() const noexcept { return up_; }
 
   /// Crash: the switch loses power.  Volatile state — the VIP/RIP tables
@@ -172,11 +160,6 @@ class LbSwitch {
   }
 
  private:
-  struct ConnRecord {
-    VipId vip;
-    RipId rip;
-  };
-
   VipEntry* findVipMutable(VipId vip);
 
   SwitchId id_;
@@ -184,8 +167,6 @@ class LbSwitch {
   std::vector<VipEntry> vips_;
   std::unordered_map<VipId, std::size_t> vipIndex_;
   std::uint32_t ripCount_ = 0;
-  std::unordered_map<ConnId, ConnRecord> conns_;
-  std::unordered_map<VipId, std::uint64_t> connsPerVip_;
   ConnectionShard* shard_ = nullptr;  // owned by the SessionEngine
   double offeredGbps_ = 0.0;
   std::uint64_t reconfigOps_ = 0;

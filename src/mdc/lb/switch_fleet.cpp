@@ -24,6 +24,13 @@ void SwitchFleet::bumpVip(VipId vip) {
   const std::size_t i = vip.index();
   if (i >= vipVersions_.size()) vipVersions_.resize(i + 1, 0);
   ++vipVersions_[i];
+  vipLog_.push_back(vip);
+}
+
+std::span<const VipId> SwitchFleet::vipMutationsSince(
+    std::uint64_t cursor) const {
+  MDC_EXPECT(cursor <= vipLog_.size(), "vip mutation cursor out of range");
+  return std::span<const VipId>(vipLog_).subspan(cursor);
 }
 
 std::optional<SwitchId> SwitchFleet::ownerOf(VipId vip) const {
@@ -70,7 +77,9 @@ Status SwitchFleet::transferVip(VipId vip, SwitchId to, bool force) {
   const VipEntry* entry = src.findVip(vip);
   MDC_ENSURE(entry != nullptr, "ownership index out of sync");
 
-  // Check destination capacity before mutating anything.
+  // Check the destination before mutating anything.  It may already hold
+  // a duplicate copy (a control-plane race): refuse rather than merge.
+  if (dst.hasVip(vip)) return Status::fail("vip_exists");
   if (dst.spareVips() == 0) return Status::fail("vip_table_full");
   if (dst.spareRips() < entry->rips.size()) {
     return Status::fail("rip_table_full");

@@ -11,11 +11,18 @@
 // All VIP placement mutations should go through the fleet so the index
 // stays coherent; per-switch RIP/weight/connection operations are
 // forwarded for convenience.
+//
+// Every mutation that can change what a VIP resolves to also appends the
+// VIP to an append-only change log.  Consumers that keep a per-VIP view
+// of the fleet (the session engine's route table) hold a cursor into it
+// and refresh only the VIPs logged since, instead of re-reading the
+// ownership index and the owner's table for every lookup.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -89,6 +96,7 @@ class SwitchFleet {
   /// "vip_in_use" if the VIP still has tracked connections and `force` is
   /// false; with force, in-flight connections are dropped and counted as
   /// affinity violations.  Errors also: "vip_unowned", "same_switch",
+  /// "vip_exists" (the destination holds a duplicate copy),
   /// "vip_table_full", "rip_table_full" (destination capacity),
   /// "switch_down" (crashed destination).
   Status transferVip(VipId vip, SwitchId to, bool force = false);
@@ -144,6 +152,17 @@ class SwitchFleet {
     return i < vipVersions_.size() ? vipVersions_[i] : 0;
   }
 
+  /// VIPs whose version moved since `cursor` (a value previously returned
+  /// by vipMutationCursor(); 0 for "since the beginning"), one entry per
+  /// bump, in bump order, so a VIP mutated repeatedly repeats.  The log is
+  /// append-only and retained for the fleet's lifetime: it grows at
+  /// control-plane rate, 4 bytes per mutation.
+  [[nodiscard]] std::span<const VipId> vipMutationsSince(
+      std::uint64_t cursor) const;
+  [[nodiscard]] std::uint64_t vipMutationCursor() const noexcept {
+    return vipLog_.size();
+  }
+
   // --- fleet-wide accounting --------------------------------------------
 
   [[nodiscard]] std::uint32_t totalVips() const;
@@ -171,6 +190,7 @@ class SwitchFleet {
 
   std::vector<LbSwitch> switches_;
   std::vector<std::uint64_t> vipVersions_;
+  std::vector<VipId> vipLog_;  // every bumpVip, in order
   std::unordered_map<VipId, SwitchId> owner_;
   TransferListener onTransfer_;
   std::unordered_map<SwitchId, std::vector<OrphanedVip>> orphans_;

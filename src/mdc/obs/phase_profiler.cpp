@@ -16,6 +16,10 @@ const char* PhaseProfiler::name(Phase p) noexcept {
       return "b2_merge";
     case Phase::Serve:
       return "c_serve";
+    case Phase::Prepare:
+      return "prepare";
+    case Phase::Sink:
+      return "sink";
   }
   return "?";
 }

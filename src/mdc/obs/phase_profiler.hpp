@@ -1,8 +1,10 @@
 // Scoped wall-clock timers for the epoch hot path.
 //
 // The fluid engine's step() has a fixed phase structure (DESIGN.md §8):
-// cache validation, the parallel AppCache re-descent, the serial report
-// and link emission, and the parallel serving pass.  The profiler hangs a
+// input preparation (resolver relaxation, route settling), cache
+// validation, the parallel AppCache re-descent, the serial report and
+// link emission, and the parallel serving pass; the epoch's report then
+// goes to its sink (the managers' observers).  The profiler hangs a
 // scoped timer on each phase and accumulates wall nanoseconds + call
 // counts per phase, so a bench can answer "where did the epoch go"
 // without instrumenting ad hoc.
@@ -34,8 +36,10 @@ class PhaseProfiler {
     EmitShard,   // no longer timed: link emission is part of Emit
     Merge,       // no longer timed: link emission is part of Emit
     Serve,       // C: serving, utilization, report decoration
+    Prepare,     // resolver advance + route settle, before A0
+    Sink,        // the epoch sink: manager and health observers
   };
-  static constexpr std::size_t kPhases = 6;
+  static constexpr std::size_t kPhases = 8;
 
   [[nodiscard]] static const char* name(Phase p) noexcept;
 

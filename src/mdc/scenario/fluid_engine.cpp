@@ -354,8 +354,11 @@ std::size_t FluidEngine::emitVip(AppCache& c, std::size_t i, double rps,
 
 EpochReport FluidEngine::step() {
   const SimTime now = sim_.now();
-  resolvers_.advance(now);
-  routes_.settle(now);
+  {
+    const auto prof = profiler_.time(PhaseProfiler::Phase::Prepare);
+    resolvers_.advance(now);
+    routes_.settle(now);
+  }
 
   EpochReport report;
   report.time = now;

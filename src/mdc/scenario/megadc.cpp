@@ -345,6 +345,7 @@ void MegaDc::start() {
   manager->start();
   if (sessions) sessions->start();
   engine->start([this](const EpochReport& r) {
+    const auto prof = engine->profiler().time(PhaseProfiler::Phase::Sink);
     manager->observe(r);
     if (health) health->observe(r);
   });

@@ -50,8 +50,7 @@ std::uint64_t poissonDraw(Rng& rng, double lambda) {
       std::max(0.0, std::round(rng.normal(lambda, std::sqrt(lambda)))));
 }
 
-/// Weighted VIP pick over an app's resolver shares.  Shared by both tick
-/// paths so the draw sequence is identical.
+/// Weighted VIP pick over an app's resolver shares.
 VipId pickVip(std::span<const VipWeight> shares, double total, Rng& rng) {
   const double r = rng.uniform() * total;
   double acc = 0.0;
@@ -62,17 +61,13 @@ VipId pickVip(std::span<const VipWeight> shares, double total, Rng& rng) {
   return shares.back().vip;
 }
 
-/// Weighted RIP pick without the per-call vector the legacy
-/// LbSwitch::openConnection allocates.
-RipId pickRip(const VipEntry& e, double total, Rng& rng) {
-  const double r = rng.uniform() * total;
-  double acc = 0.0;
-  for (const RipEntry& rip : e.rips) {
-    acc += rip.weight;
-    if (r < acc) return rip.rip;
-  }
-  return e.rips.back().rip;
-}
+/// Phase G's work estimate for one app: a fixed per-app cost (demand
+/// read, stream seeding, Poisson draw, share sum) plus a cost per arrival
+/// the app drew last tick.  The ratio is measured on `dataplane` (about
+/// 210–240 ns per app and 90–120 ns per arrival on a 4-vCPU x86 VM); it
+/// only balances the workers and never changes output.
+constexpr std::uint64_t kAppWork = 5;
+constexpr std::uint64_t kArrivalWork = 2;
 
 }  // namespace
 
@@ -116,7 +111,6 @@ SessionEngine::SessionEngine(Simulation& sim, const AppRegistry& apps,
   }
   buckets_.resize(static_cast<std::size_t>(pool_.workers()) * shards_.size());
   shardRejects_.resize(shards_.size());
-  room_.resize(shards_.size());
 }
 
 SessionEngine::~SessionEngine() {
@@ -137,6 +131,48 @@ void SessionEngine::ensurePools() {
   for (const Application& app : apps_.all()) resolvers_.ensurePool(app.id);
 }
 
+void SessionEngine::refreshRoutes() {
+  // Serial: one pass over the VIPs the fleet logged since the last tick.
+  for (const VipId vip : fleet_.vipMutationsSince(routeCursor_)) {
+    if (vip.index() >= routes_.size()) routes_.resize(vip.index() + 1);
+    VipRoute& route = routes_[vip.index()];
+    route.rips.clear();
+    const auto owner = fleet_.ownerOf(vip);
+    route.shard = owner.has_value() ? owner->value() : VipRoute::kUnowned;
+    const VipEntry* e = owner.has_value() ? fleet_.at(*owner).findVip(vip)
+                                          : nullptr;
+    if (e == nullptr) continue;
+    double sum = 0.0;
+    for (const RipEntry& rip : e->rips) {
+      sum += rip.weight;
+      route.rips.push_back({sum, rip.rip});
+    }
+  }
+  routeCursor_ = fleet_.vipMutationCursor();
+}
+
+void SessionEngine::cutApps(std::size_t numApps) {
+  // Contiguous ranges at about equal work.  candidates_ still holds the
+  // previous tick's arrivals (empty on the first tick: a split by count).
+  // The cut only balances the workers: output is the same for any cut.
+  const std::size_t slots = pool_.workers();
+  const auto work = [this](std::size_t a) {
+    return kAppWork +
+           kArrivalWork * (a < candidates_.size() ? candidates_[a] : 0);
+  };
+  std::uint64_t total = 0;
+  for (std::size_t a = 0; a < numApps; ++a) total += work(a);
+  cuts_.assign(slots + 1, numApps);
+  cuts_[0] = 0;
+  std::size_t a = 0;
+  std::uint64_t done = 0;
+  for (std::size_t s = 1; s < slots; ++s) {
+    const std::uint64_t target = total * s / slots;
+    while (a < numApps && done < target) done += work(a++);
+    cuts_[s] = a;
+  }
+}
+
 void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
                                  SimTime now) {
   const auto& all = apps_.all();
@@ -155,25 +191,33 @@ void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
     const std::span<const VipWeight> shares = resolvers_.view(app);
     double shareTotal = 0.0;
     for (const VipWeight& w : shares) shareTotal += w.weight;
+    if (shares.empty() || shareTotal <= 0.0) {
+      rejNoVip_[a] = static_cast<std::uint32_t>(count);
+      continue;
+    }
 
     for (std::uint64_t i = 0; i < count; ++i) {
-      if (shares.empty() || shareTotal <= 0.0) {
-        ++rejNoVip_[a];
-        continue;
-      }
       const VipId vip = pickVip(shares, shareTotal, rng);
-      const auto owner = fleet_.ownerOf(vip);
-      if (!owner.has_value()) {
+      const VipRoute* route =
+          vip.index() < routes_.size() ? &routes_[vip.index()] : nullptr;
+      if (route == nullptr || route->shard == VipRoute::kUnowned) {
         ++rejNoOwner_[a];
         continue;
       }
-      const VipEntry* e = fleet_.at(*owner).findVip(vip);
-      const double ripTotal = e != nullptr ? e->totalWeight() : 0.0;
-      if (e == nullptr || e->rips.empty() || ripTotal <= 0.0) {
+      if (route->rips.empty() || route->rips.back().sum <= 0.0) {
         ++rejNoRips_[a];
         continue;
       }
-      const RipId rip = pickRip(*e, ripTotal, rng);
+      // Weighted RIP pick: the draw and the comparisons of a running-sum
+      // walk over the owner's table.
+      const double r = rng.uniform() * route->rips.back().sum;
+      RipId rip = route->rips.back().rip;
+      for (const RipPick& p : route->rips) {
+        if (r < p.sum) {
+          rip = p.rip;
+          break;
+        }
+      }
       const double duration = rng.exponential(options_.meanSessionSeconds);
       const std::uint64_t lifeTicks = std::max<std::uint64_t>(
           1, static_cast<std::uint64_t>(std::ceil(duration / options_.tick)));
@@ -185,7 +229,7 @@ void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
       rec.vip = vip;
       rec.rip = rip;
       rec.expiry = epoch_ + lifeTicks;
-      buckets_[static_cast<std::size_t>(slot) * numShards + owner->index()]
+      buckets_[static_cast<std::size_t>(slot) * numShards + route->shard]
           .push_back(rec);
     }
   }
@@ -225,7 +269,13 @@ void SessionEngine::insertShards(std::size_t lo, std::size_t hi) {
   for (std::size_t s = lo; s < hi; ++s) {
     ConnectionShard& shard = *shards_[s];
     auto& rejects = shardRejects_[s];
-    std::uint64_t room = room_[s];
+    rejects.clear();
+    // Table headroom after this tick's expiries.
+    const std::uint64_t limit =
+        fleet_.at(SwitchId{static_cast<std::uint32_t>(s)})
+            .limits()
+            .maxConnections;
+    std::uint64_t room = limit > shard.size() ? limit - shard.size() : 0;
     // Draining worker-slot buckets in slot order replays ascending app
     // order — exactly the serialized insert sequence.
     for (unsigned w = 0; w < slots; ++w) {
@@ -245,7 +295,6 @@ void SessionEngine::insertShards(std::size_t lo, std::size_t hi) {
         --room;
       }
     }
-    room_[s] = room;
   }
 }
 
@@ -262,6 +311,7 @@ void SessionEngine::tick() {
     perAppSeq_.resize(numApps, 0);
     rejectedPerApp_.resize(numApps, 0);
   }
+  cutApps(numApps);  // reads last tick's candidates_ before the reset
   candidates_.assign(numApps, 0);
   viable_.assign(numApps, 0);
   rejNoVip_.assign(numApps, 0);
@@ -270,6 +320,7 @@ void SessionEngine::tick() {
   admit_.assign(numApps, 0);
   for (auto& b : buckets_) b.clear();
 
+  refreshRoutes();
   ensurePools();
 
   // Phase S: O(due-this-tick) expiry, one worker per shard range.
@@ -280,25 +331,17 @@ void SessionEngine::tick() {
                          }
                        });
 
-  // Phase G: arrival generation over contiguous ascending app ranges.
-  pool_.parallelRanges(
-      numApps, [this, now](unsigned slot, std::size_t lo, std::size_t hi) {
-        generateApps(slot, lo, hi, now);
-      });
+  // Phase G: arrival generation over the work-balanced contiguous
+  // ascending app ranges, one job per worker slot.
+  pool_.parallelFor(cuts_.size() - 1, [this, now](std::size_t slot) {
+    generateApps(static_cast<unsigned>(slot), cuts_[slot], cuts_[slot + 1],
+                 now);
+  });
 
   // Phase A: global-cap admission, serial, ascending app order.
   admitSerial();
 
-  // Phase I: per-shard inserts.  Table headroom snapshots are taken
-  // serially so legacy connections and shard sessions share one budget.
-  for (std::size_t s = 0; s < numShards; ++s) {
-    const LbSwitch& sw = fleet_.at(SwitchId{static_cast<std::uint32_t>(s)});
-    const std::uint64_t act = sw.activeConnections();
-    room_[s] = sw.limits().maxConnections > act
-                   ? sw.limits().maxConnections - act
-                   : 0;
-    shardRejects_[s].clear();
-  }
+  // Phase I: per-shard inserts.
   pool_.parallelRanges(numShards,
                        [this](unsigned, std::size_t lo, std::size_t hi) {
                          insertShards(lo, hi);

@@ -10,17 +10,28 @@
 // Architecture (the seed engine scheduled one simulation event per
 // session and fell over around 1M):
 //
-//  * storage is one ConnectionShard per switch — struct-of-arrays session
-//    records plus a timing wheel, so expiry is O(sessions due this tick);
-//  * the tick is a deterministic pipeline: (P) serial resolver-pool
-//    materialisation (generation then reads shares in place), (S)
-//    per-shard expiry, (G) per-app arrival generation into per-(worker,
-//    shard) buckets, (A) serial global-cap admission in ascending app
-//    order, (I) per-shard inserts draining buckets in worker-slot order.
-//    Phases S/G/I fan out over the ThreadPool's parallelRanges; because
-//    each app's randomness comes from its own mix(seed, app, epoch)
-//    stream, each shard is mutated by exactly one worker, and bucket
-//    concatenation in slot order equals ascending app order, the tick is
+//  * storage is one ConnectionShard per switch — one 32-byte record per
+//    session slot plus a timing wheel, so expiry is O(sessions due this
+//    tick) and an open or a close touches one cache line;
+//  * a per-VIP route table, dense by VIP id, holds each VIP's owning
+//    shard and the owner's RIPs with running weight sums.  It is
+//    refreshed serially at the start of a tick for the VIPs the fleet
+//    logged since the last one (SwitchFleet::vipMutationsSince), so an
+//    arrival resolves VIP -> shard -> RIP with one table read and no
+//    fleet or switch lookup;
+//  * the tick is a deterministic pipeline: (P) serial route refresh and
+//    resolver-pool materialisation (generation then reads shares in
+//    place), (S) per-shard expiry, (G) per-app arrival generation into
+//    per-(worker, shard) buckets, (A) serial global-cap admission in
+//    ascending app order, (I) per-shard inserts draining buckets in
+//    worker-slot order.  Phases S and I fan out over the ThreadPool's
+//    parallelRanges; phase G cuts the app list into one contiguous range
+//    per worker at about equal work (a fixed cost per app plus the app's
+//    arrivals of the previous tick), because Zipf demand puts most
+//    arrivals on the first apps.  Because each app's randomness comes
+//    from its own mix(seed, app, epoch) stream, each shard is mutated by
+//    exactly one worker, and bucket concatenation in slot order equals
+//    ascending app order for any contiguous cut, the tick is
 //    bit-identical for ANY worker count.  A 1-worker pool runs every
 //    phase inline over one range — the serial tick — and the randomized
 //    equivalence suite holds the other worker counts to it;
@@ -166,6 +177,21 @@ class SessionEngine {
   [[nodiscard]] const ConnectionShard& shardOf(SwitchId sw) const;
 
  private:
+  /// One RIP of a route: its id and the running weight sum up to and
+  /// including it, in the owner's table order.
+  struct RipPick {
+    double sum;
+    RipId rip;
+  };
+  /// How an arrival on one VIP resolves: the owning shard (kUnowned when
+  /// no switch owns the VIP) and the owner entry's RIPs.  The sums are
+  /// the same additions, in the same order, as the owner entry's
+  /// totalWeight(), so the last one is the VIP's total weight.
+  struct VipRoute {
+    static constexpr std::uint32_t kUnowned = 0xffffffffu;
+    std::uint32_t shard = kUnowned;
+    std::vector<RipPick> rips;
+  };
   struct PendingOpen {
     std::uint64_t id;
     std::uint32_t app;
@@ -186,6 +212,8 @@ class SessionEngine {
   };
 
   void ensurePools();
+  void refreshRoutes();
+  void cutApps(std::size_t numApps);
   void generateApps(unsigned slot, std::size_t lo, std::size_t hi,
                     SimTime now);
   void admitSerial();
@@ -208,18 +236,24 @@ class SessionEngine {
 
   std::uint64_t epoch_ = 0;  // tick index; expiry wheel key
 
+  // Per-VIP routes, by VIP index, and the consumed prefix of the fleet's
+  // VIP change log.
+  std::vector<VipRoute> routes_;
+  std::uint64_t routeCursor_ = 0;
+
   // Per-app persistent state.
   std::vector<std::uint32_t> perAppSeq_;  // session-id sequence numbers
 
   // Per-tick scratch, cleared each tick.
-  std::vector<std::uint32_t> candidates_;  // arrivals drawn per app
+  std::vector<std::size_t> cuts_;  // phase G range bounds, slots + 1
+  std::vector<std::uint32_t> candidates_;  // arrivals drawn per app (the
+                                           // next tick's cut reads them)
   std::vector<std::uint32_t> viable_;      // arrivals that picked a rip
   std::vector<std::uint32_t> rejNoVip_;
   std::vector<std::uint32_t> rejNoOwner_;
   std::vector<std::uint32_t> rejNoRips_;
   std::vector<std::uint32_t> admit_;  // phase A verdict per app
   std::vector<std::vector<PendingOpen>> buckets_;  // [slot * shards + shard]
-  std::vector<std::uint64_t> room_;  // per-shard table headroom (phase I)
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       shardRejects_;  // per-shard (app, switch_full count)
 

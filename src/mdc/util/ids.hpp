@@ -64,7 +64,6 @@ struct AccessRouterTag {};
 struct BorderRouterTag {};
 struct IspTag {};
 struct FlowTag {};
-struct ConnTag {};
 struct RequestTag {};
 
 using ServerId = StrongId<ServerTag>;
@@ -79,7 +78,6 @@ using AccessRouterId = StrongId<AccessRouterTag>;
 using BorderRouterId = StrongId<BorderRouterTag>;
 using IspId = StrongId<IspTag>;
 using FlowId = StrongId<FlowTag>;
-using ConnId = StrongId<ConnTag>;
 using RequestId = StrongId<RequestTag>;
 
 /// Allocates ids densely from zero; one per entity family.

@@ -1,8 +1,11 @@
 // Unit tests for the LB switch model and the switch fleet.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "mdc/lb/conn_shard.hpp"
 #include "mdc/lb/lb_switch.hpp"
 #include "mdc/lb/switch_fleet.hpp"
 
@@ -123,69 +126,46 @@ TEST(LbSwitch, RipMustTargetExactlyOneKind) {
 }
 
 TEST(LbSwitch, ConnectionTrackingPinsRip) {
+  // Sessions live in the attached shard: the switch counts them, per VIP
+  // too, and the shard keeps each one's RIP until it completes.
   LbSwitch sw{SwitchId{0}, tinyLimits()};
+  EXPECT_EQ(sw.activeConnections(), 0u);  // no shard: nothing tracked
+  EXPECT_EQ(sw.dropConnections(kVip), 0u);
+  ConnectionShard shard;
+  sw.attachShard(&shard);
   ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
   ASSERT_TRUE(sw.addRip(kVip, vmRip(0, 0)).ok());
   ASSERT_TRUE(sw.addRip(kVip, vmRip(1, 1)).ok());
-  Rng rng{5};
-  const auto r = sw.openConnection(ConnId{0}, kVip, rng);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(sw.connectionRip(ConnId{0}).value(), r.value());
+  shard.open(7, kApp, kVip, RipId{1}, /*expiryTick=*/2);
   EXPECT_EQ(sw.activeConnections(), 1u);
   EXPECT_EQ(sw.activeConnections(kVip), 1u);
-  sw.closeConnection(ConnId{0});
+  EXPECT_EQ(sw.activeConnections(VipId{11}), 0u);
+  std::vector<std::pair<std::uint64_t, RipId>> pinned;
+  shard.forEachOfVip(kVip, [&](std::uint64_t id, RipId rip) {
+    pinned.emplace_back(id, rip);
+  });
+  ASSERT_EQ(pinned.size(), 1u);
+  EXPECT_EQ(pinned[0].first, 7u);
+  EXPECT_EQ(pinned[0].second, RipId{1});
+  EXPECT_EQ(shard.expireDue(1), 0u);
+  EXPECT_EQ(shard.expireDue(2), 1u);
   EXPECT_EQ(sw.activeConnections(), 0u);
-  EXPECT_FALSE(sw.connectionRip(ConnId{0}).has_value());
-}
-
-TEST(LbSwitch, ConnectionLimitEnforced) {
-  LbSwitch sw{SwitchId{0}, tinyLimits()};  // max 3 connections
-  ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
-  ASSERT_TRUE(sw.addRip(kVip, vmRip(0, 0)).ok());
-  Rng rng{5};
-  for (std::uint32_t c = 0; c < 3; ++c) {
-    EXPECT_TRUE(sw.openConnection(ConnId{c}, kVip, rng).ok());
-  }
-  EXPECT_EQ(sw.openConnection(ConnId{3}, kVip, rng).error().code,
-            "conn_table_full");
-}
-
-TEST(LbSwitch, WeightedRipSelection) {
-  SwitchLimits lim = tinyLimits();
-  lim.maxConnections = 100000;
-  LbSwitch sw{SwitchId{0}, lim};
-  ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
-  ASSERT_TRUE(sw.addRip(kVip, vmRip(0, 0, 1.0)).ok());
-  ASSERT_TRUE(sw.addRip(kVip, vmRip(1, 1, 3.0)).ok());
-  Rng rng{5};
-  int hits1 = 0;
-  const int n = 10000;
-  for (int c = 0; c < n; ++c) {
-    const auto r = sw.openConnection(ConnId{static_cast<std::uint32_t>(c)},
-                                     kVip, rng);
-    if (r.value() == RipId{1}) ++hits1;
-  }
-  EXPECT_NEAR(static_cast<double>(hits1) / n, 0.75, 0.02);
+  EXPECT_EQ(sw.activeConnections(kVip), 0u);
+  sw.attachShard(nullptr);
 }
 
 TEST(LbSwitch, RemoveVipWithConnectionsRefused) {
   LbSwitch sw{SwitchId{0}, tinyLimits()};
+  ConnectionShard shard;
+  sw.attachShard(&shard);
   ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
   ASSERT_TRUE(sw.addRip(kVip, vmRip(0, 0)).ok());
-  Rng rng{5};
-  ASSERT_TRUE(sw.openConnection(ConnId{0}, kVip, rng).ok());
+  shard.open(0, kApp, kVip, RipId{0}, /*expiryTick=*/5);
   EXPECT_EQ(sw.removeVip(kVip).error().code, "vip_has_connections");
   EXPECT_EQ(sw.dropConnections(kVip), 1u);
+  EXPECT_EQ(shard.broken(), 1u);
   EXPECT_TRUE(sw.removeVip(kVip).ok());
-}
-
-TEST(LbSwitch, OpenOnUnknownVipOrNoRips) {
-  LbSwitch sw{SwitchId{0}, tinyLimits()};
-  Rng rng{5};
-  EXPECT_EQ(sw.openConnection(ConnId{0}, kVip, rng).error().code,
-            "vip_unknown");
-  ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
-  EXPECT_EQ(sw.openConnection(ConnId{0}, kVip, rng).error().code, "no_rips");
+  sw.attachShard(nullptr);
 }
 
 TEST(LbSwitch, ReconfigOpsCounted) {
@@ -202,6 +182,28 @@ TEST(LbSwitch, UtilizationGauge) {
   LbSwitch sw{SwitchId{0}, tinyLimits()};
   sw.setOfferedGbps(2.0);
   EXPECT_DOUBLE_EQ(sw.utilization(), 0.5);
+}
+
+TEST(ConnectionShard, SlotsReuseLifoAndSeveredWheelEntriesGoStale) {
+  ConnectionShard shard{4};  // wheel of 4 slots: ticks 3 and 7 share one
+  shard.open(1, kApp, kVip, RipId{0}, 3);       // slot 0
+  shard.open(2, kApp, VipId{11}, RipId{1}, 3);  // slot 1
+  shard.open(3, kApp, kVip, RipId{2}, 7);       // slot 2, a later lap
+  EXPECT_EQ(shard.severVip(kVip), 2u);          // frees slots 0, then 2
+  EXPECT_EQ(shard.countForVip(kVip), 0u);
+  shard.open(4, kApp, kVip, RipId{3}, 3);  // reuses slot 2 (LIFO)
+  std::vector<std::uint64_t> ids;
+  shard.forEach([&](std::uint64_t id, AppId, VipId, RipId, std::uint64_t) {
+    ids.push_back(id);
+  });
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{2, 4}));  // slot order
+  // The severed sessions' wheel entries are stale and complete nothing.
+  EXPECT_EQ(shard.expireDue(3), 2u);
+  EXPECT_EQ(shard.expireDue(7), 0u);
+  EXPECT_EQ(shard.size(), 0u);
+  EXPECT_EQ(shard.opened(), 4u);
+  EXPECT_EQ(shard.completed(), 2u);
+  EXPECT_EQ(shard.broken(), 2u);
 }
 
 // ------------------------------------------------------------- fleet --
@@ -251,8 +253,9 @@ TEST(SwitchFleet, TransferRefusedWhileInUse) {
   const SwitchId b = fleet.addSwitch(tinyLimits());
   ASSERT_TRUE(fleet.configureVip(a, kVip, kApp).ok());
   ASSERT_TRUE(fleet.addRip(kVip, vmRip(0, 0)).ok());
-  Rng rng{5};
-  ASSERT_TRUE(fleet.at(a).openConnection(ConnId{0}, kVip, rng).ok());
+  ConnectionShard shard;
+  fleet.at(a).attachShard(&shard);
+  shard.open(0, kApp, kVip, RipId{0}, /*expiryTick=*/5);
 
   EXPECT_EQ(fleet.transferVip(kVip, b).error().code, "vip_in_use");
   EXPECT_EQ(fleet.ownerOf(kVip).value(), a);
@@ -260,7 +263,9 @@ TEST(SwitchFleet, TransferRefusedWhileInUse) {
   // Forced transfer drops the connection and counts the violation.
   ASSERT_TRUE(fleet.transferVip(kVip, b, /*force=*/true).ok());
   EXPECT_EQ(fleet.droppedConnections(), 1u);
+  EXPECT_EQ(shard.size(), 0u);
   EXPECT_EQ(fleet.ownerOf(kVip).value(), b);
+  fleet.at(a).attachShard(nullptr);
 }
 
 TEST(SwitchFleet, TransferChecksDestinationCapacity) {
@@ -293,6 +298,20 @@ TEST(SwitchFleet, TransferChecksDestinationRipCapacity) {
   EXPECT_EQ(fleet.at(a).ripCount(), 2u);
 }
 
+TEST(SwitchFleet, TransferOntoDuplicateHostRefused) {
+  SwitchFleet fleet;
+  const SwitchId a = fleet.addSwitch(tinyLimits());
+  const SwitchId b = fleet.addSwitch(tinyLimits());
+  ASSERT_TRUE(fleet.configureVip(a, kVip, kApp).ok());
+  ASSERT_TRUE(fleet.addRip(kVip, vmRip(0, 0)).ok());
+  // A control-plane race left a second copy on b.
+  ASSERT_TRUE(fleet.applyConfigureVip(b, kVip, kApp).ok());
+  EXPECT_EQ(fleet.transferVip(kVip, b, /*force=*/true).error().code,
+            "vip_exists");
+  EXPECT_EQ(fleet.ownerOf(kVip).value(), a);  // unchanged on failure
+  EXPECT_EQ(fleet.at(a).ripCount(), 1u);
+}
+
 TEST(SwitchFleet, TransferToCrashedSwitchRefused) {
   SwitchFleet fleet;
   const SwitchId a = fleet.addSwitch(tinyLimits());
@@ -309,14 +328,17 @@ TEST(SwitchFleet, CrashOrphansVipsAndSeversConnections) {
   ASSERT_TRUE(fleet.configureVip(a, kVip, kApp).ok());
   ASSERT_TRUE(fleet.configureVip(a, VipId{11}, AppId{1}).ok());
   ASSERT_TRUE(fleet.addRip(kVip, vmRip(0, 0, 2.5)).ok());
-  Rng rng{5};
-  ASSERT_TRUE(fleet.at(a).openConnection(ConnId{0}, kVip, rng).ok());
+  ConnectionShard shard;
+  fleet.at(a).attachShard(&shard);
+  shard.open(0, kApp, kVip, RipId{0}, /*expiryTick=*/5);
 
   EXPECT_EQ(fleet.crashSwitch(a, 42.0), 2u);
   EXPECT_FALSE(fleet.isUp(a));
   EXPECT_EQ(fleet.upCount(), 0u);
   EXPECT_EQ(fleet.switchCrashes(), 1u);
   EXPECT_EQ(fleet.droppedConnections(), 1u);
+  EXPECT_EQ(shard.size(), 0u);
+  EXPECT_EQ(shard.broken(), 1u);
   EXPECT_FALSE(fleet.ownerOf(kVip).has_value());  // ownership released
   EXPECT_EQ(fleet.pendingOrphans(), 2u);
 
@@ -338,6 +360,7 @@ TEST(SwitchFleet, CrashOrphansVipsAndSeversConnections) {
   EXPECT_TRUE(fleet.isUp(a));
   EXPECT_EQ(fleet.at(a).vipCount(), 0u);
   EXPECT_TRUE(fleet.configureVip(a, VipId{12}, kApp).ok());
+  fleet.at(a).attachShard(nullptr);
 }
 
 TEST(SwitchFleet, TransferToSameSwitchRejected) {

@@ -244,6 +244,33 @@ TEST(PhaseProfiler, AccumulatesOnlyWhenEnabled) {
   EXPECT_EQ(prof.ns(PhaseProfiler::Phase::Descent), 0u);
 }
 
+TEST(PhaseProfiler, OneEpochCountsOneCallOfEachPhase) {
+  MegaDcConfig cfg = testScaleConfig();
+  MegaDc dc{cfg};
+  dc.bootstrap();
+  dc.runUntil(dc.sim.now());  // the epoch start() scheduled for now
+  PhaseProfiler& prof = dc.engine->profiler();
+  prof.setEnabled(true);
+  prof.reset();
+  dc.runUntil(dc.sim.now() + cfg.engine.epoch);
+  using P = PhaseProfiler::Phase;
+  for (const P p : {P::Prepare, P::Validate, P::Descent, P::Emit, P::Serve,
+                    P::Sink}) {
+    EXPECT_EQ(prof.calls(p), 1u) << PhaseProfiler::name(p);
+  }
+  EXPECT_EQ(prof.calls(P::EmitShard), 0u);  // no longer timed
+  EXPECT_EQ(prof.calls(P::Merge), 0u);
+  EXPECT_GT(prof.ns(P::Sink), 0u);
+  EXPECT_DOUBLE_EQ(
+      dc.metrics.value("mdc.engine.phase_calls", {{"phase", "prepare"}}), 1.0);
+  EXPECT_DOUBLE_EQ(
+      dc.metrics.value("mdc.engine.phase_calls", {{"phase", "sink"}}), 1.0);
+  // Host-time gauges stay out of the report.
+  for (const auto& [key, value] : dc.engine->latest().gauges) {
+    EXPECT_EQ(key.find("mdc.engine.phase_"), std::string::npos) << key;
+  }
+}
+
 // --- trace continuity through channel misbehavior --------------------------
 
 // Events of one command span, in ring (= causal, single-threaded) order.

@@ -1,14 +1,18 @@
 // Tests for the sharded session data plane: arrival/expiry mechanics,
 // connection affinity under VIP transfer (§IV-B), the randomized
-// serialized-vs-sharded equivalence suite, drain-curve properties across
-// DNS TTLs, and the rejection taxonomy / global-cap plumbing.
+// serialized-vs-sharded equivalence suite, the route-table oracle under
+// fleet churn, drain-curve properties across DNS TTLs, and the rejection
+// taxonomy / global-cap plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mdc/scenario/megadc.hpp"
@@ -456,6 +460,429 @@ TEST(SessionEngineEquivalence, RandomizedShardedMatchesSerializedBitExact) {
   EXPECT_GT(ref.engine->rejectedSessions(), 0u);
   EXPECT_GT(ref.engine->drainsCompleted() + ref.engine->drainsAborted() +
                 ref.engine->drainsInProgress(),
+            0u);
+}
+
+// ---------------------------------------------------------------------------
+// Route-table oracle.
+//
+// The engine resolves an arrival through its per-VIP route table, which
+// it refreshes from the fleet's change log.  The equivalence suite above
+// cannot see a stale table: every worker count reads the same entry.
+// Here a seeded churn script mutates the fleet between ticks (RIP add,
+// remove and reweight, plain and forced transfers, VIP removal and
+// re-configuration, a duplicate host whose indexed copy is then removed,
+// switch crashes and recoveries, DNS weight flips), and a direct
+// resolution — ownerOf, findVip, totalWeight, a linear RIP pick, on the
+// same per-(app, epoch) streams — predicts every tick's per-reason
+// rejections and every new session.  The script is seeded from
+// MDC_CHAOS_SEED, so each soak seed churns differently.
+// ---------------------------------------------------------------------------
+
+std::uint64_t oracleSeed() {
+  if (const char* s = std::getenv("MDC_CHAOS_SEED")) {
+    return std::strtoull(s, nullptr, 10);
+  }
+  return 1009;
+}
+
+// (id, app, vip, rip, expiry tick) of one live session.
+using Session = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t,
+                           std::uint32_t, std::uint64_t>;
+
+std::uint64_t directStreamSeed(std::uint64_t seed, std::uint64_t app,
+                               std::uint64_t epoch) {
+  std::uint64_t h = seed + 0x9e3779b97f4a7c15ull * (app + 1);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h += epoch;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+std::uint64_t directPoisson(Rng& rng, double lambda) {
+  if (lambda < 30.0) {
+    std::uint64_t count = 0;
+    double p = std::exp(-lambda);
+    double cdf = p;
+    const double u = rng.uniform();
+    while (u > cdf && count < 1000) {
+      ++count;
+      p *= lambda / static_cast<double>(count);
+      cdf += p;
+    }
+    return count;
+  }
+  return static_cast<std::uint64_t>(
+      std::max(0.0, std::round(rng.normal(lambda, std::sqrt(lambda)))));
+}
+
+struct OracleWorld {
+  static constexpr std::size_t kApps = 6;
+  static constexpr std::uint32_t kSwitches = 4;
+  static constexpr std::uint32_t kVips = 2 * kApps;
+  static constexpr std::uint32_t kFirstVip = 100;
+
+  Simulation sim;
+  AppRegistry apps;
+  AuthoritativeDns dns;
+  ResolverPopulation resolvers{dns, ResolverConfig{5.0, 0.0, 1800.0}};
+  SwitchFleet fleet;
+  StaticDemand demand;
+  SessionEngine::Options options;
+  std::unique_ptr<SessionEngine> engine;
+  std::uint32_t nextRip = 0;
+  std::vector<std::uint32_t> seq;  // predicted per-app session sequence
+
+  OracleWorld(unsigned workers, std::uint64_t seed)
+      : demand{TwinWorld::rates()}, seq(kApps, 0) {
+    for (std::size_t a = 0; a < kApps; ++a) {
+      const AppId id = apps.create("app" + std::to_string(a), AppSla{},
+                                   TwinWorld::rates()[a]);
+      dns.registerApp(id);
+    }
+    for (std::uint32_t s = 0; s < kSwitches; ++s) {
+      fleet.addSwitch(SwitchLimits{});
+    }
+    for (std::uint32_t v = 0; v < kVips; ++v) {
+      const VipId vip{kFirstVip + v};
+      EXPECT_TRUE(fleet.configureVip(SwitchId{v % kSwitches}, vip, appOf(vip))
+                      .ok());
+      for (int j = 0; j < 3; ++j) {
+        EXPECT_TRUE(fleet.addRip(vip, newRip(1.0 + j)).ok());
+      }
+      dns.addVip(appOf(vip), vip, 1.0);
+    }
+    options.sessionsPerSecondPerKrps = 2.0;
+    options.meanSessionSeconds = 12.0;
+    options.seed = seed;
+    options.tick = 1.0;
+    options.workers = workers;
+    options.wheelSlots = 64;
+    engine = std::make_unique<SessionEngine>(sim, apps, demand, dns, resolvers,
+                                             fleet, options);
+  }
+
+  static AppId appOf(VipId vip) {
+    return AppId{(vip.value() - kFirstVip) / 2};
+  }
+
+  RipEntry newRip(double weight) {
+    RipEntry e;
+    e.rip = RipId{nextRip};
+    e.vm = VmId{nextRip};
+    e.weight = weight;
+    ++nextRip;
+    return e;
+  }
+
+  std::vector<std::vector<Session>> sessions() const {
+    std::vector<std::vector<Session>> out(kSwitches);
+    for (std::uint32_t s = 0; s < kSwitches; ++s) {
+      engine->shardOf(SwitchId{s}).forEach(
+          [&](std::uint64_t id, AppId app, VipId vip, RipId rip,
+              std::uint64_t expiry) {
+            out[s].emplace_back(id, app.value(), vip.value(), rip.value(),
+                                expiry);
+          });
+      std::sort(out[s].begin(), out[s].end());
+    }
+    return out;
+  }
+};
+
+struct DirectTick {
+  std::uint64_t arrivals = 0;
+  std::uint64_t noVip = 0;
+  std::uint64_t noOwner = 0;
+  std::uint64_t noRips = 0;
+  std::vector<std::vector<Session>> opened;  // by owning switch
+};
+
+// The tick's arrivals resolved directly against the fleet, in ascending
+// app order: the reference the engine's route table must reproduce.
+// Runs after the tick: nothing in it touches the fleet or the shares
+// once arrivals are drawn (the script starts no drain).
+DirectTick resolveDirect(OracleWorld& w, std::uint64_t epoch) {
+  DirectTick out;
+  out.opened.resize(OracleWorld::kSwitches);
+  const SessionEngine::Options& o = w.options;
+  for (const Application& application : w.apps.all()) {
+    const AppId app = application.id;
+    const double lambda = w.demand.rps(app, w.sim.now()) / 1000.0 *
+                          o.sessionsPerSecondPerKrps * o.tick;
+    if (lambda <= 0.0) continue;
+    Rng rng{directStreamSeed(o.seed, app.value(), epoch)};
+    const std::uint64_t count = directPoisson(rng, lambda);
+    out.arrivals += count;
+    const std::span<const VipWeight> shares = w.resolvers.view(app);
+    double shareTotal = 0.0;
+    for (const VipWeight& s : shares) shareTotal += s.weight;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (shares.empty() || shareTotal <= 0.0) {
+        ++out.noVip;
+        continue;
+      }
+      const double u = rng.uniform() * shareTotal;
+      double acc = 0.0;
+      VipId vip = shares.back().vip;
+      for (const VipWeight& s : shares) {
+        acc += s.weight;
+        if (u < acc) {
+          vip = s.vip;
+          break;
+        }
+      }
+      const auto owner = w.fleet.ownerOf(vip);
+      if (!owner.has_value()) {
+        ++out.noOwner;
+        continue;
+      }
+      const VipEntry* e = w.fleet.at(*owner).findVip(vip);
+      const double total = e != nullptr ? e->totalWeight() : 0.0;
+      if (e == nullptr || e->rips.empty() || total <= 0.0) {
+        ++out.noRips;
+        continue;
+      }
+      const double r = rng.uniform() * total;
+      double ripAcc = 0.0;
+      RipId rip = e->rips.back().rip;
+      for (const RipEntry& entry : e->rips) {
+        ripAcc += entry.weight;
+        if (r < ripAcc) {
+          rip = entry.rip;
+          break;
+        }
+      }
+      const double duration = rng.exponential(o.meanSessionSeconds);
+      const std::uint64_t life = std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(std::ceil(duration / o.tick)));
+      const std::uint64_t id =
+          (static_cast<std::uint64_t>(app.value()) << 32) |
+          w.seq[app.index()]++;
+      out.opened[owner->index()].emplace_back(id, app.value(), vip.value(),
+                                              rip.value(), epoch + life);
+    }
+  }
+  return out;
+}
+
+struct Churn {
+  enum Kind {
+    AddRip,
+    RemoveRip,
+    Reweight,
+    Transfer,
+    ForceTransfer,
+    RemoveVip,
+    Reconfigure,
+    Duplicate,
+    RemoveIndexedCopy,
+    Crash,
+    Recover,
+    DnsWeight,
+  } kind;
+  std::uint64_t epoch;
+  std::uint32_t vip;  // VIP id
+  std::uint32_t pick;  // switch or RIP choice, reduced modulo at apply time
+  double weight;
+};
+constexpr int kChurnKinds = 12;
+
+// Two random actions per epoch, RIP and weight churn the most frequent.
+// A duplicate host is followed by the removal of the indexed copy three
+// ticks later, and a crash by its recovery.
+std::vector<Churn> makeChurn(std::uint64_t seed, std::uint64_t epochs) {
+  std::mt19937_64 rng{seed};
+  const double weights[] = {0.0, 0.25, 1.0, 2.0, 5.0};
+  const Churn::Kind drawn[] = {
+      Churn::AddRip,        Churn::AddRip,      Churn::AddRip,
+      Churn::RemoveRip,     Churn::RemoveRip,   Churn::Reweight,
+      Churn::Reweight,      Churn::Reweight,    Churn::Reweight,
+      Churn::Transfer,      Churn::Transfer,    Churn::ForceTransfer,
+      Churn::RemoveVip,     Churn::Reconfigure, Churn::Reconfigure,
+      Churn::Reconfigure,   Churn::Duplicate,   Churn::Duplicate,
+      Churn::Crash,         Churn::DnsWeight,   Churn::DnsWeight,
+      Churn::DnsWeight,
+  };
+  std::vector<Churn> script;
+  for (std::uint64_t e = 2; e <= epochs; ++e) {
+    for (int k = 0; k < 2; ++k) {
+      Churn c{};
+      c.epoch = e;
+      c.kind = drawn[rng() % std::size(drawn)];
+      c.vip = OracleWorld::kFirstVip +
+              static_cast<std::uint32_t>(rng() % OracleWorld::kVips);
+      c.pick = static_cast<std::uint32_t>(rng() % 1000);
+      c.weight = weights[rng() % 5];
+      script.push_back(c);
+      if (c.kind == Churn::Duplicate) {
+        Churn follow = c;
+        follow.kind = Churn::RemoveIndexedCopy;
+        follow.epoch = e + 3;
+        script.push_back(follow);
+      } else if (c.kind == Churn::Crash) {
+        Churn follow = c;
+        follow.kind = Churn::Recover;
+        follow.epoch = e + 4 + rng() % 8;
+        script.push_back(follow);
+      }
+    }
+  }
+  std::stable_sort(script.begin(), script.end(),
+                   [](const Churn& a, const Churn& b) {
+                     return a.epoch < b.epoch;
+                   });
+  return script;
+}
+
+std::string code(const Status& s) { return s.ok() ? "ok" : s.error().code; }
+
+std::string applyChurn(OracleWorld& w, const Churn& c) {
+  const VipId vip{c.vip};
+  const AppId app = OracleWorld::appOf(vip);
+  const SwitchId sw{c.pick % OracleWorld::kSwitches};
+  const auto owner = w.fleet.ownerOf(vip);
+  const VipEntry* entry = w.fleet.findVip(vip);
+  switch (c.kind) {
+    case Churn::AddRip:
+      return code(w.fleet.addRip(vip, w.newRip(c.weight)));
+    case Churn::RemoveRip:
+    case Churn::Reweight: {
+      if (entry == nullptr || entry->rips.empty()) return "skip_no_rips";
+      const RipId rip = entry->rips[c.pick % entry->rips.size()].rip;
+      return code(c.kind == Churn::RemoveRip
+                      ? w.fleet.removeRip(vip, rip)
+                      : w.fleet.setRipWeight(vip, rip, c.weight));
+    }
+    case Churn::Transfer:
+      return code(w.fleet.transferVip(vip, sw));
+    case Churn::ForceTransfer:
+      return code(w.engine->forceTransfer(vip, sw));
+    case Churn::RemoveVip:
+      if (!owner.has_value()) return "skip_unowned";
+      return code(
+          w.fleet.applyRemoveVip(*owner, vip, /*dropConnections=*/true));
+    case Churn::Reconfigure: {
+      // The first unowned VIP from c.vip on, cyclically: crashes and
+      // removals strand VIPs, and this is what places them again.
+      VipId target = VipId::invalid();
+      for (std::uint32_t i = 0; i < OracleWorld::kVips; ++i) {
+        const VipId v{OracleWorld::kFirstVip +
+                      (c.vip - OracleWorld::kFirstVip + i) %
+                          OracleWorld::kVips};
+        if (!w.fleet.ownerOf(v).has_value()) {
+          target = v;
+          break;
+        }
+      }
+      if (!target.valid()) return "skip_all_owned";
+      const Status s =
+          w.fleet.configureVip(sw, target, OracleWorld::appOf(target));
+      if (!s.ok() || c.pick % 3 == 0) return code(s);  // some stay RIP-less
+      return code(w.fleet.addRip(target, w.newRip(c.weight + 1.0)));
+    }
+    case Churn::Duplicate: {
+      if (!owner.has_value() || *owner == sw) return "skip_same_host";
+      const Status s = w.fleet.applyConfigureVip(sw, vip, app);
+      if (!s.ok()) return code(s);
+      return code(w.fleet.applyAddRip(sw, vip, w.newRip(c.weight + 0.5)));
+    }
+    case Churn::RemoveIndexedCopy:
+      if (!owner.has_value() || w.fleet.hostsOf(vip).size() < 2) {
+        return "skip_single_host";
+      }
+      return code(
+          w.fleet.applyRemoveVip(*owner, vip, /*dropConnections=*/true));
+    case Churn::Crash:
+      if (!w.fleet.isUp(sw)) return "skip_down";
+      w.fleet.crashSwitch(sw, w.sim.now());
+      return "ok";
+    case Churn::Recover:
+      if (w.fleet.isUp(sw)) return "skip_up";
+      w.fleet.recoverSwitch(sw);
+      return "ok";
+    case Churn::DnsWeight:
+      w.dns.setWeight(app, vip, c.weight);
+      return "ok";
+  }
+  return "?";
+}
+
+TEST(SessionEngineRouteOracle, ChurnedFleetMatchesDirectResolution) {
+  ::setenv("MDC_ALLOW_OVERSUBSCRIBE", "1", 1);
+  const std::uint64_t seed = oracleSeed();
+  SCOPED_TRACE("MDC_CHAOS_SEED=" + std::to_string(seed));
+  constexpr std::uint64_t kEpochs = 150;
+  std::vector<std::unique_ptr<OracleWorld>> worlds;
+  for (unsigned workers : {1u, 4u}) {
+    worlds.push_back(std::make_unique<OracleWorld>(workers, seed));
+    ASSERT_EQ(worlds.back()->engine->workerCount(), workers);
+  }
+  const std::vector<Churn> script = makeChurn(seed ^ 0x5eed, kEpochs);
+
+  std::uint64_t applied[kChurnKinds] = {};
+  std::uint64_t opened = 0;
+  std::size_t next = 0;
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    for (; next < script.size() && script[next].epoch == e; ++next) {
+      const std::string outcome = applyChurn(*worlds[0], script[next]);
+      for (std::size_t i = 1; i < worlds.size(); ++i) {
+        ASSERT_EQ(applyChurn(*worlds[i], script[next]), outcome)
+            << "churn " << next << " diverged at epoch " << e;
+      }
+      if (outcome == "ok") ++applied[script[next].kind];
+    }
+    for (auto& wp : worlds) {
+      OracleWorld& w = *wp;
+      SCOPED_TRACE("epoch " + std::to_string(e) + " workers " +
+                   std::to_string(w.engine->workerCount()));
+      const auto before = w.sessions();
+      const std::uint64_t arrivals = w.engine->totalArrivals();
+      std::uint64_t rejected[kSessionRejectCount];
+      for (std::size_t r = 0; r < kSessionRejectCount; ++r) {
+        rejected[r] = w.engine->rejectedFor(static_cast<SessionReject>(r));
+      }
+      w.sim.runUntil(static_cast<SimTime>(e));
+      w.engine->tick();
+      ASSERT_EQ(w.engine->epochsTicked(), e);
+
+      const DirectTick direct = resolveDirect(w, e);
+      const auto delta = [&](SessionReject r) {
+        return w.engine->rejectedFor(r) - rejected[static_cast<std::size_t>(r)];
+      };
+      ASSERT_EQ(w.engine->totalArrivals() - arrivals, direct.arrivals);
+      ASSERT_EQ(delta(SessionReject::NoVip), direct.noVip);
+      ASSERT_EQ(delta(SessionReject::NoOwner), direct.noOwner);
+      ASSERT_EQ(delta(SessionReject::NoRips), direct.noRips);
+      ASSERT_EQ(delta(SessionReject::Cap), 0u);
+      ASSERT_EQ(delta(SessionReject::SwitchFull), 0u);
+      const auto after = w.sessions();
+      for (std::uint32_t s = 0; s < OracleWorld::kSwitches; ++s) {
+        std::vector<Session> expected;
+        for (const Session& x : before[s]) {
+          if (std::get<4>(x) > e) expected.push_back(x);  // not yet expired
+        }
+        expected.insert(expected.end(), direct.opened[s].begin(),
+                        direct.opened[s].end());
+        std::sort(expected.begin(), expected.end());
+        ASSERT_EQ(after[s], expected) << "switch " << s;
+        if (wp == worlds.front()) opened += direct.opened[s].size();
+      }
+    }
+    ASSERT_EQ(worlds[1]->engine->stateHash(), worlds[0]->engine->stateHash())
+        << "epoch " << e;
+  }
+  // The churn reached the resolution paths it exists to check.
+  const SessionEngine& ref = *worlds[0]->engine;
+  EXPECT_GT(opened, 4'000u);
+  EXPECT_GT(ref.rejectedFor(SessionReject::NoOwner) +
+                ref.rejectedFor(SessionReject::NoRips),
+            0u);
+  EXPECT_GT(applied[Churn::Reweight] + applied[Churn::AddRip] +
+                applied[Churn::RemoveRip],
+            10u);
+  EXPECT_GT(applied[Churn::ForceTransfer] + applied[Churn::RemoveVip] +
+                applied[Churn::Crash],
             0u);
 }
 
