@@ -29,7 +29,7 @@ GlobalManager::GlobalManager(
   viprip_->setVmLivenessCheck(
       [this](VmId vm) { return hosts_.vmExists(vm); });
   linkBalancer_ = std::make_unique<AccessLinkBalancer>(
-      sim, dns, *viprip_, apps, fleet, topo, options.link);
+      dns, *viprip_, apps, fleet, topo, options.link);
   switchBalancer_ = std::make_unique<SwitchBalancer>(
       sim, fleet, dns, apps, *viprip_, options.switchBalancer);
 }
@@ -325,9 +325,9 @@ void GlobalManager::observe(const EpochReport& report) {
   for (auto& pod : pods_) {
     pod->clearAppDemand();
   }
-  // Each pod's share sums in instance order, and every pod still gets its
-  // setAppDemand calls in app order, which fixes the iteration order of
-  // its demand map and so the input of its placement.
+  // Each pod's share sums in instance order, and every pod gets its
+  // setAppDemand calls in app order, so each pod's demand map (kept in
+  // app order whatever the call order) grows by appending.
   std::vector<std::pair<PodId, double>>& perPod = podDemand_;
   for (const Application& a : apps_.all()) {
     perPod.clear();

@@ -327,8 +327,4 @@ void InterPodBalancer::avoidElephant(PodManager& pod) {
   }
 }
 
-void InterPodBalancer::start(SimTime phase) {
-  sim_.every(options_.period, [this] { runOnce(); }, phase);
-}
-
 }  // namespace mdc

@@ -70,7 +70,6 @@ class InterPodBalancer {
 
   void observe(const EpochReport& report);
   void runOnce();
-  void start(SimTime phase = 0.0);
 
   /// Installs a predicate marking pods whose manager is suspected down
   /// (failure detector).  Frozen pods are skipped as sources and targets

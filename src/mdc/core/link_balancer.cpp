@@ -18,13 +18,12 @@ AccessRouterId advertisedRouter(const VipRipManager& viprip, VipId vip) {
 }
 }  // namespace
 
-AccessLinkBalancer::AccessLinkBalancer(Simulation& sim, AuthoritativeDns& dns,
+AccessLinkBalancer::AccessLinkBalancer(AuthoritativeDns& dns,
                                        VipRipManager& viprip,
                                        AppRegistry& apps,
                                        const SwitchFleet& fleet,
                                        const Topology& topo, Options options)
-    : sim_(sim),
-      dns_(dns),
+    : dns_(dns),
       viprip_(viprip),
       apps_(apps),
       fleet_(fleet),
@@ -128,10 +127,6 @@ void AccessLinkBalancer::runReadvertisement() {
     ++moves;
     ++vipMoves_;
   }
-}
-
-void AccessLinkBalancer::start(SimTime phase) {
-  sim_.every(options_.period, [this] { runOnce(); }, phase);
 }
 
 }  // namespace mdc

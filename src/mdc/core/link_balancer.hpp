@@ -19,7 +19,6 @@
 #include "mdc/core/epoch_report.hpp"
 #include "mdc/core/viprip_manager.hpp"
 #include "mdc/dns/dns.hpp"
-#include "mdc/sim/simulation.hpp"
 #include "mdc/topo/topology.hpp"
 
 namespace mdc {
@@ -40,19 +39,15 @@ class AccessLinkBalancer {
     std::uint32_t maxMovesPerRound = 4;
   };
 
-  AccessLinkBalancer(Simulation& sim, AuthoritativeDns& dns,
-                     VipRipManager& viprip, AppRegistry& apps,
-                     const SwitchFleet& fleet, const Topology& topo,
-                     Options options);
+  AccessLinkBalancer(AuthoritativeDns& dns, VipRipManager& viprip,
+                     AppRegistry& apps, const SwitchFleet& fleet,
+                     const Topology& topo, Options options);
 
   /// Feed the latest epoch observation.
   void observe(const EpochReport& report);
 
   /// One decision round against the latest observation.
   void runOnce();
-
-  /// Register the periodic loop.
-  void start(SimTime phase = 0.0);
 
   [[nodiscard]] std::uint64_t weightUpdates() const noexcept {
     return weightUpdates_;
@@ -63,7 +58,6 @@ class AccessLinkBalancer {
   void runSelectiveExposure();
   void runReadvertisement();
 
-  Simulation& sim_;
   AuthoritativeDns& dns_;
   VipRipManager& viprip_;
   AppRegistry& apps_;

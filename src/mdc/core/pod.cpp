@@ -229,6 +229,8 @@ void PodManager::runControlLoop() {
       surplus.push_back(vm);
     }
   }
+  // Apps with demand but no managed resident VM come next, in ascending
+  // app id (the demand map's order).
   for (const auto& [app, rps] : demand_) {
     internApp(app);
   }

@@ -23,6 +23,7 @@
 #include "mdc/host/host_fleet.hpp"
 #include "mdc/sim/simulation.hpp"
 #include "mdc/topo/topology.hpp"
+#include "mdc/util/flat_map.hpp"
 #include "mdc/util/ids.hpp"
 
 namespace mdc {
@@ -128,8 +129,12 @@ class PodManager {
   // --- demand + control loop --------------------------------------------
 
   /// The engine reports each app's demand routed into this pod for the
-  /// current epoch (aggregated over the pod's RIP weights).
+  /// current epoch (aggregated over the pod's RIP weights).  Demand is
+  /// kept in ascending app id, whatever the call order (calls in app
+  /// order append), and that is the order in which runControlLoop hands
+  /// apps with demand but no managed resident VM to placement.
   void setAppDemand(AppId app, double rps);
+  /// Forgets every app's demand; keeps the storage for the next epoch.
   void clearAppDemand();
 
   /// One decision round: run the placement algorithm over the pod and
@@ -207,7 +212,7 @@ class PodManager {
   RipRequestSink& rips_;
   Options options_;
 
-  std::unordered_map<AppId, double> demand_;
+  FlatMap<AppId, double> demand_;
   std::unordered_map<VmId, double> lastWeight_;
   std::unordered_set<ServerId> vacating_;
   bool online_ = true;

@@ -155,8 +155,4 @@ void SwitchBalancer::pumpDrains() {
   for (VipId vip : done) drains_.erase(vip);
 }
 
-void SwitchBalancer::start(SimTime phase) {
-  sim_.every(options_.period, [this] { runOnce(); }, phase);
-}
-
 }  // namespace mdc

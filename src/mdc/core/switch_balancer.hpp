@@ -44,7 +44,6 @@ class SwitchBalancer {
 
   void observe(const EpochReport& report);
   void runOnce();
-  void start(SimTime phase = 0.0);
 
   [[nodiscard]] std::uint64_t transfersCompleted() const noexcept {
     return completed_;

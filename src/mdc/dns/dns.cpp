@@ -9,8 +9,9 @@ namespace mdc {
 
 void AuthoritativeDns::registerApp(AppId app) {
   MDC_EXPECT(app.valid(), "registerApp: invalid app");
-  MDC_EXPECT(!apps_.contains(app), "registerApp: app already registered");
-  apps_.emplace(app, AppRecord{});
+  MDC_EXPECT(!hasApp(app), "registerApp: app already registered");
+  if (app.index() >= apps_.size()) apps_.resize(app.index() + 1);
+  apps_[app.index()].registered = true;
   ++topologyVersion_;
 }
 
@@ -22,18 +23,14 @@ std::span<const AppId> AuthoritativeDns::mutationsSince(
   return std::span<const AppId>(mutationLog_).subspan(cursor);
 }
 
-bool AuthoritativeDns::hasApp(AppId app) const { return apps_.contains(app); }
-
 AuthoritativeDns::AppRecord& AuthoritativeDns::record(AppId app) {
-  const auto it = apps_.find(app);
-  MDC_EXPECT(it != apps_.end(), "unknown app in DNS");
-  return it->second;
+  MDC_EXPECT(hasApp(app), "unknown app in DNS");
+  return apps_[app.index()];
 }
 
 const AuthoritativeDns::AppRecord& AuthoritativeDns::record(AppId app) const {
-  const auto it = apps_.find(app);
-  MDC_EXPECT(it != apps_.end(), "unknown app in DNS");
-  return it->second;
+  MDC_EXPECT(hasApp(app), "unknown app in DNS");
+  return apps_[app.index()];
 }
 
 void AuthoritativeDns::addVip(AppId app, VipId vip, double weight) {
@@ -98,15 +95,6 @@ std::span<const VipWeight> AuthoritativeDns::vips(AppId app) const {
   return record(app).vips;
 }
 
-VipId AuthoritativeDns::resolve(AppId app, Rng& rng) const {
-  const AppRecord& r = record(app);
-  MDC_EXPECT(!r.vips.empty(), "resolve: app has no VIPs");
-  std::vector<double> w;
-  w.reserve(r.vips.size());
-  for (const VipWeight& vw : r.vips) w.push_back(vw.weight);
-  return r.vips[rng.weightedIndex(w)].vip;
-}
-
 std::uint64_t AuthoritativeDns::generation(AppId app) const {
   return record(app).generation;
 }
@@ -122,7 +110,7 @@ ResolverPopulation::ResolverPopulation(const AuthoritativeDns& dns,
   MDC_EXPECT(config.lingerSeconds > 0.0, "lingerSeconds must be positive");
 }
 
-void ResolverPopulation::refreshTargets(AppId app, Pool& p) const {
+void ResolverPopulation::refreshTargets(AppId app, Pool& p) {
   const auto gen = dns_.generation(app);
   if (p.seenGeneration == gen && p.initialised) {
     return;
@@ -177,17 +165,6 @@ void ResolverPopulation::updateShares(Pool& p) const {
   }
 }
 
-void ResolverPopulation::ensurePool(AppId app) const {
-  const std::size_t i = app.index();
-  if (i >= pools_.size()) pools_.resize(i + 1);
-  Pool& p = pools_[i];
-  // advance() folds every logged DNS mutation into the pools that exist,
-  // so while the log has nothing new a materialised pool is current and
-  // the per-app generation lookup can be skipped.
-  if (p.initialised && dnsCursor_ == dns_.mutationCursor()) return;
-  refreshTargets(app, p);
-}
-
 void ResolverPopulation::relax(std::vector<double>& shares,
                                std::span<const double> target, double alpha) {
   for (std::size_t i = 0; i < shares.size(); ++i) {
@@ -217,13 +194,12 @@ void ResolverPopulation::advance(SimTime now) {
   const SimTime dt = now - lastAdvance_;
   lastAdvance_ = now;
   // Consume the DNS mutation log unconditionally — even a zero-dt advance
-  // must fold new targets before callers read.  refreshTargets dedupes
-  // repeated entries through seenGeneration.
+  // must fold new targets before callers read.  An app's first entry
+  // creates its pool in steady state (so relaxing below leaves it alone);
+  // refreshTargets dedupes repeated entries through seenGeneration.
   for (const AppId app : dns_.mutationsSince(dnsCursor_)) {
-    const std::size_t i = app.index();
-    if (i < pools_.size() && pools_[i].initialised) {
-      refreshTargets(app, pools_[i]);
-    }
+    if (app.index() >= pools_.size()) pools_.resize(app.index() + 1);
+    refreshTargets(app, pools_[app.index()]);
   }
   dnsCursor_ = dns_.mutationCursor();
   if (dt <= 0.0 || relaxing_.empty()) return;
@@ -251,7 +227,7 @@ void ResolverPopulation::advance(SimTime now) {
 }
 
 std::vector<VipWeight> ResolverPopulation::shares(AppId app) const {
-  ensurePool(app);
+  if (app.index() >= pools_.size()) return {};
   const Pool& p = pools_[app.index()];
   std::vector<VipWeight> out;
   out.reserve(p.shares.size());
@@ -268,15 +244,6 @@ double ResolverPopulation::share(AppId app, VipId vip) const {
     if (vw.vip == vip) return vw.weight;
   }
   return 0.0;
-}
-
-VipId ResolverPopulation::pickVip(AppId app, Rng& rng) const {
-  const auto sh = shares(app);
-  MDC_EXPECT(!sh.empty(), "pickVip: app has no VIP shares");
-  std::vector<double> w;
-  w.reserve(sh.size());
-  for (const VipWeight& vw : sh) w.push_back(vw.weight);
-  return sh[rng.weightedIndex(w)].vip;
 }
 
 }  // namespace mdc

@@ -9,9 +9,12 @@
 // shares, so managers observe realistic lag between changing a weight and
 // traffic actually moving.
 //
-// The population keeps one pool per app in dense AppId-indexed storage.
-// A pool's tracked-VIP list only ever grows (a VIP dropped from DNS keeps
-// its position while its share decays), and view() reads a pool's VIPs and
+// App ids are dense, so the authoritative records and the population's
+// pools are both tables indexed by AppId.  advance() is the population's
+// only writer: it folds the DNS mutation log, creating the pool of every
+// app the log names that has none yet, then relaxes.  A pool's
+// tracked-VIP list only ever grows (a VIP dropped from DNS keeps its
+// position while its share decays), and view() reads a pool's VIPs and
 // effective shares in place, without allocating: the epoch engine caches
 // each app's flow tree against the tracked-VIP count alone and applies the
 // shares when it replays the tree.
@@ -19,10 +22,8 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "mdc/sim/rng.hpp"
 #include "mdc/util/expect.hpp"
 #include "mdc/util/ids.hpp"
 #include "mdc/util/units.hpp"
@@ -39,7 +40,9 @@ struct VipWeight {
 class AuthoritativeDns {
  public:
   void registerApp(AppId app);
-  [[nodiscard]] bool hasApp(AppId app) const;
+  [[nodiscard]] bool hasApp(AppId app) const noexcept {
+    return app.index() < apps_.size() && apps_[app.index()].registered;
+  }
 
   /// Adds a VIP to the app's exposed set.  Precondition: app registered,
   /// vip not already present, weight >= 0.
@@ -55,10 +58,6 @@ class AuthoritativeDns {
   void setWeights(AppId app, std::span<const VipWeight> weights);
 
   [[nodiscard]] std::span<const VipWeight> vips(AppId app) const;
-
-  /// Resolves one query: weighted pick among VIPs with positive weight.
-  /// Precondition: at least one positive weight.
-  [[nodiscard]] VipId resolve(AppId app, Rng& rng) const;
 
   /// Monotone counter bumped on every mutation of the app's record; lets
   /// caches detect change cheaply.
@@ -92,12 +91,14 @@ class AuthoritativeDns {
   struct AppRecord {
     std::vector<VipWeight> vips;
     std::uint64_t generation = 0;
+    bool registered = false;
   };
+  /// Precondition: the app is registered.
   [[nodiscard]] AppRecord& record(AppId app);
   [[nodiscard]] const AppRecord& record(AppId app) const;
   void logMutation(AppId app);
 
-  std::unordered_map<AppId, AppRecord> apps_;
+  std::vector<AppRecord> apps_;  // by AppId index
   std::uint64_t updates_ = 0;
   std::uint64_t topologyVersion_ = 0;
   std::vector<AppId> mutationLog_;
@@ -120,24 +121,21 @@ class ResolverPopulation {
  public:
   ResolverPopulation(const AuthoritativeDns& dns, ResolverConfig config);
 
-  /// Advance the relaxation to absolute time `now` (>= previous now).
+  /// Advances the population to absolute time `now` (>= previous now):
+  /// first folds every DNS mutation logged since the last call, creating
+  /// the pool of each app named there that has none yet, then relaxes the
+  /// pools not at their targets.  A new pool starts in steady state at
+  /// the weights of that moment, so the advance that first sees an app in
+  /// the log fixes its pool's starting point.  DNS changes made after an
+  /// advance are invisible to every read until the next one.
   void advance(SimTime now);
 
-  /// Brings the app's pool up to date with DNS, as every read of shares()
-  /// does first: materialises it on the first call and folds DNS changes
-  /// it has not seen yet.  A new pool starts in steady state at the
-  /// current weights, so *when* a pool first materialises is part of the
-  /// simulated state.  Precondition: the app is registered in DNS.  Not
-  /// safe against concurrent calls.
-  void ensurePool(AppId app) const;
-
   /// The app's tracked VIPs and their effective demand shares, in place
-  /// and without allocating, as of the last advance(), ensurePool() or
-  /// shares() call.  The list only grows: a VIP keeps its position once
-  /// tracked, so its length is the only fact a cached flow tree needs to
-  /// revalidate.  Empty if the pool was never materialised.  A pure read:
-  /// any number of threads may call it while nothing mutates the
-  /// population.
+  /// and without allocating, as of the last advance().  The list only
+  /// grows: a VIP keeps its position once tracked, so its length is the
+  /// only fact a cached flow tree needs to revalidate.  Empty if no
+  /// advance has seen the app in the DNS log.  Like every read below, a
+  /// pure read: any number of threads may call it while no advance runs.
   [[nodiscard]] std::span<const VipWeight> view(AppId app) const noexcept {
     const std::size_t i = app.index();
     return i < pools_.size() ? std::span<const VipWeight>(pools_[i].shares)
@@ -147,15 +145,12 @@ class ResolverPopulation {
   /// Effective demand share per VIP for the app at the last advance(),
   /// computed afresh from the pool's two populations (view() keeps the
   /// same values up to date in place).  Includes VIPs recently removed
-  /// from DNS while clients still hold them; shares sum to 1.  Empty if
-  /// the app never had an exposed VIP.
+  /// from DNS while clients still hold them; shares sum to 1.  Empty
+  /// while view() is.
   [[nodiscard]] std::vector<VipWeight> shares(AppId app) const;
 
   /// Share of a single VIP (0 if unknown).
   [[nodiscard]] double share(AppId app, VipId vip) const;
-
-  /// Session-engine hook: sample the VIP a *new* session connects to.
-  [[nodiscard]] VipId pickVip(AppId app, Rng& rng) const;
 
   [[nodiscard]] const ResolverConfig& config() const noexcept {
     return config_;
@@ -173,7 +168,7 @@ class ResolverPopulation {
     bool relaxing = false;  // on the relaxing_ work list
   };
 
-  void refreshTargets(AppId app, Pool& p) const;
+  void refreshTargets(AppId app, Pool& p);
   void updateShares(Pool& p) const;
   static void relax(std::vector<double>& shares,
                     std::span<const double> target, double alpha);
@@ -182,8 +177,8 @@ class ResolverPopulation {
   ResolverConfig config_;
   SimTime lastAdvance_ = 0.0;
   std::uint64_t dnsCursor_ = 0;  // consumed prefix of the DNS mutation log
-  mutable std::vector<Pool> pools_;      // by AppId index
-  mutable std::vector<AppId> relaxing_;  // pools not yet at their targets
+  std::vector<Pool> pools_;      // by AppId index
+  std::vector<AppId> relaxing_;  // pools not yet at their targets
 };
 
 }  // namespace mdc

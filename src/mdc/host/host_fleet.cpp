@@ -37,10 +37,10 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
     return Error{"insufficient_capacity", ""};
   }
 
-  const VmId id = vmIds_.next();
+  const VmId id{static_cast<VmId::value_type>(vms_.size())};
   st.used += slice;
   st.vms.push_back(id);
-  VmRecord rec;
+  VmRecord& rec = vms_.emplace_back();
   rec.id = id;
   rec.app = app;
   rec.server = server;
@@ -48,20 +48,16 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
   rec.effectiveSlice = CapacityVec{};  // serves nothing until active
   rec.state = VmState::Booting;
   rec.createdAt = sim_.now();
-  vms_.emplace(id, rec);
-  bumpVm(id);
+  vmVersions_.push_back(1);
   ++liveVms_;
-  ++created_;
 
   const SimTime latency =
       clone ? costs_.vmCloneSeconds : costs_.vmBootSeconds;
   sim_.after(latency, [this, id, cb = std::move(onActive)] {
-    const auto it = vms_.find(id);
-    if (it == vms_.end() || it->second.state == VmState::Destroyed) {
-      return;  // destroyed while booting
-    }
-    it->second.state = VmState::Active;
-    it->second.effectiveSlice = it->second.slice;
+    VmRecord* r = liveVm(id);
+    if (r == nullptr) return;  // destroyed while booting
+    r->state = VmState::Active;
+    r->effectiveSlice = r->slice;
     if (cb) cb(id);
   });
   return id;
@@ -70,9 +66,7 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
 Status HostFleet::adjustVmCapacity(VmId vmId, CapacityVec newSlice,
                                    VmCallback onDone) {
   MDC_EXPECT(newSlice.nonNegative(), "adjust: negative slice");
-  const auto it = vms_.find(vmId);
-  MDC_EXPECT(it != vms_.end(), "adjust: unknown vm");
-  VmRecord& rec = it->second;
+  VmRecord& rec = vmMutable(vmId);
   if (rec.state != VmState::Active) return Status::fail("vm_not_active");
 
   ServerState& st = serverState(rec.server);
@@ -92,25 +86,19 @@ Status HostFleet::adjustVmCapacity(VmId vmId, CapacityVec newSlice,
 
   sim_.after(costs_.capacityAdjustSeconds,
              [this, vmId, newSlice, cb = std::move(onDone)] {
-               const auto vit = vms_.find(vmId);
-               if (vit == vms_.end() ||
-                   vit->second.state == VmState::Destroyed) {
-                 return;
-               }
-               VmRecord& r = vit->second;
-               ServerState& s = serverState(r.server);
-               s.used -= r.slice - newSlice;
-               r.slice = newSlice;
-               r.effectiveSlice = newSlice;
+               VmRecord* r = liveVm(vmId);
+               if (r == nullptr) return;
+               ServerState& s = serverState(r->server);
+               s.used -= r->slice - newSlice;
+               r->slice = newSlice;
+               r->effectiveSlice = newSlice;
                if (cb) cb(vmId);
              });
   return Status::okStatus();
 }
 
 Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
-  const auto it = vms_.find(vmId);
-  MDC_EXPECT(it != vms_.end(), "migrate: unknown vm");
-  VmRecord& rec = it->second;
+  VmRecord& rec = vmMutable(vmId);
   if (rec.state != VmState::Active) return Status::fail("vm_not_active");
   if (rec.server == dst) return Status::fail("same_server");
 
@@ -131,17 +119,15 @@ Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
   const SimTime duration = memGb * 8.0 / costs_.migrationGbps;
   const ServerId src = rec.server;
   sim_.after(duration, [this, vmId, src, dst, seq, cb = std::move(onDone)] {
-    const auto vit = vms_.find(vmId);
-    if (vit == vms_.end() || vit->second.state == VmState::Destroyed ||
-        vit->second.migrationSeq != seq) {
+    VmRecord* r = liveVm(vmId);
+    if (r == nullptr || r->migrationSeq != seq) {
       return;  // destroyed mid-flight, or the move was cancelled by a crash
     }
-    VmRecord& r = vit->second;
     ServerState& srcState = serverState(src);
-    srcState.used -= r.slice;
+    srcState.used -= r->slice;
     detachFromServer(vmId, src);
-    r.server = dst;
-    r.state = VmState::Active;
+    r->server = dst;
+    r->state = VmState::Active;
     bumpVm(vmId);
     if (cb) cb(vmId);
   });
@@ -149,9 +135,7 @@ Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
 }
 
 void HostFleet::destroyVm(VmId vmId) {
-  const auto it = vms_.find(vmId);
-  MDC_EXPECT(it != vms_.end(), "destroy: unknown vm");
-  VmRecord& rec = it->second;
+  VmRecord& rec = vmMutable(vmId);
   MDC_EXPECT(rec.state != VmState::Destroyed, "destroy: vm already destroyed");
 
   // Free the current server's reservation; a mid-migration VM also holds a
@@ -187,9 +171,7 @@ std::size_t HostFleet::crashServer(ServerId server) {
   const std::vector<VmId> attached = st.vms;  // mutated below; iterate a copy
   std::size_t killed = 0;
   for (VmId vmId : attached) {
-    const auto it = vms_.find(vmId);
-    MDC_ENSURE(it != vms_.end(), "attached vm has no record");
-    VmRecord& rec = it->second;
+    VmRecord& rec = vmMutable(vmId);
     if (rec.server != server) {
       // In-flight migration *into* this server: only the destination copy
       // dies; the VM keeps serving on its source.  Cancel the move.
@@ -224,10 +206,11 @@ std::vector<CrashedVm> HostFleet::takeCrashCasualties(ServerId server) {
   return out;
 }
 
-void HostFleet::bumpVm(VmId id) {
-  const std::size_t i = id.index();
-  if (i >= vmVersions_.size()) vmVersions_.resize(i + 1, 0);
-  ++vmVersions_[i];
+void HostFleet::bumpVm(VmId id) { ++vmVersions_[id.index()]; }
+
+VmRecord* HostFleet::liveVm(VmId id) noexcept {
+  VmRecord& rec = vms_[id.index()];
+  return rec.state == VmState::Destroyed ? nullptr : &rec;
 }
 
 void HostFleet::detachFromServer(VmId vmId, ServerId server) {
@@ -237,27 +220,14 @@ void HostFleet::detachFromServer(VmId vmId, ServerId server) {
   vms.erase(pos);
 }
 
-void HostFleet::forEachVm(const std::function<void(VmRecord&)>& fn) {
-  for (auto& [id, rec] : vms_) {
-    if (rec.state != VmState::Destroyed) fn(rec);
-  }
-}
-
 const VmRecord& HostFleet::vm(VmId id) const {
-  const auto it = vms_.find(id);
-  MDC_EXPECT(it != vms_.end(), "unknown vm");
-  return it->second;
+  MDC_EXPECT(id.index() < vms_.size(), "unknown vm");
+  return vms_[id.index()];
 }
 
 VmRecord& HostFleet::vmMutable(VmId id) {
-  const auto it = vms_.find(id);
-  MDC_EXPECT(it != vms_.end(), "unknown vm");
-  return it->second;
-}
-
-bool HostFleet::vmExists(VmId id) const {
-  const auto it = vms_.find(id);
-  return it != vms_.end() && it->second.state != VmState::Destroyed;
+  MDC_EXPECT(id.index() < vms_.size(), "unknown vm");
+  return vms_[id.index()];
 }
 
 const std::vector<VmId>& HostFleet::vmsOn(ServerId server) const {

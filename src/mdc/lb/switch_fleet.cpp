@@ -22,7 +22,10 @@ const LbSwitch& SwitchFleet::at(SwitchId sw) const {
 
 void SwitchFleet::bumpVip(VipId vip) {
   const std::size_t i = vip.index();
-  if (i >= vipVersions_.size()) vipVersions_.resize(i + 1, 0);
+  if (i >= vipVersions_.size()) {
+    vipVersions_.resize(i + 1, 0);
+    owner_.resize(i + 1);
+  }
   ++vipVersions_[i];
   vipLog_.push_back(vip);
 }
@@ -34,37 +37,37 @@ std::span<const VipId> SwitchFleet::vipMutationsSince(
 }
 
 std::optional<SwitchId> SwitchFleet::ownerOf(VipId vip) const {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return std::nullopt;
-  return it->second;
+  const SwitchId sw = owner(vip);
+  if (!sw.valid()) return std::nullopt;
+  return sw;
 }
 
 Status SwitchFleet::configureVip(SwitchId sw, VipId vip, AppId app) {
-  if (owner_.contains(vip)) return Status::fail("vip_owned_elsewhere");
+  if (owner(vip).valid()) return Status::fail("vip_owned_elsewhere");
   const Status s = at(sw).configureVip(vip, app);
   if (s.ok()) {
-    owner_.emplace(vip, sw);
     bumpVip(vip);
+    owner_[vip.index()] = sw;
   }
   return s;
 }
 
 Status SwitchFleet::removeVip(VipId vip) {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return Status::fail("vip_unowned");
-  const Status s = at(it->second).removeVip(vip);
+  const SwitchId sw = owner(vip);
+  if (!sw.valid()) return Status::fail("vip_unowned");
+  const Status s = at(sw).removeVip(vip);
   if (s.ok()) {
-    owner_.erase(it);
+    owner_[vip.index()] = SwitchId{};
     bumpVip(vip);
   }
   return s;
 }
 
 Status SwitchFleet::transferVip(VipId vip, SwitchId to, bool force) {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return Status::fail("vip_unowned");
-  if (it->second == to) return Status::fail("same_switch");
-  LbSwitch& src = at(it->second);
+  const SwitchId from = owner(vip);
+  if (!from.valid()) return Status::fail("vip_unowned");
+  if (from == to) return Status::fail("same_switch");
+  LbSwitch& src = at(from);
   LbSwitch& dst = at(to);
   if (!dst.up()) return Status::fail("switch_down");
 
@@ -98,8 +101,7 @@ Status SwitchFleet::transferVip(VipId vip, SwitchId to, bool force) {
     s = dst.addRip(vip, r);
     MDC_ENSURE(s.ok(), "destination addRip must succeed after check");
   }
-  const SwitchId from = it->second;
-  it->second = to;
+  owner_[vip.index()] = to;
   ++transfers_;
   bumpVip(vip);
   if (onTransfer_) onTransfer_(vip, from, to);
@@ -120,8 +122,8 @@ Status SwitchFleet::applyConfigureVip(SwitchId sw, VipId vip, AppId app) {
   // First host wins the index; a late duplicate stays un-indexed until
   // the reconciler removes one copy.
   if (s.ok()) {
-    if (!owner_.contains(vip)) owner_.emplace(vip, sw);
     bumpVip(vip);
+    if (!owner_[vip.index()].valid()) owner_[vip.index()] = sw;
   }
   return s;
 }
@@ -135,14 +137,8 @@ Status SwitchFleet::applyRemoveVip(SwitchId sw, VipId vip,
   const Status s = target.removeVip(vip);
   if (s.ok()) {
     bumpVip(vip);
-    const auto it = owner_.find(vip);
-    if (it != owner_.end() && it->second == sw) {
-      const auto survivor = otherHostOf(vip, sw);
-      if (survivor.has_value()) {
-        it->second = *survivor;
-      } else {
-        owner_.erase(it);
-      }
+    if (owner_[vip.index()] == sw) {
+      owner_[vip.index()] = otherHostOf(vip, sw).value_or(SwitchId{});
     }
   }
   return s;
@@ -187,12 +183,9 @@ std::size_t SwitchFleet::crashSwitch(SwitchId sw, SimTime now) {
     // the index there instead of declaring an orphan.
     const auto survivor = otherHostOf(vip, sw);
     bumpVip(vip);
-    if (survivor.has_value()) {
-      owner_[vip] = *survivor;
-      continue;
-    }
+    owner_[vip.index()] = survivor.value_or(SwitchId{});
+    if (survivor.has_value()) continue;
     stranded.push_back(OrphanedVip{vip, entry->app, entry->rips, now});
-    owner_.erase(vip);
     ++orphaned;
   }
   if (stranded.empty()) orphans_.erase(sw);
@@ -226,33 +219,33 @@ std::size_t SwitchFleet::pendingOrphans() const {
 }
 
 Status SwitchFleet::addRip(VipId vip, RipEntry entry) {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return Status::fail("vip_unowned");
-  const Status s = at(it->second).addRip(vip, entry);
+  const SwitchId sw = owner(vip);
+  if (!sw.valid()) return Status::fail("vip_unowned");
+  const Status s = at(sw).addRip(vip, entry);
   if (s.ok()) bumpVip(vip);
   return s;
 }
 
 Status SwitchFleet::removeRip(VipId vip, RipId rip) {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return Status::fail("vip_unowned");
-  const Status s = at(it->second).removeRip(vip, rip);
+  const SwitchId sw = owner(vip);
+  if (!sw.valid()) return Status::fail("vip_unowned");
+  const Status s = at(sw).removeRip(vip, rip);
   if (s.ok()) bumpVip(vip);
   return s;
 }
 
 Status SwitchFleet::setRipWeight(VipId vip, RipId rip, double weight) {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return Status::fail("vip_unowned");
-  const Status s = at(it->second).setRipWeight(vip, rip, weight);
+  const SwitchId sw = owner(vip);
+  if (!sw.valid()) return Status::fail("vip_unowned");
+  const Status s = at(sw).setRipWeight(vip, rip, weight);
   if (s.ok()) bumpVip(vip);
   return s;
 }
 
 const VipEntry* SwitchFleet::findVip(VipId vip) const {
-  const auto it = owner_.find(vip);
-  if (it == owner_.end()) return nullptr;
-  return at(it->second).findVip(vip);
+  const SwitchId sw = owner(vip);
+  if (!sw.valid()) return nullptr;
+  return at(sw).findVip(vip);
 }
 
 std::uint32_t SwitchFleet::totalVips() const {

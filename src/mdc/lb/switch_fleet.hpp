@@ -17,6 +17,11 @@
 // of the fleet (the session engine's route table) hold a cursor into it
 // and refresh only the VIPs logged since, instead of re-reading the
 // ownership index and the owner's table for every lookup.
+//
+// VIP ids are dense (the VIP/RIP manager allocates them from 0), so the
+// ownership index and the per-VIP versions are two columns indexed by VIP
+// id, grown together by the first mutation of a VIP; an invalid SwitchId
+// in the owner column means unowned.
 #pragma once
 
 #include <cstdint>
@@ -186,12 +191,18 @@ class SwitchFleet {
   [[nodiscard]] std::optional<SwitchId> otherHostOf(VipId vip,
                                                    SwitchId excluding) const;
 
+  /// The indexed owner of `vip`, or an invalid id when unowned.
+  [[nodiscard]] SwitchId owner(VipId vip) const noexcept {
+    return vip.index() < owner_.size() ? owner_[vip.index()] : SwitchId{};
+  }
+  /// Bumps the VIP's version and logs it; grows both VIP columns to
+  /// cover it, so every ownership write below follows a bump.
   void bumpVip(VipId vip);
 
   std::vector<LbSwitch> switches_;
-  std::vector<std::uint64_t> vipVersions_;
-  std::vector<VipId> vipLog_;  // every bumpVip, in order
-  std::unordered_map<VipId, SwitchId> owner_;
+  std::vector<std::uint64_t> vipVersions_;  // by VipId index
+  std::vector<SwitchId> owner_;             // by VipId index, same length
+  std::vector<VipId> vipLog_;               // every bumpVip, in order
   TransferListener onTransfer_;
   std::unordered_map<SwitchId, std::vector<OrphanedVip>> orphans_;
   std::uint64_t transfers_ = 0;

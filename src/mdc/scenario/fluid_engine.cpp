@@ -368,11 +368,10 @@ EpochReport FluidEngine::step() {
   if (cache_.size() < n) cache_.resize(n);
 
   // --- Phase A0: read demand, validate trees, list the dirty apps -------
-  // Sequential by design: ensurePool() may materialise resolver pools.
-  // An app without demand consults nothing more, so its pool materialises
-  // in the first epoch it has demand (a pool starts at that epoch's
-  // weights).  Neither demand nor shares can dirty a tree: the replay
-  // applies them.
+  // An app without demand consults nothing more.  Resolver pools were
+  // brought up to date (and new ones created) by the advance above, so
+  // this phase only reads them.  Neither demand nor shares can dirty a
+  // tree: the replay applies them.
   const bool incremental = options_.incremental;
   dirty_.clear();
   std::size_t recomputed = 0;
@@ -398,7 +397,6 @@ EpochReport FluidEngine::step() {
         }
         c.built = false;  // the no-DNS outcome is stale
       }
-      resolvers_.ensurePool(app);
       if (c.built && cacheValid(app, c)) continue;
       dirty_.push_back(app.index());
     }

@@ -123,14 +123,6 @@ void SessionEngine::start() {
   sim_.every(options_.tick, [this] { tick(); });
 }
 
-void SessionEngine::ensurePools() {
-  // Serial by design: the first read of an app's shares materialises its
-  // resolver pool, and a pool starts at the weights of the tick it
-  // materialises in.  Afterwards the parallel generation phase reads
-  // every pool in place through ResolverPopulation::view().
-  for (const Application& app : apps_.all()) resolvers_.ensurePool(app.id);
-}
-
 void SessionEngine::refreshRoutes() {
   // Serial: one pass over the VIPs the fleet logged since the last tick.
   for (const VipId vip : fleet_.vipMutationsSince(routeCursor_)) {
@@ -321,7 +313,6 @@ void SessionEngine::tick() {
   for (auto& b : buckets_) b.clear();
 
   refreshRoutes();
-  ensurePools();
 
   // Phase S: O(due-this-tick) expiry, one worker per shard range.
   pool_.parallelRanges(numShards,

@@ -19,9 +19,9 @@
 //    logged since the last one (SwitchFleet::vipMutationsSince), so an
 //    arrival resolves VIP -> shard -> RIP with one table read and no
 //    fleet or switch lookup;
-//  * the tick is a deterministic pipeline: (P) serial route refresh and
-//    resolver-pool materialisation (generation then reads shares in
-//    place), (S) per-shard expiry, (G) per-app arrival generation into
+//  * the tick is a deterministic pipeline: (P) serial resolver advance
+//    and route refresh (generation then reads shares in place), (S)
+//    per-shard expiry, (G) per-app arrival generation into
 //    per-(worker, shard) buckets, (A) serial global-cap admission in
 //    ascending app order, (I) per-shard inserts draining buckets in
 //    worker-slot order.  Phases S and I fan out over the ThreadPool's
@@ -211,7 +211,6 @@ class SessionEngine {
     SpanId span;
   };
 
-  void ensurePools();
   void refreshRoutes();
   void cutApps(std::size_t numApps);
   void generateApps(unsigned slot, std::size_t lo, std::size_t hi,

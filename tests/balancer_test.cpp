@@ -74,8 +74,7 @@ TEST(AccessLinkBalancerTest, ShiftsExposureTowardSpareLink) {
   Fixture f;
   const AppId app = f.makeAppWithVips(2);
   AccessLinkBalancer::Options opt;
-  AccessLinkBalancer lb{f.sim, f.dns, *f.viprip, f.apps, f.fleet, f.topo,
-                        opt};
+  AccessLinkBalancer lb{f.dns, *f.viprip, f.apps, f.fleet, f.topo, opt};
 
   EpochReport r = f.report();
   const auto& vips = f.apps.app(app).vips;
@@ -98,7 +97,7 @@ TEST(AccessLinkBalancerTest, ShiftsExposureTowardSpareLink) {
 TEST(AccessLinkBalancerTest, SingleVipAppsUntouched) {
   Fixture f;
   const AppId app = f.makeAppWithVips(1);
-  AccessLinkBalancer lb{f.sim, f.dns, *f.viprip, f.apps, f.fleet, f.topo,
+  AccessLinkBalancer lb{f.dns, *f.viprip, f.apps, f.fleet, f.topo,
                         AccessLinkBalancer::Options{}};
   EpochReport r = f.report();
   r.accessLinkUtil[0] = 2.0;
@@ -113,7 +112,7 @@ TEST(AccessLinkBalancerTest, DoesNotReexposeDrainingVip) {
   const AppId app = f.makeAppWithVips(2);
   const VipId draining = f.apps.app(app).vips[0];
   f.viprip->setVipExposureFactor(draining, 0.0);
-  AccessLinkBalancer lb{f.sim, f.dns, *f.viprip, f.apps, f.fleet, f.topo,
+  AccessLinkBalancer lb{f.dns, *f.viprip, f.apps, f.fleet, f.topo,
                         AccessLinkBalancer::Options{}};
   EpochReport r = f.report();
   lb.observe(r);
@@ -124,7 +123,7 @@ TEST(AccessLinkBalancerTest, DoesNotReexposeDrainingVip) {
 TEST(AccessLinkBalancerTest, NoReportNoAction) {
   Fixture f;
   f.makeAppWithVips(2);
-  AccessLinkBalancer lb{f.sim, f.dns, *f.viprip, f.apps, f.fleet, f.topo,
+  AccessLinkBalancer lb{f.dns, *f.viprip, f.apps, f.fleet, f.topo,
                         AccessLinkBalancer::Options{}};
   lb.runOnce();
   EXPECT_EQ(lb.weightUpdates(), 0u);
@@ -176,9 +175,8 @@ TEST(AccessLinkBalancerTest, SkipsVipAdoptedWithoutRouter) {
   r.accessLinkUtil[hot.index()] = 0.95;
   r.vipDemandGbps[kept.value()] = 1.0;
   r.vipDemandGbps[adopted.value()] = 5.0;
-  AccessLinkBalancer exposure{f.sim,   f.dns,  *f.viprip,
-                              f.apps,  f.fleet, f.topo,
-                              AccessLinkBalancer::Options{}};
+  AccessLinkBalancer exposure{f.dns,  *f.viprip, f.apps,
+                              f.fleet, f.topo,   AccessLinkBalancer::Options{}};
   exposure.observe(r);
   exposure.runOnce();
   EXPECT_EQ(exposure.weightUpdates(), 1u);
@@ -186,8 +184,8 @@ TEST(AccessLinkBalancerTest, SkipsVipAdoptedWithoutRouter) {
 
   AccessLinkBalancer::Options opt;
   opt.policy = LinkBalancePolicy::Readvertisement;
-  AccessLinkBalancer readvertise{f.sim,  f.dns,   *f.viprip, f.apps,
-                                 f.fleet, f.topo, opt};
+  AccessLinkBalancer readvertise{f.dns,  *f.viprip, f.apps,
+                                 f.fleet, f.topo,    opt};
   readvertise.observe(r);
   readvertise.runOnce();
   EXPECT_EQ(readvertise.vipMoves(), 1u);

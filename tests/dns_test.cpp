@@ -30,7 +30,20 @@ TEST(AuthoritativeDns, RegisterAndQuery) {
   AuthoritativeDns dns = makeDns();
   EXPECT_TRUE(dns.hasApp(kApp));
   EXPECT_FALSE(dns.hasApp(AppId{9}));
+  EXPECT_FALSE(dns.hasApp(AppId{}));
   EXPECT_EQ(dns.vips(kApp).size(), 2u);
+  // Records are indexed by app id: registering a sparse id leaves the
+  // ids below it unregistered, and unknown ids keep failing reads.
+  dns.registerApp(AppId{7});
+  EXPECT_TRUE(dns.hasApp(AppId{7}));
+  for (std::uint32_t a = 1; a < 7; ++a) {
+    EXPECT_FALSE(dns.hasApp(AppId{a})) << a;
+    EXPECT_THROW((void)dns.vips(AppId{a}), PreconditionError) << a;
+  }
+  EXPECT_FALSE(dns.hasApp(AppId{8}));
+  EXPECT_THROW((void)dns.generation(AppId{8}), PreconditionError);
+  EXPECT_THROW((void)dns.vips(AppId{}), PreconditionError);
+  EXPECT_THROW(dns.registerApp(AppId{}), PreconditionError);
 }
 
 TEST(AuthoritativeDns, DuplicateRegistrationThrows) {
@@ -56,13 +69,6 @@ TEST(AuthoritativeDns, SetWeightsBulk) {
   dns.setWeights(kApp, w);
   EXPECT_EQ(dns.vips(kApp)[0].weight, 0.0);
   EXPECT_EQ(dns.vips(kApp)[1].weight, 3.0);
-}
-
-TEST(AuthoritativeDns, ResolveRespectsWeights) {
-  AuthoritativeDns dns = makeDns();
-  dns.setWeight(kApp, kV0, 0.0);
-  Rng rng{1};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(dns.resolve(kApp, rng), kV1);
 }
 
 TEST(AuthoritativeDns, RemoveVip) {
@@ -93,6 +99,7 @@ ResolverConfig fastConfig() {
 TEST(ResolverPopulation, StartsAtAuthoritativeWeights) {
   AuthoritativeDns dns = makeDns();
   ResolverPopulation pop{dns, fastConfig()};
+  pop.advance(0.0);
   EXPECT_NEAR(pop.share(kApp, kV0), 0.5, 1e-12);
   EXPECT_NEAR(pop.share(kApp, kV1), 0.5, 1e-12);
 }
@@ -110,7 +117,7 @@ TEST(ResolverPopulation, SharesSumToOne) {
 TEST(ResolverPopulation, RelaxesTowardTargetAtTtlRate) {
   AuthoritativeDns dns = makeDns();
   ResolverPopulation pop{dns, fastConfig()};
-  (void)pop.shares(kApp);  // initialize the pool in steady state
+  pop.advance(0.0);  // creates the pool in steady state
   dns.setWeights(kApp, std::vector<VipWeight>{{kV0, 0.0}, {kV1, 1.0}});
   // After one TTL, the gap should have closed by 1 - e^-1 ~ 63%.
   pop.advance(60.0);
@@ -126,7 +133,7 @@ TEST(ResolverPopulation, LingerersSlowConvergence) {
   ResolverConfig lingering = fastConfig();
   lingering.lingerFraction = 0.2;
   ResolverPopulation pop{dnsA, lingering};
-  (void)pop.shares(kApp);
+  pop.advance(0.0);
   dnsA.setWeights(kApp, std::vector<VipWeight>{{kV0, 0.0}, {kV1, 1.0}});
   pop.advance(300.0);  // 5 TTLs: compliant clients have moved
   const double v0 = pop.share(kApp, kV0);
@@ -138,8 +145,11 @@ TEST(ResolverPopulation, LingerersSlowConvergence) {
 TEST(ResolverPopulation, NewVipStartsAtZeroShare) {
   AuthoritativeDns dns = makeDns();
   ResolverPopulation pop{dns, fastConfig()};
-  (void)pop.shares(kApp);
+  pop.advance(0.0);
   dns.addVip(kApp, kV2, 1.0);
+  pop.advance(0.0);  // a zero-dt advance folds the new VIP without relaxing
+  ASSERT_EQ(pop.view(kApp).size(), 3u);
+  EXPECT_EQ(pop.view(kApp)[2].vip, kV2);
   EXPECT_NEAR(pop.share(kApp, kV2), 0.0, 1e-12);
   pop.advance(600.0);
   EXPECT_NEAR(pop.share(kApp, kV2), 1.0 / 3.0, 1e-3);
@@ -150,8 +160,10 @@ TEST(ResolverPopulation, RemovedVipShareDecaysNotVanishes) {
   // exposing it, so a transfer cannot be immediate.
   AuthoritativeDns dns = makeDns();
   ResolverPopulation pop{dns, fastConfig()};
-  (void)pop.shares(kApp);
+  pop.advance(0.0);
   dns.removeVip(kApp, kV0);
+  pop.advance(0.0);  // folds the removal without relaxing
+  ASSERT_EQ(pop.view(kApp).size(), 2u);
   EXPECT_NEAR(pop.share(kApp, kV0), 0.5, 1e-12);  // still held by caches
   pop.advance(60.0);
   const double after1 = pop.share(kApp, kV0);
@@ -160,14 +172,34 @@ TEST(ResolverPopulation, RemovedVipShareDecaysNotVanishes) {
   EXPECT_LT(pop.share(kApp, kV0), 1e-6);
 }
 
-TEST(ResolverPopulation, PickVipFollowsShares) {
+TEST(ResolverPopulation, PoolAppearsAtTheNextAdvanceInSteadyState) {
+  // Reads are pure: an app's pool exists only once an advance has folded
+  // a DNS mutation of the app, and it starts at the weights of that
+  // advance, not at those of the VIP's first exposure.
   AuthoritativeDns dns = makeDns();
+  constexpr AppId kLate{1};
+  dns.registerApp(kLate);
   ResolverPopulation pop{dns, fastConfig()};
-  dns.setWeights(kApp, std::vector<VipWeight>{{kV0, 1.0}, {kV1, 0.0}});
-  Rng rng{3};
-  (void)pop.shares(kApp);
-  pop.advance(6000.0);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(pop.pickVip(kApp, rng), kV0);
+  pop.advance(10.0);
+  EXPECT_TRUE(pop.view(kLate).empty());
+
+  dns.addVip(kLate, kV2, 1.0);
+  constexpr VipId kV3{3};
+  dns.addVip(kLate, kV3, 1.0);
+  dns.setWeight(kLate, kV3, 3.0);
+  EXPECT_TRUE(pop.view(kLate).empty());  // not before the next advance
+  EXPECT_TRUE(pop.shares(kLate).empty());
+  EXPECT_EQ(pop.share(kLate, kV2), 0.0);
+
+  pop.advance(20.0);
+  ASSERT_EQ(pop.view(kLate).size(), 2u);
+  EXPECT_EQ(pop.view(kLate)[0].vip, kV2);
+  EXPECT_EQ(pop.view(kLate)[0].weight, 0.25);
+  EXPECT_EQ(pop.view(kLate)[1].weight, 0.75);
+  // Steady state: later advances leave it where it started.
+  pop.advance(500.0);
+  EXPECT_EQ(pop.share(kLate, kV2), 0.25);
+  EXPECT_EQ(pop.share(kLate, kV3), 0.75);
 }
 
 TEST(ResolverPopulation, AdvanceBackwardsThrows) {
@@ -190,9 +222,10 @@ TEST(ResolverPopulation, ConfigValidation) {
 TEST(ResolverPopulation, ViewMatchesSharesUnderRandomDnsChurn) {
   // view() keeps each pool's effective shares up to date in place;
   // shares() recombines the two client populations afresh.  After every
-  // DNS add, remove, setWeight and setWeights and after every advance
-  // they must agree bit for bit, and a tracked-VIP list may only grow by
-  // appending (re-exposing a dropped VIP keeps its old position).
+  // DNS add, remove, setWeight and setWeights (which neither read sees
+  // before the next advance) and after every advance they must agree bit
+  // for bit, and a tracked-VIP list may only grow by appending
+  // (re-exposing a dropped VIP keeps its old position).
   constexpr std::uint32_t kApps = 4;
   AuthoritativeDns dns;
   ResolverPopulation pop{dns, ResolverConfig{}};  // 5% lingering clients
@@ -204,11 +237,15 @@ TEST(ResolverPopulation, ViewMatchesSharesUnderRandomDnsChurn) {
   std::uint32_t nextVip = 0;
   for (std::uint32_t a = 0; a < kApps; ++a) {
     dns.registerApp(AppId{a});
+    if (a + 1 == kApps) continue;
     dns.addVip(AppId{a}, VipId{nextVip++}, 1.0);
     dns.addVip(AppId{a}, VipId{nextVip++}, 2.0);
   }
-  // App 3's pool materialises only when the churn first reads it.
-  for (std::uint32_t a = 0; a + 1 < kApps; ++a) (void)pop.shares(AppId{a});
+  // App 3's VIPs are added after the first advance, so its pool appears
+  // at the second.
+  pop.advance(0.0);
+  dns.addVip(AppId{kApps - 1}, VipId{nextVip++}, 1.0);
+  dns.addVip(AppId{kApps - 1}, VipId{nextVip++}, 2.0);
 
   const auto expectViewIsShares = [&](AppId app, bool viewFirst,
                                       const std::string& what) {
@@ -267,7 +304,7 @@ TEST(ResolverPopulation, ViewMatchesSharesUnderRandomDnsChurn) {
         dns.setWeights(app, all);
         break;
       }
-      default: {  // advance; every pool must be current without a read
+      default: {  // advance: folds the DNS changes since the last one
         now += rng() % 4 == 0 ? 0.0 : 120.0 * unit(rng);
         pop.advance(now);
         for (std::uint32_t a = 0; a < kApps; ++a) {
@@ -278,8 +315,8 @@ TEST(ResolverPopulation, ViewMatchesSharesUnderRandomDnsChurn) {
         continue;
       }
     }
-    // Half the DNS changes are read at once, half first at the next
-    // advance, so both fold paths are covered.
+    // Half the DNS changes are read at once, before any advance folds
+    // them; the rest are first read after the next advance.
     if (rng() % 2 == 0) expectViewIsShares(app, /*viewFirst=*/false, what);
     if (HasFatalFailure() || HasNonfatalFailure()) break;  // don't spam
   }

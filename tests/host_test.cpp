@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "mdc/host/host_fleet.hpp"
 #include "mdc/topo/topology.hpp"
@@ -218,6 +219,52 @@ TEST(HostFleet, DoubleDestroyThrows) {
   const auto r = f.fleet.createVm(kApp, ServerId{0}, slice());
   f.fleet.destroyVm(r.value());
   EXPECT_THROW(f.fleet.destroyVm(r.value()), PreconditionError);
+}
+
+TEST(HostFleet, VmIdsAreDenseAndCountEveryCreatedVm) {
+  Fixture f;
+  for (std::uint32_t n = 1; n <= 5; ++n) {
+    const auto r = f.fleet.createVm(kApp, ServerId{n % 4}, slice(0.5));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), VmId{n - 1});
+    EXPECT_EQ(f.fleet.vmIndexBound(), n);
+  }
+  // Destroyed VMs keep their id and their record; the next id moves on.
+  f.fleet.destroyVm(VmId{1});
+  EXPECT_EQ(f.fleet.vmIndexBound(), 5u);
+  EXPECT_EQ(f.fleet.vm(VmId{1}).state, VmState::Destroyed);
+  EXPECT_EQ(f.fleet.createVm(kApp, ServerId{0}, slice(0.5)).value(), VmId{5});
+  EXPECT_EQ(f.fleet.vmIndexBound(), 6u);
+  EXPECT_EQ(f.fleet.vmsCreated(), 6u);
+}
+
+TEST(HostFleet, VmRecordReferencesSurviveLaterCreates) {
+  // The epoch engine caches VmRecord pointers across epochs.
+  Fixture f;
+  const VmId id = f.fleet.createVm(kApp, ServerId{1}, slice()).value();
+  VmRecord& rec = f.fleet.vmMutable(id);
+  rec.offeredRps = 42.0;
+  const VmRecord* before = &rec;
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_TRUE(f.fleet.createVm(kApp, ServerId{0}, CapacityVec{}).ok());
+  }
+  EXPECT_EQ(&f.fleet.vmMutable(id), before);
+  EXPECT_EQ(before->id, id);
+  EXPECT_EQ(before->server, ServerId{1});
+  EXPECT_EQ(before->slice, slice());
+  EXPECT_EQ(before->offeredRps, 42.0);
+}
+
+TEST(HostFleet, UnknownVmIdsReadAsAbsent) {
+  Fixture f;
+  ASSERT_TRUE(f.fleet.createVm(kApp, ServerId{0}, slice()).ok());
+  for (const VmId id : {VmId{1}, VmId{1000}, VmId{}}) {
+    EXPECT_FALSE(f.fleet.vmExists(id)) << id;
+    EXPECT_EQ(f.fleet.vmConfigVersion(id), 0u) << id;
+    EXPECT_THROW((void)f.fleet.vm(id), PreconditionError) << id;
+    EXPECT_THROW((void)f.fleet.vmMutable(id), PreconditionError) << id;
+    EXPECT_THROW(f.fleet.destroyVm(id), PreconditionError) << id;
+  }
 }
 
 }  // namespace

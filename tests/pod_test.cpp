@@ -1,8 +1,13 @@
 // Unit tests for the pod registry and pod manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "mdc/core/pod.hpp"
 
@@ -63,8 +68,8 @@ struct Fixture {
     return o;
   }
 
-  Fixture() : topo(topoConfig()), hosts(topo, sim, costs()),
-              registry(topoConfig().numServers) {}
+  explicit Fixture(const TopologyConfig& cfg = topoConfig())
+      : topo(cfg), hosts(topo, sim, costs()), registry(cfg.numServers) {}
 
   PodManager& makePod(std::vector<ServerId> servers) {
     const PodId id{static_cast<PodId::value_type>(pods.size())};
@@ -185,6 +190,69 @@ TEST(PodManager, RetiresSurplusVmOfOneAppOnOneServer) {
   EXPECT_EQ(f.sink.removals.size(), 1u);
   EXPECT_GE(f.apps.app(app).sla.servableRps(f.hosts.vm(vms[1]).slice),
             1000.0);
+}
+
+TEST(PodManager, DemandOnlyAppsEnterPlacementInAppOrder) {
+  // One server with room for two instances (an instance's memory is a
+  // fixed 2 GB): a resident app grows, and two apps with equal demand but
+  // no instance compete for the one free slot.  Placement breaks the tie
+  // by input order, which for such apps is ascending app id whatever the
+  // order of the setAppDemand calls, so every decision must repeat.
+  struct Calls {
+    std::vector<std::tuple<AppId, ServerId, CapacityVec>> created;
+    std::uint64_t resizes = 0;
+    std::vector<std::tuple<AppId, VmId, double>> newRips;
+    std::vector<std::pair<VmId, double>> weights;
+    std::vector<VmId> removals;
+  };
+  const auto run = [](bool ascending) {
+    TopologyConfig cfg = Fixture::topoConfig();
+    cfg.numServers = 1;
+    cfg.serverCapacity = CapacityVec{8.0, 5.0, 1.0};
+    Fixture f{cfg};
+    PodManager& pod = f.makePod({ServerId{0}});
+    const AppId resident = f.apps.create("resident", AppSla{}, 1.0);
+    const AppId x = f.apps.create("x", AppSla{}, 1.0);
+    const AppId y = f.apps.create("y", AppSla{}, 1.0);
+    pod.setAppDemand(resident, 1000.0);
+    pod.runControlLoop();
+    f.sim.runUntil(2.0);  // the resident clone is active
+
+    pod.clearAppDemand();
+    std::vector<std::pair<AppId, double>> demand{
+        {resident, 3000.0}, {x, 1000.0}, {y, 1000.0}};
+    if (!ascending) std::reverse(demand.begin(), demand.end());
+    for (const auto& [app, rps] : demand) pod.setAppDemand(app, rps);
+    pod.runControlLoop();
+    f.sim.runUntil(4.0);  // the new clone is active, the resize applied
+
+    Calls calls;
+    for (std::uint32_t v = 0; v < f.hosts.vmIndexBound(); ++v) {
+      const VmRecord& rec = f.hosts.vm(VmId{v});
+      calls.created.emplace_back(rec.app, rec.server, rec.slice);
+    }
+    calls.resizes = f.hosts.capacityAdjustments();
+    for (const auto& r : f.sink.newRips) {
+      calls.newRips.emplace_back(r.app, r.vm, r.weight);
+    }
+    calls.weights = f.sink.weightUpdates;
+    calls.removals = f.sink.removals;
+    return calls;
+  };
+
+  const Calls asc = run(/*ascending=*/true);
+  const Calls desc = run(/*ascending=*/false);
+  EXPECT_EQ(asc.created, desc.created);
+  EXPECT_EQ(asc.resizes, desc.resizes);
+  EXPECT_EQ(asc.newRips, desc.newRips);
+  EXPECT_EQ(asc.weights, desc.weights);
+  EXPECT_EQ(asc.removals, desc.removals);
+  // The resident grew in place and the lower app id took the free slot.
+  ASSERT_EQ(asc.created.size(), 2u);
+  EXPECT_EQ(std::get<0>(asc.created[1]), AppId{1});
+  EXPECT_EQ(asc.resizes, 1u);
+  ASSERT_EQ(asc.newRips.size(), 2u);
+  EXPECT_EQ(asc.weights.size(), 1u);
 }
 
 TEST(PodManager, PeriodicLoopRuns) {
