@@ -319,6 +319,7 @@ void GlobalManager::observe(const EpochReport& report) {
   linkBalancer_->observe(report);
   switchBalancer_->observe(report);
   if (interPod_ != nullptr) interPod_->observe(report);
+  if (!options_.enablePodLoops) return;  // only pod loops read the push
 
   // Push per-pod demand into pod managers: each app's demand is split by
   // where its offered load actually landed (the VMs' offeredRps gauges).

@@ -107,8 +107,8 @@ class GlobalManager final : public RipRequestSink {
   void attachTracer(Tracer* tracer);
 
   /// Fan out the latest fluid-engine observation to all components, and
-  /// push per-pod demand into the pod managers.  A no-op while no leader
-  /// is up: a dead manager observes nothing.
+  /// push per-pod demand into the pod managers when their loops run.  A
+  /// no-op while no leader is up: a dead manager observes nothing.
   void observe(const EpochReport& report);
 
   // --- manager-tier fault tolerance (E16) ----------------------------------
@@ -198,7 +198,6 @@ class GlobalManager final : public RipRequestSink {
   std::shared_ptr<const PlacementAlgorithm> algorithm_;
   Options options_;
 
-  std::unique_ptr<VipRipManager> viprip_;
   std::unique_ptr<AccessLinkBalancer> linkBalancer_;
   std::unique_ptr<SwitchBalancer> switchBalancer_;
   std::unique_ptr<InterPodBalancer> interPod_;  // built in start()
@@ -225,6 +224,11 @@ class GlobalManager final : public RipRequestSink {
   /// observe()'s per-app demand split, (pod, rps) in first-touch order;
   /// reused across apps and epochs.
   std::vector<std::pair<PodId, double>> podDemand_;
+
+  /// Declared last so it is destroyed first: its destructor settles its
+  /// queued requests and in-flight commands, whose completions call into
+  /// the pods, the reconciler and the balancers.
+  std::unique_ptr<VipRipManager> viprip_;
 };
 
 }  // namespace mdc

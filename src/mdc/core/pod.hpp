@@ -86,9 +86,6 @@ class PodManager {
     SimTime controlPeriod = 10.0;
     double headroom = 1.2;          // slice sizing slack over demand
     double overloadUtilization = 0.85;
-    /// Decision-time budget; beyond it the pod manager reports itself
-    /// overloaded (the "more subtle issue" of §III-A).
-    double decisionBudgetSeconds = 1.0;
     /// Relative change below which VM slices / RIP weights are left
     /// alone, to keep control-plane churn bounded.
     double resizeDeadband = 0.15;

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 
 #include "mdc/app/app_registry.hpp"
 #include "mdc/core/epoch_report.hpp"
@@ -86,7 +86,7 @@ class SwitchBalancer {
   EpochReport latest_;
   bool haveReport_ = false;
 
-  std::unordered_map<VipId, Drain> drains_;
+  std::map<VipId, Drain> drains_;  // pumped in ascending VIP id
   std::uint64_t completed_ = 0;
   double drainSecondsTotal_ = 0.0;
   std::uint64_t abandoned_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -1027,27 +1026,24 @@ void VipRipManager::serializeDurable(state::ByteWriter& w) const {
   w.u64(admissionTotals_.deferred);
   w.u32(vipIds_.allocated());
   w.u32(ripIds_.allocated());
-  // Canonical order: VIPs sorted by id; each VIP's RIPs in intent
-  // (append) order, which is itself a pure function of the mutation
-  // history.  Equal states therefore serialize to identical bytes.
-  std::map<VipId, const VipIntent*> sorted;
+  // Canonical order: VIPs in ascending id, the store's own walk; each
+  // VIP's RIPs in intent (append) order, which is itself a pure function
+  // of the mutation history.  Equal states therefore serialize to
+  // identical bytes.
+  w.u64(intent_.vipCount());
   intent_.forEach([&](VipId vip, const VipIntent& in) {
-    sorted.emplace(vip, &in);
-  });
-  w.u64(sorted.size());
-  for (const auto& [vip, in] : sorted) {
     w.id(vip);
-    w.id(in->app);
-    w.id(in->sw);
-    w.id(in->router);
-    w.u64(in->rips.size());
-    for (const RipEntry& r : in->rips) {
+    w.id(in.app);
+    w.id(in.sw);
+    w.id(in.router);
+    w.u64(in.rips.size());
+    for (const RipEntry& r : in.rips) {
       w.id(r.rip);
       w.id(r.vm);
       w.id(r.mvip);
       w.f64(r.weight);
     }
-  }
+  });
 }
 
 void VipRipManager::setSnapshotAdvisoryHooks(

@@ -78,8 +78,6 @@ class VipRipManager {
     /// Extra latency of the switch-side programmatic reconfiguration; if
     /// negative, the target switch's own limits().reconfigSeconds is used.
     SimTime reconfigSeconds = -1.0;
-    /// Initial DNS weight for newly created VIPs.
-    double newVipDnsWeight = 1.0;
     /// Seed of the control channel's fault randomness (E14).
     std::uint64_t channelSeed = 0x6d646314u;
     /// Ack/retry policy of the manager->switch command links.

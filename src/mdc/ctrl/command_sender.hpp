@@ -64,8 +64,9 @@ class CommandSender {
   void setTracer(Tracer* tracer);
 
   /// Cancels every in-flight command: retry timers are disarmed and each
-  /// completion fires exactly once with "cancelled".  Used when the
-  /// issuing manager dies — nothing may keep retrying into a dead term.
+  /// completion fires exactly once with "cancelled", in (switch id, seq)
+  /// order.  Used when the issuing manager dies — nothing may keep
+  /// retrying into a dead term.
   void cancelInflight();
 
   /// Starts a new leadership term (must be strictly greater than the
@@ -134,7 +135,7 @@ class CommandSender {
   SwitchFleet& fleet_;
   Options options_;
   Tracer* tracer_ = nullptr;
-  std::unordered_map<SwitchId, Link> links_;
+  std::map<SwitchId, Link> links_;
   std::unordered_map<VipId, std::uint32_t> busyVips_;
   std::uint32_t inflight_ = 0;
   std::uint64_t term_ = 1;

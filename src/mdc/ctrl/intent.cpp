@@ -75,151 +75,127 @@ bool decodeJournalEntry(std::span<const std::uint8_t> payload,
   }
 }
 
+namespace {
+
+/// The entry of `id` in an id-indexed table, grown to cover it.
+template <typename T, typename Id>
+T& grown(std::vector<T>& table, Id id) {
+  if (id.index() >= table.size()) table.resize(id.index() + 1);
+  return table[id.index()];
+}
+
+}  // namespace
+
 const VipIntent* IntentStore::find(VipId vip) const {
-  const auto it = vips_.find(vip);
-  return it == vips_.end() ? nullptr : &it->second;
-}
-
-std::uint32_t IntentStore::vipsOn(SwitchId sw) const {
-  const auto it = vipCount_.find(sw);
-  return it == vipCount_.end() ? 0 : it->second;
-}
-
-std::uint32_t IntentStore::ripsOn(SwitchId sw) const {
-  const auto it = ripCount_.find(sw);
-  return it == ripCount_.end() ? 0 : it->second;
-}
-
-std::uint32_t IntentStore::vipsAt(AccessRouterId router) const {
-  const auto it = routerVips_.find(router);
-  return it == routerVips_.end() ? 0 : it->second;
-}
-
-std::span<const RipBinding> IntentStore::bindingsOf(VmId vm) const {
-  const auto it = bindings_.find(vm);
-  if (it == bindings_.end()) return {};
-  return it->second;
+  if (vip.index() >= vips_.size()) return nullptr;
+  const VipIntent& in = vips_[vip.index()];
+  return in.sw.valid() ? &in : nullptr;
 }
 
 void IntentStore::forEachBound(
     const std::function<void(VmId, std::span<const RipBinding>)>& fn) const {
-  for (const auto& [vm, refs] : bindings_) fn(vm, refs);
+  for (std::uint32_t i = 0; i < bindings_.size(); ++i) {
+    if (!bindings_[i].empty()) fn(VmId{i}, bindings_[i]);
+  }
 }
 
 void IntentStore::unbind(VmId vm, VipId vip, RipId rip) {
   if (!vm.valid()) return;  // an m-VIP RIP binds no VM
-  const auto it = bindings_.find(vm);
-  MDC_ENSURE(it != bindings_.end(), "intended rip missing from vm index");
-  std::erase_if(it->second, [&](const RipBinding& b) {
+  MDC_ENSURE(!bindingsOf(vm).empty(), "intended rip missing from vm index");
+  std::erase_if(bindings_[vm.index()], [&](const RipBinding& b) {
     return b.vip == vip && b.rip == rip;
   });
-  if (it->second.empty()) bindings_.erase(it);
 }
 
 bool IntentStore::canApply(const IntentRecord& record) const {
+  if (!record.vip.valid()) return false;
+  const VipIntent* in = find(record.vip);
   switch (record.op) {
     case IntentOp::AddVip:
-      return !vips_.contains(record.vip);
-    case IntentOp::AddRip: {
-      const VipIntent* in = find(record.vip);
-      return in != nullptr && in->findRip(record.rip.rip) == nullptr;
-    }
-    case IntentOp::RemoveVip:
+      return in == nullptr && record.sw.valid();
     case IntentOp::MoveVip:
+      return in != nullptr && record.sw.valid();
+    case IntentOp::AddRip:
+      return in != nullptr && in->findRip(record.rip.rip) == nullptr;
+    case IntentOp::RemoveVip:
     case IntentOp::MoveRoute:
     case IntentOp::RemoveRip:
     case IntentOp::SetRipWeight:
-      return vips_.contains(record.vip);
+      return in != nullptr;
   }
   return false;
 }
 
 void IntentStore::apply(const IntentRecord& record) {
+  MDC_EXPECT(canApply(record), "intent record refused by the store");
+  VipIntent& in = grown(vips_, record.vip);  // grows for AddVip only
   switch (record.op) {
-    case IntentOp::AddVip: {
-      MDC_EXPECT(!vips_.contains(record.vip), "AddVip: vip already intended");
-      vips_.emplace(record.vip,
-                    VipIntent{record.app, record.sw, record.router, {}});
-      ++vipCount_[record.sw];
-      if (record.router.valid()) ++routerVips_[record.router];
+    case IntentOp::AddVip:
+      in = VipIntent{record.app, record.sw, record.router, {}};
+      ++vipCount_;
+      ++grown(onSwitch_, record.sw).vips;
+      if (record.router.valid()) ++grown(routerVips_, record.router);
       return;
-    }
     case IntentOp::RemoveVip: {
-      const auto it = vips_.find(record.vip);
-      MDC_EXPECT(it != vips_.end(), "RemoveVip: vip not intended");
-      const VipIntent& in = it->second;
       for (const RipEntry& r : in.rips) unbind(r.vm, record.vip, r.rip);
-      ripCount_[in.sw] -= static_cast<std::uint32_t>(in.rips.size());
-      --vipCount_[in.sw];
-      if (in.router.valid()) --routerVips_[in.router];
-      vips_.erase(it);
+      Occupancy& on = onSwitch_[in.sw.index()];
+      on.rips -= static_cast<std::uint32_t>(in.rips.size());
+      --on.vips;
+      if (in.router.valid()) --routerVips_[in.router.index()];
+      in = VipIntent{};
+      --vipCount_;
       return;
     }
     case IntentOp::MoveVip: {
-      const auto it = vips_.find(record.vip);
-      MDC_EXPECT(it != vips_.end(), "MoveVip: vip not intended");
-      VipIntent& in = it->second;
       if (in.sw == record.sw) return;
       const auto nRips = static_cast<std::uint32_t>(in.rips.size());
-      ripCount_[in.sw] -= nRips;
-      --vipCount_[in.sw];
+      onSwitch_[in.sw.index()].rips -= nRips;
+      --onSwitch_[in.sw.index()].vips;
       in.sw = record.sw;
-      ripCount_[in.sw] += nRips;
-      ++vipCount_[in.sw];
+      Occupancy& to = grown(onSwitch_, in.sw);
+      to.rips += nRips;
+      ++to.vips;
       return;
     }
-    case IntentOp::MoveRoute: {
-      const auto it = vips_.find(record.vip);
-      MDC_EXPECT(it != vips_.end(), "MoveRoute: vip not intended");
-      VipIntent& in = it->second;
-      if (in.router.valid()) --routerVips_[in.router];
+    case IntentOp::MoveRoute:
+      if (in.router.valid()) --routerVips_[in.router.index()];
       in.router = record.router;
-      if (in.router.valid()) ++routerVips_[in.router];
+      if (in.router.valid()) ++grown(routerVips_, in.router);
       return;
-    }
-    case IntentOp::AddRip: {
-      const auto it = vips_.find(record.vip);
-      MDC_EXPECT(it != vips_.end(), "AddRip: vip not intended");
-      MDC_EXPECT(it->second.findRip(record.rip.rip) == nullptr,
-                 "AddRip: rip already intended");
-      it->second.rips.push_back(record.rip);
-      ++ripCount_[it->second.sw];
+    case IntentOp::AddRip:
+      in.rips.push_back(record.rip);
+      ++onSwitch_[in.sw.index()].rips;
       if (record.rip.targetsVm()) {
-        bindings_[record.rip.vm].push_back(
-            RipBinding{record.vip, record.rip.rip});
+        grown(bindings_, record.rip.vm)
+            .push_back(RipBinding{record.vip, record.rip.rip});
       }
       return;
-    }
     case IntentOp::RemoveRip: {
-      const auto it = vips_.find(record.vip);
-      MDC_EXPECT(it != vips_.end(), "RemoveRip: vip not intended");
-      auto& rips = it->second.rips;
       const auto r = std::find_if(
-          rips.begin(), rips.end(),
+          in.rips.begin(), in.rips.end(),
           [&](const RipEntry& e) { return e.rip == record.rip.rip; });
-      if (r == rips.end()) return;  // already gone: a no-op
+      if (r == in.rips.end()) return;  // already gone: a no-op
       unbind(r->vm, record.vip, r->rip);
-      rips.erase(r);
-      --ripCount_[it->second.sw];
+      in.rips.erase(r);
+      --onSwitch_[in.sw.index()].rips;
       return;
     }
-    case IntentOp::SetRipWeight: {
-      const auto it = vips_.find(record.vip);
-      MDC_EXPECT(it != vips_.end(), "SetRipWeight: vip not intended");
-      for (RipEntry& r : it->second.rips) {
+    case IntentOp::SetRipWeight:
+      for (RipEntry& r : in.rips) {
         if (r.rip == record.rip.rip) {
           r.weight = record.weight;
           return;
         }
       }
       return;  // rip gone meanwhile: a no-op, like the switch's own error
-    }
   }
 }
 
 void IntentStore::forEach(
     const std::function<void(VipId, const VipIntent&)>& fn) const {
-  for (const auto& [vip, intent] : vips_) fn(vip, intent);
+  for (std::uint32_t i = 0; i < vips_.size(); ++i) {
+    if (vips_[i].sw.valid()) fn(VipId{i}, vips_[i]);
+  }
 }
 
 void IntentJournal::append(const IntentRecord& record) {

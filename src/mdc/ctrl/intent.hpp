@@ -12,6 +12,12 @@
 // inside IntentStore::apply(), the one function live mutations, journal
 // replay and snapshot install all go through, so no copy can drift.
 //
+// Ids are dense, so the intents and every derived index are tables
+// indexed by id: a lookup is a bounds check plus an index, and forEach and
+// forEachBound walk ascending ids (the reconciler's audit order, the
+// snapshot's canonical order).  No table can index an invalid id: the
+// store refuses one as a VIP, or as the switch of an AddVip or MoveVip.
+//
 // Every intent mutation is a small IntentRecord appended to the journal
 // *before* it is applied to the store (write-ahead).  The journal is the
 // checksummed state::Changelog and nothing else: each record is framed
@@ -25,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mdc/lb/lb_switch.hpp"
@@ -109,27 +114,39 @@ void encodeIntentRecord(const IntentRecord& record, state::ByteWriter& w);
 
 class IntentStore {
  public:
+  /// The VIP's intent, or nullptr; invalidated by the next apply().
   [[nodiscard]] const VipIntent* find(VipId vip) const;
-  [[nodiscard]] std::size_t vipCount() const noexcept { return vips_.size(); }
+  [[nodiscard]] std::size_t vipCount() const noexcept { return vipCount_; }
 
   /// Intended occupancy per switch (placement scoring under in-flight
   /// commands, where actual tables lag intent).
-  [[nodiscard]] std::uint32_t vipsOn(SwitchId sw) const;
-  [[nodiscard]] std::uint32_t ripsOn(SwitchId sw) const;
+  [[nodiscard]] std::uint32_t vipsOn(SwitchId sw) const {
+    return sw.index() < onSwitch_.size() ? onSwitch_[sw.index()].vips : 0;
+  }
+  [[nodiscard]] std::uint32_t ripsOn(SwitchId sw) const {
+    return sw.index() < onSwitch_.size() ? onSwitch_[sw.index()].rips : 0;
+  }
   /// VIPs intended to be advertised at `router` (VIPs without a valid
   /// router count nowhere).
-  [[nodiscard]] std::uint32_t vipsAt(AccessRouterId router) const;
+  [[nodiscard]] std::uint32_t vipsAt(AccessRouterId router) const {
+    const std::size_t i = router.index();
+    return i < routerVips_.size() ? routerVips_[i] : 0;
+  }
   /// The VM's intended RIPs, in the order their AddRip records were
   /// applied.  The view is invalidated by the next apply().
-  [[nodiscard]] std::span<const RipBinding> bindingsOf(VmId vm) const;
-  /// Every VM with at least one intended RIP, with its bindings.
+  [[nodiscard]] std::span<const RipBinding> bindingsOf(VmId vm) const {
+    if (vm.index() >= bindings_.size()) return {};
+    return bindings_[vm.index()];
+  }
+  /// Every VM with at least one intended RIP, with its bindings, in
+  /// ascending VM id.
   void forEachBound(
       const std::function<void(VmId, std::span<const RipBinding>)>& fn)
       const;
 
-  /// Whether apply() would accept the record.  The live path asserts on
-  /// the same conditions (a malformed live mutation is a bug); replay
-  /// checks first and treats a refusal as end-of-valid-journal.
+  /// Whether apply() would accept the record.  apply() asserts on it (a
+  /// malformed live mutation is a bug); replay checks first and treats a
+  /// refusal as end-of-valid-journal.
   [[nodiscard]] bool canApply(const IntentRecord& record) const;
 
   /// Applies one mutation and updates every derived index.  The same
@@ -137,17 +154,24 @@ class IntentStore {
   /// so none of them can diverge.
   void apply(const IntentRecord& record);
 
+  /// Every intended VIP, in ascending VIP id.
   void forEach(
       const std::function<void(VipId, const VipIntent&)>& fn) const;
 
  private:
+  struct Occupancy {
+    std::uint32_t vips = 0;
+    std::uint32_t rips = 0;
+  };
+
   void unbind(VmId vm, VipId vip, RipId rip);
 
-  std::unordered_map<VipId, VipIntent> vips_;
-  std::unordered_map<SwitchId, std::uint32_t> vipCount_;
-  std::unordered_map<SwitchId, std::uint32_t> ripCount_;
-  std::unordered_map<AccessRouterId, std::uint32_t> routerVips_;
-  std::unordered_map<VmId, std::vector<RipBinding>> bindings_;
+  // Tables indexed by id, each grown to cover the largest id written.
+  std::vector<VipIntent> vips_;  // by VipId; an invalid sw = not intended
+  std::size_t vipCount_ = 0;     // entries of vips_ that are intended
+  std::vector<Occupancy> onSwitch_;        // by SwitchId
+  std::vector<std::uint32_t> routerVips_;  // by AccessRouterId
+  std::vector<std::vector<RipBinding>> bindings_;  // by VmId; empty = none
 };
 
 /// Write-ahead journal: encodes records into the checksummed changelog.

@@ -46,15 +46,10 @@ void Reconciler::start(SimTime phase) {
 }
 
 bool Reconciler::frozen(VipId vip) const {
-  if (sender_.vipBusy(vip)) return true;  // mid-flight, not drift
-  // Crash orphans awaiting (or undergoing) RestoreVip belong to the
-  // health monitor; repairing them here would race its recovery.
-  for (const auto& [sw, batch] : fleet_.orphans()) {
-    for (const OrphanedVip& o : batch) {
-      if (o.vip == vip) return true;
-    }
-  }
-  return false;
+  // A busy VIP is mid-flight, not drifted.  Crash orphans awaiting (or
+  // undergoing) RestoreVip belong to the health monitor; repairing them
+  // here would race its recovery.
+  return sender_.vipBusy(vip) || fleet_.isOrphaned(vip);
 }
 
 void Reconciler::noteDrift(const char* kind) {
@@ -94,8 +89,7 @@ void Reconciler::auditRound() {
     if (inSlice[i]) auditSwitch(SwitchId{i});
   }
   intent_.forEach([&](VipId vip, const VipIntent& intent) {
-    if (intent.sw.valid() && intent.sw.index() < fleetSize &&
-        inSlice[intent.sw.index()]) {
+    if (intent.sw.index() < fleetSize && inSlice[intent.sw.index()]) {
       auditIntent(vip, intent);
     }
   });

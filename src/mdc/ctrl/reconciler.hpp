@@ -21,6 +21,9 @@
 // VIPs with commands still awaiting acks, pending crash orphans, or an
 // intended host that is down are skipped: they are mid-flight or the
 // health monitor's responsibility, not drift.
+//
+// A round audits its slice's switches, then their intended VIPs, each in
+// ascending id.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_set>
 
 #include "mdc/util/expect.hpp"
 
@@ -24,15 +23,6 @@ class Report {
  private:
   std::vector<std::string>& out_;
 };
-
-bool isOrphaned(const SwitchFleet& fleet, VipId vip) {
-  for (const auto& [sw, batch] : fleet.orphans()) {
-    for (const OrphanedVip& o : batch) {
-      if (o.vip == vip) return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -176,9 +166,7 @@ std::vector<std::string> WorldInvariants::checkQuiesced() const {
 
   // Exactly-once convergence: intent == actual, VIP for VIP, RIP for RIP.
   const IntentStore& intent = viprip.intent();
-  std::unordered_set<VipId> intended;
   intent.forEach([&](VipId vip, const VipIntent& vi) {
-    intended.insert(vip);
     const std::vector<SwitchId> hosts = fleet_.hostsOf(vip);
     if (hosts.size() != 1) {
       report.add("vip ", vip, " hosted by ", hosts.size(),
@@ -214,7 +202,7 @@ std::vector<std::string> WorldInvariants::checkQuiesced() const {
   });
   fleet_.forEach([&](const LbSwitch& sw) {
     for (VipId vip : sw.vipIds()) {
-      if (!intended.contains(vip)) {
+      if (intent.find(vip) == nullptr) {
         report.add("switch ", sw.id(), " hosts stray vip ", vip,
                    " with no intent");
       }
@@ -269,7 +257,7 @@ void WorldInvariants::checkStructural(std::vector<std::string>& out,
     if (!dns_.hasApp(a.id)) continue;
     for (const VipWeight& vw : dns_.vips(a.id)) {
       if (vw.weight <= 0.0) continue;
-      if (!strict && (isOrphaned(fleet_, vw.vip) || sender.vipBusy(vw.vip))) {
+      if (!strict && (fleet_.isOrphaned(vw.vip) || sender.vipBusy(vw.vip))) {
         continue;
       }
       const auto owner = fleet_.ownerOf(vw.vip);

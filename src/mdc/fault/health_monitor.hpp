@@ -18,6 +18,10 @@
 //    which now see demand against fewer live instances;
 //  * pod-manager outage -> the pod is marked suspect, freezing inter-pod
 //    moves that would need its cooperation, until it reports back in.
+//
+// A heartbeat declares failures in ascending switch (server) id: threshold
+// crossings first, then the blip sweep over the fleets' orphan and
+// casualty batches, which iterate in ascending id too.
 #pragma once
 
 #include <cstdint>

@@ -186,6 +186,7 @@ std::size_t HostFleet::crashServer(ServerId server) {
     ++killed;
     ++vmsLost_;
   }
+  if (log.empty()) casualties_.erase(server);
   st.used = CapacityVec{};  // no residual reservations on a dead host
   return killed;
 }
@@ -199,11 +200,8 @@ void HostFleet::recoverServer(ServerId server) {
 }
 
 std::vector<CrashedVm> HostFleet::takeCrashCasualties(ServerId server) {
-  const auto it = casualties_.find(server);
-  if (it == casualties_.end()) return {};
-  std::vector<CrashedVm> out = std::move(it->second);
-  casualties_.erase(it);
-  return out;
+  auto batch = casualties_.extract(server);
+  return batch.empty() ? std::vector<CrashedVm>{} : std::move(batch.mapped());
 }
 
 void HostFleet::bumpVm(VmId id) { ++vmVersions_[id.index()]; }

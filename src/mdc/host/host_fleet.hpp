@@ -25,7 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "mdc/sim/simulation.hpp"
@@ -108,10 +108,10 @@ class HostFleet {
   // --- failure semantics --------------------------------------------------
 
   /// Crashes a server: every resident VM dies instantly (recorded as a
-  /// crash casualty), an in-flight migration *into* the server loses its
-  /// destination copy (the VM keeps serving on its source), and the
-  /// server refuses placements until recoverServer().  Returns how many
-  /// VMs were killed.
+  /// crash casualty; a crash that kills none leaves no batch), an
+  /// in-flight migration *into* the server loses its destination copy
+  /// (the VM keeps serving on its source), and the server refuses
+  /// placements until recoverServer().  Returns how many VMs were killed.
   std::size_t crashServer(ServerId server);
 
   /// Brings a crashed server back into service (empty).
@@ -126,8 +126,8 @@ class HostFleet {
   /// once (the failure detector purges their RIP bindings).
   [[nodiscard]] std::vector<CrashedVm> takeCrashCasualties(ServerId server);
 
-  /// Uncollected casualty batches keyed by the crashed server (peek).
-  [[nodiscard]] const std::unordered_map<ServerId, std::vector<CrashedVm>>&
+  /// Uncollected casualty batches in ascending server id (peek).
+  [[nodiscard]] const std::map<ServerId, std::vector<CrashedVm>>&
   crashCasualties() const noexcept {
     return casualties_;
   }
@@ -226,7 +226,7 @@ class HostFleet {
   std::size_t down_ = 0;
   std::uint64_t serverCrashes_ = 0;
   std::uint64_t vmsLost_ = 0;
-  std::unordered_map<ServerId, std::vector<CrashedVm>> casualties_;
+  std::map<ServerId, std::vector<CrashedVm>> casualties_;
 };
 
 }  // namespace mdc

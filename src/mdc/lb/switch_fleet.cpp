@@ -205,17 +205,23 @@ std::size_t SwitchFleet::upCount() const {
 }
 
 std::vector<OrphanedVip> SwitchFleet::takeOrphans(SwitchId sw) {
-  const auto it = orphans_.find(sw);
-  if (it == orphans_.end()) return {};
-  std::vector<OrphanedVip> out = std::move(it->second);
-  orphans_.erase(it);
-  return out;
+  auto batch = orphans_.extract(sw);
+  return batch.empty() ? std::vector<OrphanedVip>{} : std::move(batch.mapped());
 }
 
 std::size_t SwitchFleet::pendingOrphans() const {
   std::size_t n = 0;
   for (const auto& [sw, list] : orphans_) n += list.size();
   return n;
+}
+
+bool SwitchFleet::isOrphaned(VipId vip) const {
+  for (const auto& [sw, list] : orphans_) {
+    for (const OrphanedVip& o : list) {
+      if (o.vip == vip) return true;
+    }
+  }
+  return false;
 }
 
 Status SwitchFleet::addRip(VipId vip, RipEntry entry) {

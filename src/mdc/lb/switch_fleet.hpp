@@ -26,9 +26,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mdc/lb/lb_switch.hpp"
@@ -77,10 +77,12 @@ class SwitchFleet {
   /// failure detector collects them exactly once).
   [[nodiscard]] std::vector<OrphanedVip> takeOrphans(SwitchId sw);
   [[nodiscard]] std::size_t pendingOrphans() const;
-  /// Uncollected orphan batches keyed by the crashed switch (peek; a
-  /// detector uses this to notice crash-reboot blips it never probed).
-  [[nodiscard]] const std::unordered_map<SwitchId, std::vector<OrphanedVip>>&
-  orphans() const noexcept {
+  /// Whether an uncollected orphan batch holds `vip`.
+  [[nodiscard]] bool isOrphaned(VipId vip) const;
+  /// Uncollected orphan batches in ascending switch id (peek; a detector
+  /// uses this to notice crash-reboot blips it never probed).
+  [[nodiscard]] const std::map<SwitchId, std::vector<OrphanedVip>>& orphans()
+      const noexcept {
     return orphans_;
   }
   [[nodiscard]] std::uint64_t switchCrashes() const noexcept {
@@ -204,7 +206,7 @@ class SwitchFleet {
   std::vector<SwitchId> owner_;             // by VipId index, same length
   std::vector<VipId> vipLog_;               // every bumpVip, in order
   TransferListener onTransfer_;
-  std::unordered_map<SwitchId, std::vector<OrphanedVip>> orphans_;
+  std::map<SwitchId, std::vector<OrphanedVip>> orphans_;
   std::uint64_t transfers_ = 0;
   std::uint64_t droppedConns_ = 0;
   std::uint64_t crashes_ = 0;

@@ -75,6 +75,9 @@ struct MegaDcConfig {
 class MegaDc {
  public:
   explicit MegaDc(MegaDcConfig config);
+  /// Destroys the manager first: that settles its queued requests and
+  /// in-flight commands, whose completions call into the health monitor.
+  ~MegaDc() { manager.reset(); }
 
   /// Registers every app with DNS/VIPs and spreads initial instances.
   void deployAllApps();

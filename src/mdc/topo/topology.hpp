@@ -37,7 +37,6 @@ struct TopologyConfig {
   std::uint32_t numIsps = 3;
   std::uint32_t accessLinksPerIsp = 1;
   double accessLinkGbps = 10.0;
-  std::uint32_t numBorderRouters = 2;
 
   std::uint32_t numSwitches = 4;
   double switchTrunkGbps = 4.0;  // the paper's 4 Gbps L4 capacity

@@ -155,6 +155,44 @@ TEST(Chaos, CancelInflightFiresCancelledExactlyOnce) {
   EXPECT_TRUE(fleet.at(sw).hasVip(VipId{9}));
 }
 
+TEST(Chaos, CancelInflightSettlesInSwitchThenSeqOrder) {
+  Simulation sim;
+  SwitchFleet fleet;
+  for (int i = 0; i < 3; ++i) fleet.addSwitch(SwitchLimits{});
+  ControlChannel channel{sim, 11};
+  CommandSender::Options opt;
+  opt.maxAttempts = 0;  // would retry forever
+  CommandSender sender{sim, channel, fleet, opt};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    channel.setPartitioned(SwitchId{i}, true);
+  }
+
+  // Links first contacted out of id order (2, 0, 1), two commands each;
+  // each link numbers its commands from seq 0.
+  const std::uint32_t targets[] = {2, 0, 1, 2, 0, 1};
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> settled;
+  std::vector<std::uint32_t> sentTo(3, 0);
+  std::uint32_t vip = 1;
+  for (std::uint32_t sw : targets) {
+    SwitchCommand cfg;
+    cfg.kind = CmdKind::ConfigureVip;
+    cfg.vip = VipId{vip++};
+    cfg.app = AppId{0};
+    sender.send(SwitchId{sw}, cfg,
+                [&settled, sw, seq = sentTo[sw]++](const Status& s) {
+                  EXPECT_FALSE(s.ok());
+                  settled.emplace_back(sw, seq);
+                });
+  }
+  sim.runUntil(2.0);
+  ASSERT_TRUE(settled.empty());
+
+  sender.cancelInflight();
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> want = {
+      {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}};
+  EXPECT_EQ(settled, want);
+}
+
 // --- pod-manager crash/restore --------------------------------------------
 
 TEST(Chaos, PodManagerCrashRecoversFromCheckpoint) {

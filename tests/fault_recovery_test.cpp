@@ -4,6 +4,9 @@
 // outages must freeze inter-pod cooperation until repair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -75,6 +78,75 @@ TEST(FaultRecovery, SwitchCrashOrphansRehostedWithinBound) {
   EXPECT_GT(dc.health->unavailabilityRpsSeconds(), 0.0);  // blackout cost
 }
 
+TEST(FaultRecovery, BlipSweepRestoresInAscendingSwitchId) {
+  MegaDc dc{testScaleConfig()};
+  dc.bootstrap();
+  dc.runUntil(100.0);
+
+  // Every switch crashes and reboots between heartbeats, in neither
+  // ascending nor descending id order, so no probe ever sees one down:
+  // only the blip sweep finds their orphans.
+  const SwitchId crashOrder[] = {SwitchId{1}, SwitchId{2}, SwitchId{0}};
+  std::map<VipId, SwitchId> orphanedFrom;
+  for (const SwitchId sw : crashOrder) {
+    const auto hosted = vipsOn(dc, sw);
+    ASSERT_FALSE(hosted.empty()) << "switch " << sw;
+    for (const auto& [vip, app] : hosted) orphanedFrom[vip] = sw;
+  }
+  dc.tracer->setEnabled(true);
+  for (const SwitchId sw : crashOrder) {
+    dc.fleet.crashSwitch(sw, dc.sim.now());
+    dc.fleet.recoverSwitch(sw);
+  }
+  dc.runUntil(dc.sim.now() + dc.health->detectionDelayBound() +
+              2.0 * dc.health->options().heartbeatInterval);
+  EXPECT_EQ(dc.health->switchFailuresDetected(), 3u);
+  EXPECT_EQ(dc.fleet.pendingOrphans(), 0u);
+
+  // Every orphan's RestoreVip was submitted, in ascending switch id.
+  std::vector<SwitchId> submittedFrom;
+  for (const TraceEvent& e : dc.tracer->ring().snapshot()) {
+    if (e.hop != HopKind::RequestSubmitted ||
+        std::string_view(e.code) != "RestoreVip") {
+      continue;
+    }
+    const auto it = orphanedFrom.find(
+        VipId{static_cast<VipId::value_type>(e.a)});
+    ASSERT_NE(it, orphanedFrom.end()) << "restore of vip " << e.a;
+    submittedFrom.push_back(it->second);
+  }
+  EXPECT_EQ(submittedFrom.size(), orphanedFrom.size());
+  EXPECT_TRUE(std::is_sorted(submittedFrom.begin(), submittedFrom.end()));
+}
+
+TEST(FaultRecovery, TeardownSettlesRepairsWhileTheirIssuersLive) {
+  // Destroying the world cancels every queued request and in-flight
+  // command, and each completion calls back into whoever issued it: the
+  // health monitor's restores and the reconciler's repairs here.  Those
+  // issuers must outlive the cancellation (a use-after-free under ASan
+  // otherwise).  Pod loops are off so that no weight update keeps the
+  // lost VIP busy, which would hide it from the reconciler.
+  MegaDcConfig cfg = testScaleConfig();
+  cfg.manager.enablePodLoops = false;
+  MegaDc dc{cfg};
+  dc.bootstrap();
+  dc.runUntil(100.0);
+  for (std::uint32_t i = 0; i < dc.fleet.size(); ++i) {
+    dc.manager->viprip().ctrlChannel().setPartitioned(SwitchId{i}, true);
+  }
+  // An orphaned switch for the monitor, and a lost VIP for the reconciler.
+  const SwitchId drifted{1};
+  const auto lost = vipsOn(dc, drifted);
+  ASSERT_FALSE(lost.empty());
+  ASSERT_TRUE(dc.fleet.applyRemoveVip(drifted, lost.front().first, true).ok());
+  dc.fleet.crashSwitch(SwitchId{0}, dc.sim.now());
+  dc.runUntil(dc.sim.now() + dc.health->detectionDelayBound() +
+              dc.config().manager.reconciler.periodSeconds + 5.0);
+  EXPECT_GT(dc.health->pendingVipRestores(), 0u);
+  EXPECT_GT(dc.manager->reconciler().repairsIssued(), 0u);
+  EXPECT_GT(dc.manager->viprip().ctrlSender().inflight(), 0u);
+}
+
 TEST(FaultRecovery, ServerCrashPurgesDeadVmsAndHeals) {
   MegaDc dc{testScaleConfig()};
   dc.bootstrap();
@@ -110,6 +182,27 @@ TEST(FaultRecovery, ServerCrashPurgesDeadVmsAndHeals) {
   const auto deadVm = r.unroutedByCause.find("dead_vm");
   EXPECT_LT(deadVm == r.unroutedByCause.end() ? 0.0 : deadVm->second, 1.0);
   EXPECT_GT(r.totalServedRps() / r.totalDemandRps(), 0.9);
+}
+
+TEST(FaultRecovery, CrashOfAnEmptiedServerBlipsWithoutABatch) {
+  MegaDc dc{testScaleConfig()};
+  dc.bootstrap();
+  dc.runUntil(100.0);
+
+  // The first crash kills the server's VMs and the monitor collects them.
+  const ServerId victim{0};
+  ASSERT_FALSE(dc.hosts.vmsOn(victim).empty());
+  dc.hosts.crashServer(victim);
+  dc.runUntil(110.0);
+  ASSERT_TRUE(dc.hosts.crashCasualties().empty());
+
+  // Rebooted empty, it crashes and reboots again between heartbeats: the
+  // crash kills nothing, so there is no batch for the blip sweep to find.
+  dc.hosts.recoverServer(victim);
+  EXPECT_EQ(dc.hosts.crashServer(victim), 0u);
+  dc.hosts.recoverServer(victim);
+  EXPECT_TRUE(dc.hosts.crashCasualties().empty());
+  EXPECT_NO_THROW(dc.runUntil(130.0));
 }
 
 TEST(FaultRecovery, PodOutageFreezesUntilRepair) {

@@ -2,12 +2,14 @@
 // router's VIP count, each switch's VIP and RIP counts — checked against a
 // full scan of the intent after every mutation of randomized sequences
 // over all seven record kinds, and against a store rebuilt the way
-// snapshot install rebuilds one.
+// snapshot install rebuilds one; both walks, forEach and forEachBound,
+// must yield strictly ascending ids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <tuple>
@@ -63,6 +65,12 @@ IntentRecord drawRecord(Rng& rng) {
   return rec;
 }
 
+template <typename Id>
+bool strictlyAscending(const std::vector<Id>& ids) {
+  return std::adjacent_find(ids.begin(), ids.end(),
+                            std::greater_equal<Id>{}) == ids.end();
+}
+
 /// Compares every derived index of `store` with a scan of its VIPs.
 /// `appliedAt` orders each VM's bindings as their AddRips were applied;
 /// without it (a rebuilt store) the bindings compare as sets.
@@ -73,7 +81,9 @@ void expectIndexesMatchScan(
   std::array<std::uint32_t, kRouters> routerVips{};
   std::array<std::uint32_t, kSwitches> switchVips{};
   std::array<std::uint32_t, kSwitches> switchRips{};
+  std::vector<VipId> walked;
   store.forEach([&](VipId vip, const VipIntent& in) {
+    walked.push_back(vip);
     if (in.router.valid()) ++routerVips[in.router.index()];
     ++switchVips[in.sw.index()];
     switchRips[in.sw.index()] += static_cast<std::uint32_t>(in.rips.size());
@@ -84,6 +94,8 @@ void expectIndexesMatchScan(
           appliedAt != nullptr ? appliedAt->at(b) : 0, b);
     }
   });
+  EXPECT_TRUE(strictlyAscending(walked));
+  EXPECT_EQ(walked.size(), store.vipCount());
 
   std::size_t boundVms = 0;
   for (std::uint32_t vm = 0; vm < kVms; ++vm) {
@@ -96,12 +108,13 @@ void expectIndexesMatchScan(
     if (!want.empty()) ++boundVms;
   }
   EXPECT_TRUE(store.bindingsOf(VmId{}).empty());
-  std::size_t visited = 0;
+  std::vector<VmId> visited;
   store.forEachBound([&](VmId vm, std::span<const RipBinding> refs) {
-    ++visited;
+    visited.push_back(vm);
     EXPECT_FALSE(refs.empty()) << "vm " << vm.value();
   });
-  EXPECT_EQ(visited, boundVms);
+  EXPECT_TRUE(strictlyAscending(visited));
+  EXPECT_EQ(visited.size(), boundVms);
 
   for (std::uint32_t r = 0; r < kRouters; ++r) {
     EXPECT_EQ(store.vipsAt(AccessRouterId{r}), routerVips[r])
@@ -114,30 +127,26 @@ void expectIndexesMatchScan(
   }
 }
 
-/// Rebuilds `store` the way snapshot install does: VIPs in id order, each
-/// AddVip followed by its RIPs' AddRips in intent order.
+/// Rebuilds `store` the way snapshot install does: VIPs in the store's
+/// (id) order, each AddVip followed by its RIPs' AddRips in intent order.
 IntentStore rebuildLikeSnapshotInstall(const IntentStore& store) {
-  std::map<std::uint32_t, const VipIntent*> sorted;
-  store.forEach([&](VipId vip, const VipIntent& in) {
-    sorted.emplace(vip.value(), &in);
-  });
   IntentStore rebuilt;
-  for (const auto& [vip, in] : sorted) {
+  store.forEach([&](VipId vip, const VipIntent& in) {
     IntentRecord add;
     add.op = IntentOp::AddVip;
-    add.vip = VipId{vip};
-    add.app = in->app;
-    add.sw = in->sw;
-    add.router = in->router;
+    add.vip = vip;
+    add.app = in.app;
+    add.sw = in.sw;
+    add.router = in.router;
     rebuilt.apply(add);
-    for (const RipEntry& r : in->rips) {
+    for (const RipEntry& r : in.rips) {
       IntentRecord bind;
       bind.op = IntentOp::AddRip;
-      bind.vip = VipId{vip};
+      bind.vip = vip;
       bind.rip = r;
       rebuilt.apply(bind);
     }
-  }
+  });
   return rebuilt;
 }
 
@@ -156,7 +165,6 @@ TEST(IntentStoreIndex, DerivedIndexesMatchScanUnderRandomMutations) {
       std::vector<VipId> intended;
       store.forEach(
           [&](VipId vip, const VipIntent&) { intended.push_back(vip); });
-      std::sort(intended.begin(), intended.end());
       if (rec.op != IntentOp::AddVip && !intended.empty() &&
           rng.bernoulli(0.85)) {
         rec.vip = intended[rng.uniformInt(intended.size())];

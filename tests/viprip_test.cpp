@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "mdc/core/viprip_manager.hpp"
 
@@ -339,29 +340,50 @@ TEST(IntentJournalDurability, ResyncAfterTruncationDropsDeadRecords) {
 }
 
 TEST(IntentJournalDurability, SemanticallyMalformedRecordStopsReplay) {
-  Fixture f;
-  const AppId app = f.makeApp();
-  ASSERT_TRUE(f.viprip.createVipNow(app).ok());  // VIP 0
-  // A CRC-valid record the store must refuse: AddRip to a VIP that does
-  // not exist.  Recovery treats the refusal as end-of-trustworthy-prefix.
-  IntentRecord bad;
-  bad.op = IntentOp::AddRip;
-  bad.vip = VipId{77};
-  bad.rip = RipEntry{RipId{1}, VmId{1}, VipId{}, 1.0};
-  ASSERT_FALSE(f.viprip.intent().canApply(bad));
-  state::ByteWriter bytes;
-  encodeIntentRecord(bad, bytes);
-  state::Changelog& log = f.viprip.stateMachine().changelog();
-  log.append(bytes.bytes());
-  ASSERT_TRUE(f.viprip.createVipNow(app).ok());  // after the stop
+  // CRC-valid records the store must refuse: an AddRip to a VIP that does
+  // not exist, AddVips whose VIP or switch id is invalid, and a MoveVip to
+  // an invalid switch (no table can index those).  Recovery treats the
+  // refusal as end-of-trustworthy-prefix.
+  IntentRecord ripOfUnknownVip;
+  ripOfUnknownVip.op = IntentOp::AddRip;
+  ripOfUnknownVip.vip = VipId{77};
+  ripOfUnknownVip.rip = RipEntry{RipId{1}, VmId{1}, VipId{}, 1.0};
+  IntentRecord invalidVip;
+  invalidVip.op = IntentOp::AddVip;
+  invalidVip.app = AppId{0};
+  invalidVip.sw = SwitchId{0};
+  IntentRecord invalidSwitch;
+  invalidSwitch.op = IntentOp::AddVip;
+  invalidSwitch.vip = VipId{5};
+  invalidSwitch.app = AppId{0};
+  IntentRecord moveToInvalidSwitch;
+  moveToInvalidSwitch.op = IntentOp::MoveVip;
+  moveToInvalidSwitch.vip = VipId{0};
+  const std::pair<const char*, IntentRecord> cases[] = {
+      {"AddRip to an unknown vip", ripOfUnknownVip},
+      {"AddVip with an invalid vip id", invalidVip},
+      {"AddVip with an invalid switch id", invalidSwitch},
+      {"MoveVip to an invalid switch id", moveToInvalidSwitch}};
+  for (const auto& [name, bad] : cases) {
+    SCOPED_TRACE(name);
+    Fixture f;
+    const AppId app = f.makeApp();
+    ASSERT_TRUE(f.viprip.createVipNow(app).ok());  // VIP 0
+    ASSERT_FALSE(f.viprip.intent().canApply(bad));
+    state::ByteWriter bytes;
+    encodeIntentRecord(bad, bytes);
+    state::Changelog& log = f.viprip.stateMachine().changelog();
+    log.append(bytes.bytes());
+    ASSERT_TRUE(f.viprip.createVipNow(app).ok());  // after the stop
 
-  f.viprip.rebuildIntentFromJournal();
-  const IntentStore& intent = f.viprip.intent();
-  EXPECT_EQ(intent.vipCount(), 1u);
-  EXPECT_NE(intent.find(VipId{0}), nullptr);
-  EXPECT_EQ(intent.find(VipId{1}), nullptr);
-  EXPECT_EQ(f.viprip.stateMachine().lastRecovery().replayedRecords, 1u);
-  EXPECT_EQ(log.size(), 1u);  // the refused record and its successor are cut
+    f.viprip.rebuildIntentFromJournal();
+    const IntentStore& intent = f.viprip.intent();
+    EXPECT_EQ(intent.vipCount(), 1u);
+    EXPECT_NE(intent.find(VipId{0}), nullptr);
+    EXPECT_EQ(intent.find(VipId{1}), nullptr);
+    EXPECT_EQ(f.viprip.stateMachine().lastRecovery().replayedRecords, 1u);
+    EXPECT_EQ(log.size(), 1u);  // the refused record and its successor are cut
+  }
 }
 
 TEST(VipRipManager, RipGoesToSwitchHostingAppVip) {
