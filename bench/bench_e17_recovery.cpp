@@ -101,7 +101,7 @@ CellResult runCell(const std::string& mode, std::uint64_t records,
   r.interval = interval;
 
   Changelog log;
-  DurableStateMachine machine{log, DurableStateMachine::Options{}};
+  DurableStateMachine machine{log};
   ToyAutomaton toy;
   machine.setHooks(toyHooks(toy));
 

@@ -190,7 +190,7 @@ ShedCell runShedCell() {
       req.app = app;
       req.vm = VmId{1000 + static_cast<std::uint32_t>(j)};
       req.weight = 1.0;
-      req.priority = 12;  // >= criticalPriority
+      req.priority = 12;  // >= kCriticalPriority
       req.done = [&r](Status s) {
         if (s.ok()) ++r.criticalCompleted;
       };

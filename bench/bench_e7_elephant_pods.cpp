@@ -2,11 +2,13 @@
 //
 // Part A measures the root cause: a pod manager's placement decision time
 // grows superlinearly with the pod's size (servers + VMs + apps), which is
-// why the paper caps pods at ~5,000 servers / ~10,000 VMs and has the
-// global manager shed load from any pod whose *decision time* blows its
-// budget.  Part B demonstrates the avoidance mechanism: a pod grown into
-// an elephant is trimmed by moving servers *with their VMs* to the
-// smallest pod — pure logical-membership changes.
+// why the paper caps pods at ~5,000 servers / ~10,000 VMs.  Its 1-s column
+// is a measurement only: the global manager sheds load from a pod past
+// those caps, never on the host time a decision took, which would make a
+// simulated outcome depend on the machine.  Part B demonstrates the
+// avoidance mechanism: a pod grown past the server cap is trimmed by
+// moving servers *with their VMs* to the smallest pod — pure
+// logical-membership changes.
 #include <chrono>
 #include <iostream>
 

@@ -16,6 +16,11 @@
 
 namespace mdc {
 
+/// Slack of a managed VM's slice over the request rate it is sized for:
+/// the pod managers, the inter-pod balancer's clones and the bootstrap
+/// deployment all size slices (and count instances) with it.
+inline constexpr double kSliceHeadroom = 1.2;
+
 /// Resource cost of serving load: demand scales linearly with request
 /// rate except memory, which is a fixed per-instance footprint.
 struct AppSla {
@@ -30,7 +35,7 @@ struct AppSla {
   [[nodiscard]] double servableRps(const CapacityVec& slice) const;
 
   /// A slice sized to serve `rps` with `headroom` multiplicative slack.
-  [[nodiscard]] CapacityVec sliceFor(double rps, double headroom = 1.2) const;
+  [[nodiscard]] CapacityVec sliceFor(double rps, double headroom) const;
 };
 
 struct Application {

@@ -1,7 +1,6 @@
 #include "mdc/core/global_manager.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
@@ -9,6 +8,11 @@
 #include <utility>
 
 namespace mdc {
+
+namespace {
+/// Lease TTL the standby must wait out before promoting itself.
+constexpr SimTime kLeaseSeconds = 6.0;
+}  // namespace
 
 GlobalManager::GlobalManager(
     Simulation& sim, const Topology& topo, HostFleet& hosts,
@@ -77,8 +81,7 @@ Status GlobalManager::deployApps(std::span<const AppDeployment> deployments) {
     }
 
     const AppSla& sla = apps_.app(app).sla;
-    const CapacityVec slice =
-        sla.sliceFor(d.perInstanceRps, options_.pod.headroom);
+    const CapacityVec slice = sla.sliceFor(d.perInstanceRps, kSliceHeadroom);
     for (std::uint32_t i = 0; i < d.instances; ++i) {
       // Round-robin over pods, emptiest feasible server within the pod.
       bool placed = false;
@@ -153,7 +156,7 @@ void GlobalManager::start() {
         std::move(raw), options_.interPod);
     sim_.every(options_.interPod.period,
                [this] {
-                 if (leaderUp_) interPod_->runOnce();
+                 if (leaderUp_ && report_) interPod_->runOnce(*report_);
                },
                options_.interPod.period * 0.5);
   }
@@ -167,14 +170,14 @@ void GlobalManager::start() {
   if (options_.enableLinkBalancer) {
     sim_.every(options_.link.period,
                [this] {
-                 if (leaderUp_) linkBalancer_->runOnce();
+                 if (leaderUp_ && report_) linkBalancer_->runOnce(*report_);
                },
                options_.link.period * 0.25);
   }
   if (options_.enableSwitchBalancer) {
     sim_.every(options_.switchBalancer.period,
                [this] {
-                 if (leaderUp_) switchBalancer_->runOnce();
+                 if (leaderUp_ && report_) switchBalancer_->runOnce(*report_);
                },
                options_.switchBalancer.period * 0.75);
   }
@@ -199,10 +202,9 @@ void GlobalManager::start() {
     reconciler_->start(options_.reconciler.periodSeconds * 0.4);
   }
   if (options_.failover.enable) {
-    MDC_EXPECT(options_.failover.leaseSeconds > 0.0 &&
-                   options_.failover.renewSeconds > 0.0,
-               "lease and renew periods must be positive");
-    leaseExpiry_ = sim_.now() + options_.failover.leaseSeconds;
+    MDC_EXPECT(options_.failover.renewSeconds > 0.0,
+               "renew period must be positive");
+    leaseExpiry_ = sim_.now() + kLeaseSeconds;
     sim_.every(options_.failover.renewSeconds, [this] { leaseTick(); });
   }
   if (options_.snapshot.enable) {
@@ -251,7 +253,7 @@ void GlobalManager::installPodAdvisory(state::ByteReader& r) {
 
 void GlobalManager::leaseTick() {
   if (leaderUp_) {
-    leaseExpiry_ = sim_.now() + options_.failover.leaseSeconds;
+    leaseExpiry_ = sim_.now() + kLeaseSeconds;
     return;
   }
   if (standbys_ == 0) return;             // nobody left to promote
@@ -261,7 +263,7 @@ void GlobalManager::leaseTick() {
   leaderUp_ = true;
   ++term_;
   ++failovers_;
-  leaseExpiry_ = sim_.now() + options_.failover.leaseSeconds;
+  leaseExpiry_ = sim_.now() + kLeaseSeconds;
   // Recover from the durable state: new fencing term (agents will reject
   // anything older), journal replay, RIPs of destroyed VMs removed from
   // the replayed intent, reopened serialization queue...
@@ -316,9 +318,7 @@ double GlobalManager::checkpointVmWeight(VmId vm) const {
 
 void GlobalManager::observe(const EpochReport& report) {
   if (!leaderUp_) return;  // a dead manager observes nothing
-  linkBalancer_->observe(report);
-  switchBalancer_->observe(report);
-  if (interPod_ != nullptr) interPod_->observe(report);
+  report_ = report;
   if (!options_.enablePodLoops) return;  // only pod loops read the push
 
   // Push per-pod demand into pod managers: each app's demand is split by
@@ -385,10 +385,6 @@ bool crashTransient(const Status& s) {
   return code == "manager_down" || code == "cancelled" ||
          code == "ctrl_timeout" || code == "overloaded" ||
          code == "deadline_expired";
-}
-
-SimTime retryBackoff(std::uint32_t attempt) {
-  return std::min(60.0, 5.0 * std::pow(2.0, static_cast<double>(attempt)));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -29,13 +30,11 @@ class GlobalManager final : public RipRequestSink {
   /// Warm-standby failover policy (E16).  The manager tier is modeled as
   /// two logical instances sharing the durable state (the write-ahead
   /// IntentJournal): one leader and one warm standby.  The leader renews
-  /// a lease every `renewSeconds`; if it dies, the standby waits out the
-  /// lease (fencing — the old leader could still have commands in the
+  /// a 6-s lease every `renewSeconds`; if it dies, the standby waits out
+  /// the lease (fencing — the old leader could still have commands in the
   /// channel) and then promotes itself under a strictly higher term.
   struct FailoverOptions {
     bool enable = true;
-    /// Lease TTL the standby must wait out before promoting itself.
-    SimTime leaseSeconds = 6.0;
     /// Lease-renewal / standby-watch period.
     SimTime renewSeconds = 2.0;
   };
@@ -106,9 +105,12 @@ class GlobalManager final : public RipRequestSink {
   /// reconciler — including one built by a later start().
   void attachTracer(Tracer* tracer);
 
-  /// Fan out the latest fluid-engine observation to all components, and
-  /// push per-pod demand into the pod managers when their loops run.  A
-  /// no-op while no leader is up: a dead manager observes nothing.
+  /// Keeps the latest fluid-engine observation for the balancers' rounds,
+  /// and pushes per-pod demand into the pod managers when their loops
+  /// run.  A no-op while no leader is up: a dead manager observes
+  /// nothing, so a promoted standby balances on the report the old leader
+  /// last saw until the next epoch.  Balancer rounds before the first
+  /// report do nothing.
   void observe(const EpochReport& report);
 
   // --- manager-tier fault tolerance (E16) ----------------------------------
@@ -215,6 +217,9 @@ class GlobalManager final : public RipRequestSink {
   SimTime leaseExpiry_ = 0.0;
   std::uint64_t failovers_ = 0;
   std::uint64_t podRestarts_ = 0;
+
+  /// The report observe() last kept; every balancer round reads it.
+  std::optional<EpochReport> report_;
 
   /// Advisory pod weight checkpoints recovered from the last accepted
   /// snapshot; consulted when a pod restarts and the intent store has

@@ -9,6 +9,20 @@
 
 namespace mdc {
 
+namespace {
+/// A pod below this satisfied/demand ratio is overloaded, whatever its
+/// utilization.
+constexpr double kSatisfactionFloor = 0.98;
+/// Fraction of each hot-pod RIP's weight one RIP-weight action shifts.
+constexpr double kWeightShift = 0.3;
+/// Minimum spacing between RIP-weight shifts for the same app; shifted
+/// weights need a TTL-scale interval to show up in traffic before the
+/// next correction, or the knob oscillates against the pod managers.
+constexpr SimTime kRipWeightCooldown = 120.0;
+/// Over-provisioned app cleanup threshold (served capacity / demand).
+constexpr double kScaleInFactor = 2.5;
+}  // namespace
+
 InterPodBalancer::InterPodBalancer(Simulation& sim, HostFleet& hosts,
                                    AppRegistry& apps, SwitchFleet& fleet,
                                    VipRipManager& viprip,
@@ -29,11 +43,6 @@ InterPodBalancer::InterPodBalancer(Simulation& sim, HostFleet& hosts,
   }
 }
 
-void InterPodBalancer::observe(const EpochReport& report) {
-  latest_ = report;
-  haveReport_ = true;
-}
-
 PodManager* InterPodBalancer::coldestPod(PodId excluding) const {
   PodManager* best = nullptr;
   double bestUtil = std::numeric_limits<double>::infinity();
@@ -48,9 +57,7 @@ PodManager* InterPodBalancer::coldestPod(PodId excluding) const {
   return best;
 }
 
-void InterPodBalancer::runOnce() {
-  if (!haveReport_) return;
-
+void InterPodBalancer::runOnce(const EpochReport& report) {
   // Command-plane backpressure (E18): when the admission queue is near
   // capacity, every knob here would submit more VIP/RIP work into an
   // already-saturated pipeline and get shed.  Skip the round and honor
@@ -69,8 +76,7 @@ void InterPodBalancer::runOnce() {
     for (PodManager* p : pods_) {
       if (frozen(p->id())) continue;
       const PodStats& st = p->stats();
-      if (st.decisionSeconds > options_.decisionBudgetSeconds ||
-          st.vms > options_.maxVmsPerPod ||
+      if (st.vms > options_.maxVmsPerPod ||
           st.servers > options_.maxServersPerPod) {
         avoidElephant(*p);
       }
@@ -82,14 +88,14 @@ void InterPodBalancer::runOnce() {
     const PodStats& st = p->stats();
     const bool overloaded =
         st.maxUtilization > options_.overloadUtilization ||
-        st.satisfiedRatio < options_.satisfactionFloor;
+        st.satisfiedRatio < kSatisfactionFloor;
     if (!overloaded) continue;
     if (options_.enableRipWeight) relieveByRipWeights(*p);
-    if (options_.enableAppDeploy) relieveByDeployment(*p);
+    if (options_.enableAppDeploy) relieveByDeployment(*p, report);
     if (options_.enableServerTransfer) relieveByServerTransfer(*p);
   }
 
-  if (options_.enableAppDeploy) scaleInOverprovisioned();
+  if (options_.enableAppDeploy) scaleInOverprovisioned(report);
 }
 
 void InterPodBalancer::relieveByRipWeights(PodManager& hot) {
@@ -101,7 +107,7 @@ void InterPodBalancer::relieveByRipWeights(PodManager& hot) {
   for (AppId app : hot.coveredApps()) {
     const auto last = lastWeightShift_.find(app);
     if (last != lastWeightShift_.end() &&
-        sim_.now() - last->second < options_.ripWeightCooldown) {
+        sim_.now() - last->second < kRipWeightCooldown) {
       continue;
     }
     const Application& a = apps_.app(app);
@@ -129,7 +135,7 @@ void InterPodBalancer::relieveByRipWeights(PodManager& hot) {
         if (entry == nullptr) continue;
         const RipEntry* rip = entry->findRip(ref.rip);
         if (rip == nullptr || rip->weight <= 0.0) continue;
-        const double delta = rip->weight * options_.weightShift;
+        const double delta = rip->weight * kWeightShift;
         (void)fleet_.setRipWeight(ref.vip, ref.rip, rip->weight - delta);
         shifted += delta;
       }
@@ -150,7 +156,8 @@ void InterPodBalancer::relieveByRipWeights(PodManager& hot) {
   }
 }
 
-void InterPodBalancer::relieveByDeployment(PodManager& hot) {
+void InterPodBalancer::relieveByDeployment(PodManager& hot,
+                                           const EpochReport& report) {
   // Replicate the hot pod's highest-demand app into the coldest pod.
   PodManager* cold = coldestPod(hot.id());
   if (cold == nullptr) return;
@@ -161,10 +168,10 @@ void InterPodBalancer::relieveByDeployment(PodManager& hot) {
   AppId victim;
   double bestUnserved = 0.0;
   for (AppId app : hot.coveredApps()) {
-    const auto d = latest_.appDemandRps.find(app);
-    const double demand = d == latest_.appDemandRps.end() ? 0.0 : d->second;
-    const auto sv = latest_.appServedRps.find(app);
-    const double served = sv == latest_.appServedRps.end() ? 0.0 : sv->second;
+    const auto d = report.appDemandRps.find(app);
+    const double demand = d == report.appDemandRps.end() ? 0.0 : d->second;
+    const auto sv = report.appServedRps.find(app);
+    const double served = sv == report.appServedRps.end() ? 0.0 : sv->second;
     const double unserved = demand - served;
     const auto last = lastDeploy_.find(app);
     if (last != lastDeploy_.end() &&
@@ -187,7 +194,7 @@ void InterPodBalancer::relieveByDeployment(PodManager& hot) {
     instanceRps = std::min(instanceRps, std::max(cap * 0.5, 1.0));
     break;
   }
-  const CapacityVec slice = sla.sliceFor(instanceRps, 1.2);
+  const CapacityVec slice = sla.sliceFor(instanceRps, kSliceHeadroom);
   ServerId target;
   double bestUtil = std::numeric_limits<double>::infinity();
   for (ServerId s : cold->servers()) {
@@ -217,13 +224,13 @@ void InterPodBalancer::relieveByDeployment(PodManager& hot) {
   }
 }
 
-void InterPodBalancer::scaleInOverprovisioned() {
+void InterPodBalancer::scaleInOverprovisioned(const EpochReport& report) {
   // Remove redundant instances of apps whose serving capacity far exceeds
   // demand and that cover many pods (§IV-D's reverse direction).
   for (const Application& a : apps_.all()) {
     if (a.instances.size() < 3) continue;
-    const auto it = latest_.appDemandRps.find(a.id);
-    const double demand = it == latest_.appDemandRps.end() ? 0.0 : it->second;
+    const auto it = report.appDemandRps.find(a.id);
+    const double demand = it == report.appDemandRps.end() ? 0.0 : it->second;
     double capacity = 0.0;
     VmId busiestPodVm;
     double busiest = -1.0;
@@ -239,7 +246,7 @@ void InterPodBalancer::scaleInOverprovisioned() {
       }
     }
     if (!busiestPodVm.valid()) continue;
-    if (capacity <= options_.scaleInFactor * std::max(demand, 1.0)) continue;
+    if (capacity <= kScaleInFactor * std::max(demand, 1.0)) continue;
 
     apps_.removeInstance(a.id, busiestPodVm);
     const VmId doomed = busiestPodVm;

@@ -13,10 +13,12 @@
 //     servers (migrating their VMs within the donor) and hand the empty
 //     servers to the overloaded pod.
 //
-// Elephant-pod avoidance: a pod whose manager's *decision time* exceeds
-// its budget (or whose VM count exceeds the cap) sheds servers *together
-// with their VMs* to the smallest pod — a pure membership change, since
-// pods are logical.
+// Elephant-pod avoidance: a pod past the paper's size caps (servers or
+// VMs) sheds servers *together with their VMs* to the smallest pod — a
+// pure membership change, since pods are logical.  The caps stand in for
+// the decision-time budget they exist to keep: a pod's measured decision
+// time is host wall-clock, and a simulated decision must not depend on
+// how fast the host is.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +41,8 @@ class InterPodBalancer {
     SimTime period = 30.0;
     double overloadUtilization = 0.8;
     double underloadUtilization = 0.5;
-    double satisfactionFloor = 0.98;
     std::uint32_t serversPerTransfer = 2;
-    /// Elephant-pod caps.
-    double decisionBudgetSeconds = 1.0;
+    /// Elephant-pod caps (§III-A: ~5,000 servers / ~10,000 VMs a pod).
     std::size_t maxVmsPerPod = 10000;
     std::size_t maxServersPerPod = 5000;
     std::uint32_t elephantSheddingBatch = 4;
@@ -51,16 +51,8 @@ class InterPodBalancer {
     bool enableAppDeploy = true;
     bool enableServerTransfer = true;
     bool enableElephantAvoidance = true;
-    /// RIP weight shift factor per round.
-    double weightShift = 0.3;
     /// Minimum spacing between dynamic deployments of the same app.
     SimTime deployCooldown = 60.0;
-    /// Minimum spacing between RIP-weight shifts for the same app; shifted
-    /// weights need a TTL-scale interval to show up in traffic before the
-    /// next correction, or the knob oscillates against the pod managers.
-    SimTime ripWeightCooldown = 120.0;
-    /// Over-provisioned app cleanup threshold (served capacity / demand).
-    double scaleInFactor = 2.5;
   };
 
   InterPodBalancer(Simulation& sim, HostFleet& hosts, AppRegistry& apps,
@@ -68,8 +60,9 @@ class InterPodBalancer {
                    PodRegistry& registry,
                    std::vector<PodManager*> pods, Options options);
 
-  void observe(const EpochReport& report);
-  void runOnce();
+  /// One decision round against `report`, the global manager's latest
+  /// epoch observation.
+  void runOnce(const EpochReport& report);
 
   /// Installs a predicate marking pods whose manager is suspected down
   /// (failure detector).  Frozen pods are skipped as sources and targets
@@ -109,10 +102,10 @@ class InterPodBalancer {
   }
   [[nodiscard]] PodManager* coldestPod(PodId excluding) const;
   void relieveByRipWeights(PodManager& hot);
-  void relieveByDeployment(PodManager& hot);
+  void relieveByDeployment(PodManager& hot, const EpochReport& report);
   void relieveByServerTransfer(PodManager& hot);
   void avoidElephant(PodManager& pod);
-  void scaleInOverprovisioned();
+  void scaleInOverprovisioned(const EpochReport& report);
 
   Simulation& sim_;
   HostFleet& hosts_;
@@ -123,8 +116,6 @@ class InterPodBalancer {
   std::vector<PodManager*> pods_;
   Options options_;
   std::function<bool(PodId)> podFrozen_;
-  EpochReport latest_;
-  bool haveReport_ = false;
 
   std::unordered_map<AppId, SimTime> lastDeploy_;
   std::unordered_map<AppId, SimTime> lastWeightShift_;

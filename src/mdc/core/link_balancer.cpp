@@ -9,6 +9,12 @@
 namespace mdc {
 
 namespace {
+/// Selective exposure: weight_v = max(spare(link_v), floor)^exponent.
+constexpr double kExposureExponent = 2.0;
+constexpr double kSpareFloor = 0.02;
+/// Re-advertisement: at most this many VIP moves per control round.
+constexpr std::uint32_t kMaxMovesPerRound = 4;
+
 /// The access router `vip` is advertised at, or an invalid id when intent
 /// names none: a VIP that RestoreVip adopted after a recovery that lost
 /// the journal prefix has no advertised link to balance.
@@ -30,27 +36,20 @@ AccessLinkBalancer::AccessLinkBalancer(AuthoritativeDns& dns,
       topo_(topo),
       options_(options) {
   MDC_EXPECT(options.period > 0.0, "period must be positive");
-  MDC_EXPECT(options.weightFloor >= 0.0, "negative weight floor");
 }
 
-void AccessLinkBalancer::observe(const EpochReport& report) {
-  latest_ = report;
-  haveReport_ = true;
-}
-
-void AccessLinkBalancer::runOnce() {
-  if (!haveReport_) return;
+void AccessLinkBalancer::runOnce(const EpochReport& report) {
   switch (options_.policy) {
     case LinkBalancePolicy::SelectiveExposure:
-      runSelectiveExposure();
+      runSelectiveExposure(report);
       break;
     case LinkBalancePolicy::Readvertisement:
-      runReadvertisement();
+      runReadvertisement(report);
       break;
   }
 }
 
-void AccessLinkBalancer::runSelectiveExposure() {
+void AccessLinkBalancer::runSelectiveExposure(const EpochReport& report) {
   // For every multi-VIP app, expose VIPs proportionally to the spare
   // bandwidth of the access link each VIP is advertised on.  The factor
   // multiplies the VIP's capacity term inside the VIP/RIP manager, so it
@@ -62,14 +61,13 @@ void AccessLinkBalancer::runSelectiveExposure() {
       if (current == 0.0) continue;  // drain in progress elsewhere
       const AccessRouterId ar = advertisedRouter(viprip_, vip);
       if (!ar.valid()) continue;
-      const double util = ar.index() < latest_.accessLinkUtil.size()
-                              ? latest_.accessLinkUtil[ar.index()]
+      const double util = ar.index() < report.accessLinkUtil.size()
+                              ? report.accessLinkUtil[ar.index()]
                               : 0.0;
       const double linkGbps =
           topo_.network().link(topo_.accessLinkFor(ar).link).capacityGbps;
-      const double spare =
-          std::max(options_.weightFloor, 1.0 - util) * linkGbps;
-      const double factor = std::pow(spare, options_.exponent);
+      const double spare = std::max(kSpareFloor, 1.0 - util) * linkGbps;
+      const double factor = std::pow(spare, kExposureExponent);
       if (std::abs(factor - current) > 0.02 * std::max(current, 1e-9)) {
         viprip_.setVipExposureFactor(vip, factor);
         ++weightUpdates_;
@@ -78,10 +76,10 @@ void AccessLinkBalancer::runSelectiveExposure() {
   }
 }
 
-void AccessLinkBalancer::runReadvertisement() {
+void AccessLinkBalancer::runReadvertisement(const EpochReport& report) {
   // Find the most overloaded link; move its highest-demand VIPs to the
   // least loaded link until the projection balances.
-  const auto& util = latest_.accessLinkUtil;
+  const auto& util = report.accessLinkUtil;
   if (util.empty()) return;
   std::size_t hot = 0, cold = 0;
   for (std::size_t i = 1; i < util.size(); ++i) {
@@ -96,7 +94,7 @@ void AccessLinkBalancer::runReadvertisement() {
     double gbps;
   };
   std::vector<Candidate> candidates;
-  for (const auto& [vip, gbps] : latest_.vipDemandGbps) {
+  for (const auto& [vip, gbps] : report.vipDemandGbps) {
     const AccessRouterId ar = advertisedRouter(viprip_, vip);
     if (ar.valid() && ar.index() == hot) {
       candidates.push_back(Candidate{vip, gbps});
@@ -115,7 +113,7 @@ void AccessLinkBalancer::runReadvertisement() {
   double coldLoad = util[cold] * coldCap;
   std::uint32_t moves = 0;
   for (const Candidate& c : candidates) {
-    if (moves >= options_.maxMovesPerRound) break;
+    if (moves >= kMaxMovesPerRound) break;
     if (hotLoad <= options_.highWatermark * hotCap) break;
     // Do not just swap the hotspot to the other link.
     if ((coldLoad + c.gbps) / coldCap >= (hotLoad - c.gbps) / hotCap) {

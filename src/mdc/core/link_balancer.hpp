@@ -32,22 +32,15 @@ class AccessLinkBalancer {
     SimTime period = 30.0;
     /// Links above this utilization trigger the re-advertisement policy.
     double highWatermark = 0.8;
-    /// Selective exposure: weight_v = max(spare(link_v), floor)^exponent.
-    double exponent = 2.0;
-    double weightFloor = 0.02;
-    /// Re-advertisement: at most this many VIP moves per control round.
-    std::uint32_t maxMovesPerRound = 4;
   };
 
   AccessLinkBalancer(AuthoritativeDns& dns, VipRipManager& viprip,
                      AppRegistry& apps, const SwitchFleet& fleet,
                      const Topology& topo, Options options);
 
-  /// Feed the latest epoch observation.
-  void observe(const EpochReport& report);
-
-  /// One decision round against the latest observation.
-  void runOnce();
+  /// One decision round against `report`, the global manager's latest
+  /// epoch observation.
+  void runOnce(const EpochReport& report);
 
   [[nodiscard]] std::uint64_t weightUpdates() const noexcept {
     return weightUpdates_;
@@ -55,8 +48,8 @@ class AccessLinkBalancer {
   [[nodiscard]] std::uint64_t vipMoves() const noexcept { return vipMoves_; }
 
  private:
-  void runSelectiveExposure();
-  void runReadvertisement();
+  void runSelectiveExposure(const EpochReport& report);
+  void runReadvertisement(const EpochReport& report);
 
   AuthoritativeDns& dns_;
   VipRipManager& viprip_;
@@ -64,8 +57,6 @@ class AccessLinkBalancer {
   const SwitchFleet& fleet_;
   const Topology& topo_;
   Options options_;
-  EpochReport latest_;
-  bool haveReport_ = false;
   std::uint64_t weightUpdates_ = 0;
   std::uint64_t vipMoves_ = 0;
 };

@@ -333,8 +333,7 @@ PlacementResult PlacementController::place(const PlacementInput& input) const {
   // answer must be exactly what a scan over servers/apps in index order
   // would pick (see WorkingState), so the indexes never change a decision.
   const auto maxPasses = static_cast<std::uint32_t>(
-      options_.maxBalancePassesPerServer *
-      static_cast<double>(input.servers.size()));
+      kMaxBalancePassesPerServer * static_cast<double>(input.servers.size()));
   std::uint32_t passes = 0;
   while (passes < maxPasses) {
     ++passes;

@@ -98,11 +98,12 @@ class PlacementController final : public PlacementAlgorithm {
   struct Options {
     /// Stop rebalancing once max/mean server utilization <= this.
     double balanceTolerance = 1.10;
-    /// Hard cap on rebalance iterations as a multiple of server count.
-    double maxBalancePassesPerServer = 2.0;
     /// Maximum simultaneous instances of one app (VIP/RIP economics).
     std::uint32_t maxInstancesPerApp = 256;
   };
+
+  /// Hard cap on rebalance passes as a multiple of server count.
+  static constexpr double kMaxBalancePassesPerServer = 2.0;
 
   PlacementController();
   explicit PlacementController(Options options);

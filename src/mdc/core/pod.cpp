@@ -9,6 +9,16 @@
 
 namespace mdc {
 
+namespace {
+/// Relative change below which a VM's slice or RIP weight is left alone,
+/// to keep control-plane churn bounded.
+constexpr double kResizeDeadband = 0.15;
+constexpr double kWeightDeadband = 0.20;
+/// VMs younger than this are never torn down: a freshly deployed
+/// instance has not had a chance to attract traffic yet.
+constexpr SimTime kYoungVmGraceSeconds = 20.0;
+}  // namespace
+
 const std::vector<ServerId> PodRegistry::kEmpty;
 
 PodRegistry::PodRegistry(std::size_t numServers) {
@@ -216,7 +226,7 @@ void PodManager::runControlLoop() {
       if (!isManagedInstance(rec.app, vm)) continue;  // being retired
       const std::uint32_t ai = internApp(rec.app);
       const double rps = apps_.app(rec.app).sla.servableRps(rec.slice) /
-                         options_.headroom;
+                         kSliceHeadroom;
       resident.emplace_back(vm, Assignment{ai, si, rps});
       existing[{ai, si}] = vm;
     }
@@ -266,7 +276,7 @@ void PodManager::applyAssignment(const PlacementInput& input,
     const AppId app = appIds[a.app];
     const ServerId server = serverIds[a.server];
     const AppSla& sla = input.apps[a.app].sla;
-    const CapacityVec slice = sla.sliceFor(a.rps, options_.headroom);
+    const CapacityVec slice = sla.sliceFor(a.rps, kSliceHeadroom);
     const auto ex = existing.find({a.app, a.server});
     if (ex == existing.end()) {
       const double weight = a.rps;
@@ -286,9 +296,8 @@ void PodManager::applyAssignment(const PlacementInput& input,
       const VmRecord& rec = hosts_.vm(vm);
       if (rec.state != VmState::Active) continue;
       const double curRps = apps_.app(app).sla.servableRps(rec.slice) /
-                            options_.headroom;
-      if (std::abs(curRps - a.rps) > options_.resizeDeadband *
-                                         std::max(curRps, 1.0)) {
+                            kSliceHeadroom;
+      if (std::abs(curRps - a.rps) > kResizeDeadband * std::max(curRps, 1.0)) {
         (void)hosts_.adjustVmCapacity(vm, slice);
       }
       // Only submit a weight update when it moved meaningfully; the
@@ -297,7 +306,7 @@ void PodManager::applyAssignment(const PlacementInput& input,
       const auto lw = lastWeight_.find(vm);
       if (lw == lastWeight_.end() ||
           std::abs(lw->second - a.rps) >
-              options_.weightDeadband * std::max(lw->second, 1.0)) {
+              kWeightDeadband * std::max(lw->second, 1.0)) {
         rips_.requestRipWeight(vm, a.rps);
         lastWeight_[vm] = a.rps;
       }
@@ -325,7 +334,7 @@ void PodManager::retire(VmId vm) {
   if (rec.state == VmState::Migrating) return;
   // Freshly created instances (e.g. a cross-pod deployment, §IV-D) have
   // not attracted traffic yet; give them a grace period.
-  if (sim_.now() - rec.createdAt < options_.youngVmGraceSeconds) return;
+  if (sim_.now() - rec.createdAt < kYoungVmGraceSeconds) return;
   apps_.removeInstance(rec.app, vm);
   lastWeight_.erase(vm);
   // Destroy only after the switch tables stop referencing the VM;

@@ -84,15 +84,6 @@ class PodManager {
  public:
   struct Options {
     SimTime controlPeriod = 10.0;
-    double headroom = 1.2;          // slice sizing slack over demand
-    double overloadUtilization = 0.85;
-    /// Relative change below which VM slices / RIP weights are left
-    /// alone, to keep control-plane churn bounded.
-    double resizeDeadband = 0.15;
-    double weightDeadband = 0.20;
-    /// VMs younger than this are never torn down: a freshly deployed
-    /// instance has not had a chance to attract traffic yet.
-    SimTime youngVmGraceSeconds = 20.0;
   };
 
   PodManager(PodId id, Simulation& sim, HostFleet& hosts, AppRegistry& apps,
@@ -102,7 +93,6 @@ class PodManager {
 
   [[nodiscard]] PodId id() const noexcept { return id_; }
   [[nodiscard]] const std::vector<ServerId>& servers() const;
-  [[nodiscard]] const Options& options() const noexcept { return options_; }
 
   // --- membership (driven by the global manager) ------------------------
 

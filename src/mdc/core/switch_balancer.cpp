@@ -8,6 +8,13 @@
 
 namespace mdc {
 
+namespace {
+/// A drain's destination must be below this after the projected move (or
+/// clearly cooler than the hot switch, see runOnce).
+constexpr double kTargetWatermark = 0.7;
+constexpr std::size_t kMaxConcurrentDrains = 8;
+}  // namespace
+
 SwitchBalancer::SwitchBalancer(Simulation& sim, SwitchFleet& fleet,
                                AuthoritativeDns& dns, AppRegistry& apps,
                                VipRipManager& viprip, Options options)
@@ -22,18 +29,12 @@ SwitchBalancer::SwitchBalancer(Simulation& sim, SwitchFleet& fleet,
              "quiesceFraction out of (0,1)");
 }
 
-void SwitchBalancer::observe(const EpochReport& report) {
-  latest_ = report;
-  haveReport_ = true;
-}
+void SwitchBalancer::runOnce(const EpochReport& report) {
+  pumpDrains(report);
 
-void SwitchBalancer::runOnce() {
-  if (!haveReport_) return;
-  pumpDrains();
-
-  if (drains_.size() >= options_.maxConcurrentDrains) return;
+  if (drains_.size() >= kMaxConcurrentDrains) return;
   // Find the hottest switch over the watermark.
-  const auto& util = latest_.switchUtil;
+  const auto& util = report.switchUtil;
   if (util.empty()) return;
   std::size_t hot = 0;
   for (std::size_t i = 1; i < util.size(); ++i) {
@@ -51,7 +52,7 @@ void SwitchBalancer::runOnce() {
     double gbps;
   };
   std::vector<Candidate> candidates;
-  for (const auto& [vip, gbps] : latest_.vipDemandGbps) {
+  for (const auto& [vip, gbps] : report.vipDemandGbps) {
     if (drains_.contains(vip)) continue;
     const auto owner = fleet_.ownerOf(vip);
     if (!owner.has_value() || *owner != hotSw) continue;
@@ -75,7 +76,7 @@ void SwitchBalancer::runOnce() {
       // Accept a destination below the target watermark, or — in a
       // globally hot fleet where no switch is that cold — one where the
       // move still clearly improves on the hot switch.
-      const bool acceptable = projected < options_.targetWatermark ||
+      const bool acceptable = projected < kTargetWatermark ||
                               projected + 0.1 < util[hot];
       if (projected < bestUtil && acceptable) {
         bestUtil = projected;
@@ -83,21 +84,21 @@ void SwitchBalancer::runOnce() {
       }
     }
     if (target.valid()) {
-      beginDrain(c.vip, target);
+      beginDrain(c.vip, target, c.gbps);
       return;
     }
   }
 }
 
-void SwitchBalancer::beginDrain(VipId vip, SwitchId target) {
+void SwitchBalancer::beginDrain(VipId vip, SwitchId target,
+                                double startGbps) {
   const VipEntry* entry = fleet_.findVip(vip);
   MDC_ENSURE(entry != nullptr, "draining unknown vip");
   Drain d;
   d.target = target;
+  d.startGbps = startGbps;
   d.app = entry->app;
   d.startedAt = sim_.now();
-  const auto it = latest_.vipDemandGbps.find(vip);
-  d.startGbps = it == latest_.vipDemandGbps.end() ? 0.0 : it->second;
 
   // Selective exposure away from this VIP: if the app has another VIP,
   // stop answering queries with this one.
@@ -125,11 +126,11 @@ void SwitchBalancer::finishDrain(VipId vip, Drain& d, bool force) {
   viprip_.setVipExposureFactor(vip, d.savedFactor);
 }
 
-void SwitchBalancer::pumpDrains() {
+void SwitchBalancer::pumpDrains(const EpochReport& report) {
   std::vector<VipId> done;
   for (auto& [vip, d] : drains_) {
-    const auto it = latest_.vipDemandGbps.find(vip);
-    const double now = it == latest_.vipDemandGbps.end() ? 0.0 : it->second;
+    const auto it = report.vipDemandGbps.find(vip);
+    const double now = it == report.vipDemandGbps.end() ? 0.0 : it->second;
     // Quiesced = fluid demand subsided AND no tracked TCP connection still
     // pinned to the old switch (§IV-B: only it knows their RIPs).
     const auto owner = fleet_.ownerOf(vip);

@@ -28,22 +28,20 @@ class SwitchBalancer {
     SimTime period = 30.0;
     /// Switch utilization that triggers rebalancing.
     double highWatermark = 0.85;
-    /// Destination must be below this after the projected move.
-    double targetWatermark = 0.7;
     /// A VIP is quiesced once its demand falls below this fraction of its
     /// demand when the drain started.
     double quiesceFraction = 0.05;
     /// Give up (or force) after this long in draining state.
     SimTime drainTimeout = 600.0;
     bool forceOnTimeout = false;
-    std::uint32_t maxConcurrentDrains = 8;
   };
 
   SwitchBalancer(Simulation& sim, SwitchFleet& fleet, AuthoritativeDns& dns,
                  AppRegistry& apps, VipRipManager& viprip, Options options);
 
-  void observe(const EpochReport& report);
-  void runOnce();
+  /// One decision round against `report`, the global manager's latest
+  /// epoch observation: pump the drains in progress, then maybe start one.
+  void runOnce(const EpochReport& report);
 
   [[nodiscard]] std::uint64_t transfersCompleted() const noexcept {
     return completed_;
@@ -73,9 +71,9 @@ class SwitchBalancer {
     SimTime startedAt = 0.0;
   };
 
-  void beginDrain(VipId vip, SwitchId target);
+  void beginDrain(VipId vip, SwitchId target, double startGbps);
   void finishDrain(VipId vip, Drain& d, bool force);
-  void pumpDrains();
+  void pumpDrains(const EpochReport& report);
 
   Simulation& sim_;
   SwitchFleet& fleet_;
@@ -83,8 +81,6 @@ class SwitchBalancer {
   AppRegistry& apps_;
   VipRipManager& viprip_;
   Options options_;
-  EpochReport latest_;
-  bool haveReport_ = false;
 
   std::map<VipId, Drain> drains_;  // pumped in ascending VIP id
   std::uint64_t completed_ = 0;

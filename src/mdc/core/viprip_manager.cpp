@@ -64,15 +64,6 @@ const char* opName(VipRipOp op) noexcept {
   return "?";
 }
 
-/// The retry-after hint is sized to the queue's drain rate, which is the
-/// manager's per-round decision cost.
-AdmissionController::Options admissionOptionsFor(
-    const VipRipManager::Options& o) {
-  AdmissionController::Options a = o.admission;
-  if (o.processSeconds > 0.0) a.roundSeconds = o.processSeconds;
-  return a;
-}
-
 }  // namespace
 
 VipRipManager::VipRipManager(Simulation& sim, SwitchFleet& fleet,
@@ -88,8 +79,8 @@ VipRipManager::VipRipManager(Simulation& sim, SwitchFleet& fleet,
       options_(options),
       channel_(sim, options.channelSeed),
       sender_(sim, channel_, fleet, options.ctrl),
-      machine_(journal_.changelog(), state::DurableStateMachine::Options{}),
-      admission_(admissionOptionsFor(options)) {
+      machine_(journal_.changelog()),
+      admission_(options.admission, options.processSeconds) {
   MDC_EXPECT(options.processSeconds >= 0.0, "negative process time");
   setupStateMachine();
   // Balancers move VIPs directly (SwitchFleet::transferVip); the journal

@@ -72,8 +72,9 @@ class Reconciler;
 class VipRipManager {
  public:
   struct Options {
-    /// Decision time the global manager spends per request (serialization
-    /// cost, E12).
+    /// Decision time the global manager spends per scheduling round
+    /// (serialization cost, E12); also sizes the admission layer's
+    /// retry-after hint.
     SimTime processSeconds = 0.05;
     /// Extra latency of the switch-side programmatic reconfiguration; if
     /// negative, the target switch's own limits().reconfigSeconds is used.
@@ -83,8 +84,7 @@ class VipRipManager {
     /// Ack/retry policy of the manager->switch command links.
     CommandSender::Options ctrl;
     /// Batched admission + overload policy (E18).  Defaults keep the
-    /// seed's unbounded queue and no deadlines; `roundSeconds` is
-    /// overwritten with processSeconds at construction.
+    /// seed's unbounded queue and no deadlines.
     AdmissionController::Options admission;
   };
 

@@ -1,6 +1,7 @@
 #include "mdc/ctrl/admission.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -21,6 +22,10 @@ const char* toString(AdmissionClass cls) noexcept {
   return "?";
 }
 
+SimTime retryBackoff(std::uint32_t attempt) {
+  return std::min(60.0, 5.0 * std::pow(2.0, static_cast<double>(attempt)));
+}
+
 bool FootprintSet::conflictsWith(const FootprintSet& other) const {
   // Iterate the smaller side; a shared key conflicts iff either side
   // writes it (read/read sharing commutes).
@@ -38,8 +43,9 @@ void FootprintSet::merge(const FootprintSet& other) {
   for (const auto& [k, bits] : other.marks_) marks_[k] |= bits;
 }
 
-AdmissionController::AdmissionController(Options options)
-    : options_(options) {
+AdmissionController::AdmissionController(Options options,
+                                         SimTime roundSeconds)
+    : options_(options), roundSeconds_(roundSeconds) {
   MDC_EXPECT(options_.batchSize >= 1, "batch size must be at least 1");
   MDC_EXPECT(options_.bulkShare >= 0.0 && options_.bulkShare <= 1.0,
              "bulk share must be a fraction");
@@ -47,7 +53,7 @@ AdmissionController::AdmissionController(Options options)
 
 AdmissionClass AdmissionController::classify(const VipRipRequest& req) const {
   if (req.op == VipRipOp::RestoreVip ||
-      req.priority >= options_.criticalPriority) {
+      req.priority >= kCriticalPriority) {
     return AdmissionClass::Critical;
   }
   if (req.op == VipRipOp::SetWeight) return AdmissionClass::Bulk;
@@ -176,7 +182,7 @@ AdmissionController::Round AdmissionController::formRound(
   Round round;
   if (depth_ == 0) return round;
   const std::size_t cap = effectiveBatchSize();
-  const double scale = brownout_ ? options_.brownoutDeadlineFactor : 1.0;
+  const double scale = brownout_ ? kBrownoutDeadlineFactor : 1.0;
   // One claimed set covers both batched and deferred footprints: a
   // request conflicting with a *deferred* one must wait too, or it would
   // overtake an earlier request on a shared key.
@@ -284,9 +290,8 @@ SimTime AdmissionController::retryAfterHint() const noexcept {
   const auto eff = static_cast<double>(effectiveBatchSize());
   const double roundsToDrain =
       static_cast<double>(depth_) / std::max(1.0, eff) + 1.0;
-  return std::clamp(roundsToDrain * options_.roundSeconds,
-                    options_.minRetryAfterSeconds,
-                    options_.maxRetryAfterSeconds);
+  return std::clamp(roundsToDrain * roundSeconds_, kMinRetryAfterSeconds,
+                    kMaxRetryAfterSeconds);
 }
 
 std::uint64_t AdmissionController::shed() const noexcept {

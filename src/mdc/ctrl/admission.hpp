@@ -92,6 +92,17 @@ struct VipRipRequest {
 enum class AdmissionClass : std::uint8_t { Bulk = 0, Capacity = 1, Critical = 2 };
 inline constexpr std::size_t kAdmissionClassCount = 3;
 
+/// A request of at least this priority is Critical whatever its op: the
+/// health monitor submits its RestoreVip and dead-VM cleanup requests at
+/// it, above all routine balancer traffic (which uses 0..1).
+inline constexpr int kCriticalPriority = 10;
+
+/// Delay before retry `attempt` (0 for the first) of a request that failed
+/// transiently (manager crash, shed, channel timeout): 5 s, doubling per
+/// attempt, capped at 60 s.  The global manager's and the health
+/// monitor's retries both use it.
+[[nodiscard]] SimTime retryBackoff(std::uint32_t attempt);
+
 [[nodiscard]] const char* toString(AdmissionClass cls) noexcept;
 
 /// Outcome of offering a request to the admission queue.  A refused
@@ -149,9 +160,6 @@ class AdmissionController {
     std::size_t maxQueueDepth = 0;
     /// Bulk's share of a bounded queue (sheds first, smallest slice).
     double bulkShare = 0.5;
-    /// priority >= this is Critical regardless of op (matches the health
-    /// monitor's restore/cleanup priority).
-    int criticalPriority = 10;
     /// Per-class deadline budgets (seconds in queue before the request is
     /// rejected with "deadline_expired"); 0 = no deadline.  Critical
     /// never expires: repair work stays valid until it lands.
@@ -163,14 +171,13 @@ class AdmissionController {
     SimTime brownoutWindowSeconds = 10.0;
     double brownoutEnterTimeoutRate = 0.25;
     double brownoutExitTimeoutRate = 0.05;
-    double brownoutDeadlineFactor = 2.0;
-    /// Clamp on the retry-after hint handed to shed callers.
-    SimTime minRetryAfterSeconds = 1.0;
-    SimTime maxRetryAfterSeconds = 60.0;
-    /// Estimated seconds one scheduling round takes (the manager's
-    /// decision cost); sizes the retry-after hint.
-    SimTime roundSeconds = 0.05;
   };
+
+  /// Deadline budgets stretch by this factor while in brownout.
+  static constexpr double kBrownoutDeadlineFactor = 2.0;
+  /// Clamp on the retry-after hint handed to shed callers.
+  static constexpr SimTime kMinRetryAfterSeconds = 1.0;
+  static constexpr SimTime kMaxRetryAfterSeconds = 60.0;
 
   struct Entry {
     VipRipRequest req;
@@ -199,7 +206,9 @@ class AdmissionController {
   /// hint; must settle it exactly once.
   using ShedFn = std::function<void(Entry&&, SimTime retryAfter)>;
 
-  explicit AdmissionController(Options options);
+  /// `roundSeconds` is what one scheduling round costs the owner (its
+  /// decision time); it sizes the retry-after hint.
+  AdmissionController(Options options, SimTime roundSeconds);
 
   [[nodiscard]] AdmissionClass classify(const VipRipRequest& req) const;
 
@@ -287,6 +296,7 @@ class AdmissionController {
   [[nodiscard]] SimTime budgetFor(AdmissionClass cls) const noexcept;
 
   Options options_;
+  SimTime roundSeconds_;
   /// Walked in (priority desc, seq asc) order: a stable priority queue
   /// that processes equal priorities FIFO.  Empty lanes are erased.
   std::map<int, Lane, std::greater<>> lanes_;

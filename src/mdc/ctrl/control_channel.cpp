@@ -4,6 +4,11 @@
 
 namespace mdc {
 
+namespace {
+/// A reordered message is held back an extra uniform [0, this) seconds.
+constexpr SimTime kReorderDelaySeconds = 2.0;
+}  // namespace
+
 void ControlChannel::setPartitioned(SwitchId sw, bool partitioned) {
   if (partitioned) {
     partitioned_.insert(sw);
@@ -59,9 +64,9 @@ void ControlChannel::dispatch(std::function<void()> deliver, bool reordered) {
   if (faults_.delayJitterSeconds > 0.0) {
     delay += rng_.uniform(0.0, faults_.delayJitterSeconds);
   }
-  if (reordered && faults_.reorderDelaySeconds > 0.0) {
+  if (reordered) {
     // Held back long enough that messages sent later overtake it.
-    delay += rng_.uniform(0.0, faults_.reorderDelaySeconds);
+    delay += rng_.uniform(0.0, kReorderDelaySeconds);
   }
   sim_.after(delay, std::move(deliver));
 }

@@ -30,10 +30,9 @@ namespace mdc {
 struct ChannelFaults {
   double dropRate = 0.0;       // P(message lost entirely)
   double duplicateRate = 0.0;  // P(a second copy is also delivered)
-  double reorderRate = 0.0;    // P(message held back past later sends)
+  double reorderRate = 0.0;    // P(held back [0, 2) s past later sends)
   SimTime delaySeconds = 0.0;  // base one-way latency of each copy
-  SimTime delayJitterSeconds = 0.0;   // extra uniform [0, jitter)
-  SimTime reorderDelaySeconds = 2.0;  // extra uniform [0, this) if reordered
+  SimTime delayJitterSeconds = 0.0;  // extra uniform [0, jitter)
 
   /// True when the channel behaves exactly like the seed's in-process
   /// calls: no loss, no duplication, no delay.

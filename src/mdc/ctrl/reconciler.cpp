@@ -1,6 +1,5 @@
 #include "mdc/ctrl/reconciler.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -77,23 +76,10 @@ void Reconciler::auditRound() {
   ++rounds_;
   lastRoundDrift_ = 0;
   const auto fleetSize = static_cast<std::uint32_t>(fleet_.size());
-  if (fleetSize == 0) return;
-  const std::uint32_t n = options_.switchesPerRound == 0
-                              ? fleetSize
-                              : std::min(options_.switchesPerRound, fleetSize);
-  std::vector<bool> inSlice(fleetSize, false);
-  for (std::uint32_t k = 0; k < n; ++k) {
-    inSlice[(cursor_ + k) % fleetSize] = true;
-  }
-  for (std::uint32_t i = 0; i < fleetSize; ++i) {
-    if (inSlice[i]) auditSwitch(SwitchId{i});
-  }
+  for (std::uint32_t i = 0; i < fleetSize; ++i) auditSwitch(SwitchId{i});
   intent_.forEach([&](VipId vip, const VipIntent& intent) {
-    if (intent.sw.index() < fleetSize && inSlice[intent.sw.index()]) {
-      auditIntent(vip, intent);
-    }
+    if (intent.sw.index() < fleetSize) auditIntent(vip, intent);
   });
-  cursor_ = (cursor_ + n) % fleetSize;
 }
 
 void Reconciler::auditSwitch(SwitchId sw) {

@@ -22,8 +22,8 @@
 // intended host that is down are skipped: they are mid-flight or the
 // health monitor's responsibility, not drift.
 //
-// A round audits its slice's switches, then their intended VIPs, each in
-// ascending id.
+// A round audits every switch in ascending id, then every intended VIP in
+// ascending VIP id.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,6 @@ class Reconciler {
  public:
   struct Options {
     SimTime periodSeconds = 15.0;
-    /// Switches audited per round (a full-fleet audit of 400 switches in
-    /// one tick is unrealistic); 0 = the whole fleet every round.
-    std::uint32_t switchesPerRound = 0;
   };
 
   /// Callbacks into the VIP/RIP manager for state it owns.
@@ -105,8 +102,7 @@ class Reconciler {
 
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   /// Divergent table entries found in the most recent round — the
-  /// convergence signal: 0 means intended == actual for the audited
-  /// slice.
+  /// convergence signal: 0 means intended == actual.
   [[nodiscard]] std::uint64_t divergenceLastRound() const noexcept {
     return lastRoundDrift_;
   }
@@ -157,7 +153,6 @@ class Reconciler {
   std::function<bool()> activeCheck_;
   std::function<double()> overloadCheck_;
   SimTime overloadResumeAt_ = 0.0;
-  std::uint32_t cursor_ = 0;
   std::uint64_t roundsSkipped_ = 0;
   std::uint64_t roundsDeferred_ = 0;
   std::uint64_t rounds_ = 0;

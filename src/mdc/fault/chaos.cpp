@@ -9,6 +9,11 @@
 namespace mdc {
 namespace {
 
+/// Per-wave cap on each durable-state fault kind (E17): leader crashes
+/// that tear or corrupt the changelog tail, and latent snapshot-image bit
+/// flips.
+constexpr std::uint32_t kMaxDurableFaults = 1;
+
 /// Streams a violation into `out` — one human-readable line per defect.
 class Report {
  public:
@@ -55,9 +60,9 @@ void ChaosStorm::schedule(FaultInjector& injector) {
     plan.channelPartitions = draw(options_.maxChannelPartitions);
     plan.podManagerCrashes = draw(options_.maxPodManagerCrashes);
     plan.globalManagerCrashes = draw(options_.maxGlobalManagerCrashes);
-    plan.journalTornWrites = draw(options_.maxJournalTornWrites);
-    plan.journalCorruptRecords = draw(options_.maxJournalCorruptRecords);
-    plan.snapshotCorruptions = draw(options_.maxSnapshotCorruptions);
+    plan.journalTornWrites = draw(kMaxDurableFaults);
+    plan.journalCorruptRecords = draw(kMaxDurableFaults);
+    plan.snapshotCorruptions = draw(kMaxDurableFaults);
     plan.commandStorms = draw(options_.maxCommandStorms);
     plan.stormBurst = options_.stormBurst;
     plan.stormWindowSeconds = options_.stormWindowSeconds;

@@ -61,11 +61,6 @@ class ChaosStorm {
     std::uint32_t maxChannelPartitions = 2;
     std::uint32_t maxPodManagerCrashes = 1;
     std::uint32_t maxGlobalManagerCrashes = 1;
-    /// Durable-state faults (E17): leader crashes that tear or corrupt
-    /// the changelog tail, and latent snapshot-image bit flips.
-    std::uint32_t maxJournalTornWrites = 1;
-    std::uint32_t maxJournalCorruptRecords = 1;
-    std::uint32_t maxSnapshotCorruptions = 1;
     /// Command storms (E18): bursts of conflicting VIP/RIP requests that
     /// overload the admission queue while infrastructure faults land.
     std::uint32_t maxCommandStorms = 1;

@@ -1,7 +1,6 @@
 #include "mdc/fault/health_monitor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "mdc/core/pod.hpp"
 #include "mdc/util/expect.hpp"
@@ -22,9 +21,6 @@ HealthMonitor::HealthMonitor(Simulation& sim, SwitchFleet& fleet,
   MDC_EXPECT(options.heartbeatInterval > 0.0,
              "heartbeat interval must be positive");
   MDC_EXPECT(options.missedHeartbeats > 0, "missed threshold must be >= 1");
-  MDC_EXPECT(options.retryBackoffSeconds > 0.0 &&
-                 options.maxBackoffSeconds >= options.retryBackoffSeconds,
-             "bad retry backoff");
   MDC_EXPECT(options.holdDownSeconds >= 0.0, "negative hold-down");
 }
 
@@ -111,16 +107,10 @@ void HealthMonitor::recoverOrphans(SwitchId sw) {
   }
 }
 
-SimTime HealthMonitor::backoff(std::uint32_t attempt) const {
-  return std::min(options_.maxBackoffSeconds,
-                  options_.retryBackoffSeconds *
-                      std::pow(2.0, static_cast<double>(attempt)));
-}
-
 void HealthMonitor::submitRestore(OrphanedVip orphan, std::uint32_t attempt) {
   VipRipRequest req;
   req.op = VipRipOp::RestoreVip;
-  req.priority = options_.restorePriority;
+  req.priority = kCriticalPriority;
   req.app = orphan.app;
   req.vip = orphan.vip;
   req.rips = orphan.rips;
@@ -138,7 +128,7 @@ void HealthMonitor::submitRestore(OrphanedVip orphan, std::uint32_t attempt) {
     // queue reopens — so retry with exponential backoff instead of
     // abandoning the VIP.
     ++restoreRetries_;
-    sim_.after(backoff(attempt),
+    sim_.after(retryBackoff(attempt),
                [this, orphan = std::move(orphan), attempt]() mutable {
                  submitRestore(std::move(orphan), attempt + 1);
                });
@@ -204,7 +194,7 @@ void HealthMonitor::submitCleanup(CrashedVm casualty, std::uint32_t attempt) {
   // referencing it, its share of traffic is black-holed ("dead_vm").
   VipRipRequest req;
   req.op = VipRipOp::DeleteRip;
-  req.priority = options_.restorePriority;
+  req.priority = kCriticalPriority;
   req.vm = casualty.vm;
   req.done = [this, casualty, attempt](Status s) {
     if (s.ok()) {
@@ -220,7 +210,7 @@ void HealthMonitor::submitCleanup(CrashedVm casualty, std::uint32_t attempt) {
     // intent still matches actual, so the reconciler never flags the
     // drift.  Resubmit until the purge lands.
     ++cleanupRetries_;
-    sim_.after(backoff(attempt), [this, casualty, attempt] {
+    sim_.after(retryBackoff(attempt), [this, casualty, attempt] {
       submitCleanup(casualty, attempt + 1);
     });
   };

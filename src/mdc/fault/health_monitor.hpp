@@ -10,8 +10,8 @@
 // Recovery uses only the paper's own knobs:
 //  * switch crash  -> orphaned VIPs get their DNS weight zeroed (stop
 //    answering queries with a black hole) and are re-hosted on healthy
-//    switches via high-priority RestoreVip requests, with exponential
-//    backoff while switch tables are full;
+//    switches via critical-priority RestoreVip requests, retried with
+//    retryBackoff() while switch tables are full;
 //  * server crash  -> dead VMs are detached from their applications and
 //    their dangling RIPs purged (traffic to them is black-holed until
 //    then); replacement capacity comes from the ordinary control loops,
@@ -46,17 +46,11 @@ class HealthMonitor {
   struct Options {
     SimTime heartbeatInterval = 2.0;
     std::uint32_t missedHeartbeats = 2;
-    /// Backoff of the first RestoreVip retry; doubles per attempt.
-    SimTime retryBackoffSeconds = 5.0;
-    SimTime maxBackoffSeconds = 60.0;
     /// Flap damping: after declaring a switch failed, further failure
     /// declarations for the same switch are deferred this long, so a
     /// flapping switch (crash/reboot/crash) cannot stampede the VIP/RIP
     /// queue with RestoreVip storms.  0 disables damping.
     SimTime holdDownSeconds = 5.0;
-    /// Priority of recovery requests in the VIP/RIP queue — above all
-    /// routine balancer traffic (which uses 0..1).
-    int restorePriority = 10;
   };
 
   HealthMonitor(Simulation& sim, SwitchFleet& fleet, HostFleet& hosts,
@@ -145,7 +139,6 @@ class HealthMonitor {
   void cleanupCasualties(ServerId server);
   void submitRestore(OrphanedVip orphan, std::uint32_t attempt);
   void submitCleanup(CrashedVm casualty, std::uint32_t attempt);
-  [[nodiscard]] SimTime backoff(std::uint32_t attempt) const;
 
   Simulation& sim_;
   SwitchFleet& fleet_;

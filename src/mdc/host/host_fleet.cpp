@@ -114,7 +114,7 @@ Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
   const std::uint64_t seq = ++rec.migrationSeq;
   ++migrations_;
 
-  const double memGb = rec.slice.memory() * costs_.migrationMemoryFactor;
+  const double memGb = rec.slice.memory();
   migratedGb_ += memGb;
   const SimTime duration = memGb * 8.0 / costs_.migrationGbps;
   const ServerId src = rec.server;

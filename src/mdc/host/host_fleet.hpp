@@ -60,8 +60,6 @@ struct HostCostModel {
   SimTime vmCloneSeconds = 5.0;
   SimTime capacityAdjustSeconds = 2.0;
   double migrationGbps = 1.0;  // dedicated migration bandwidth
-  /// Memory actually copied for a migration, as a fraction of the slice.
-  double migrationMemoryFactor = 1.0;
 };
 
 /// A VM killed by a server crash, recorded for the failure detector:

@@ -27,13 +27,27 @@ void SwitchFleet::bumpVip(VipId vip) {
     owner_.resize(i + 1);
   }
   ++vipVersions_[i];
-  vipLog_.push_back(vip);
+  if (vipLogOpen_) vipLog_.push_back(vip);
 }
 
-std::span<const VipId> SwitchFleet::vipMutationsSince(
-    std::uint64_t cursor) const {
-  MDC_EXPECT(cursor <= vipLog_.size(), "vip mutation cursor out of range");
-  return std::span<const VipId>(vipLog_).subspan(cursor);
+void SwitchFleet::openVipLog() {
+  MDC_EXPECT(!vipLogOpen_, "the vip change log already has a reader");
+  vipLogOpen_ = true;
+  for (std::size_t i = 0; i < vipVersions_.size(); ++i) {
+    if (vipVersions_[i] > 0) {
+      vipLog_.push_back(VipId{static_cast<VipId::value_type>(i)});
+    }
+  }
+}
+
+void SwitchFleet::closeVipLog() {
+  vipLogOpen_ = false;
+  vipLog_ = {};
+}
+
+void SwitchFleet::takeVipMutations(std::vector<VipId>& out) {
+  out.clear();
+  out.swap(vipLog_);
 }
 
 std::optional<SwitchId> SwitchFleet::ownerOf(VipId vip) const {

@@ -12,11 +12,12 @@
 // stays coherent; per-switch RIP/weight/connection operations are
 // forwarded for convenience.
 //
-// Every mutation that can change what a VIP resolves to also appends the
-// VIP to an append-only change log.  Consumers that keep a per-VIP view
-// of the fleet (the session engine's route table) hold a cursor into it
-// and refresh only the VIPs logged since, instead of re-reading the
-// ownership index and the owner's table for every lookup.
+// While a reader holds the VIP change log open (the session engine, which
+// keeps a per-VIP route table), every mutation that can change what a VIP
+// resolves to also appends the VIP to the log.  The reader takes what was
+// logged since its last take and refreshes only those VIPs, instead of
+// re-reading the ownership index and the owner's table for every lookup.
+// With no reader nothing is logged.
 //
 // VIP ids are dense (the VIP/RIP manager allocates them from 0), so the
 // ownership index and the per-VIP versions are two columns indexed by VIP
@@ -28,7 +29,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "mdc/lb/lb_switch.hpp"
@@ -159,16 +159,18 @@ class SwitchFleet {
     return i < vipVersions_.size() ? vipVersions_[i] : 0;
   }
 
-  /// VIPs whose version moved since `cursor` (a value previously returned
-  /// by vipMutationCursor(); 0 for "since the beginning"), one entry per
-  /// bump, in bump order, so a VIP mutated repeatedly repeats.  The log is
-  /// append-only and retained for the fleet's lifetime: it grows at
-  /// control-plane rate, 4 bytes per mutation.
-  [[nodiscard]] std::span<const VipId> vipMutationsSince(
-      std::uint64_t cursor) const;
-  [[nodiscard]] std::uint64_t vipMutationCursor() const noexcept {
-    return vipLog_.size();
-  }
+  /// Opens the VIP change log for its one reader.  The log starts with
+  /// every VIP mutated so far, once each, in ascending id, so a reader
+  /// attached after VIPs exist starts complete.
+  void openVipLog();
+  /// Stops logging and frees the log.
+  void closeVipLog();
+  /// Moves the VIPs logged since the last take into `out` (its previous
+  /// contents are dropped) and empties the log: one entry per bump, in
+  /// bump order, so a VIP mutated repeatedly repeats.  Swapping buffers
+  /// frees what the reader consumed and allocates nothing once both
+  /// buffers have grown to a take's size.
+  void takeVipMutations(std::vector<VipId>& out);
 
   // --- fleet-wide accounting --------------------------------------------
 
@@ -197,14 +199,16 @@ class SwitchFleet {
   [[nodiscard]] SwitchId owner(VipId vip) const noexcept {
     return vip.index() < owner_.size() ? owner_[vip.index()] : SwitchId{};
   }
-  /// Bumps the VIP's version and logs it; grows both VIP columns to
-  /// cover it, so every ownership write below follows a bump.
+  /// Bumps the VIP's version and logs it while the log is open; grows
+  /// both VIP columns to cover it, so every ownership write below follows
+  /// a bump.
   void bumpVip(VipId vip);
 
   std::vector<LbSwitch> switches_;
   std::vector<std::uint64_t> vipVersions_;  // by VipId index
   std::vector<SwitchId> owner_;             // by VipId index, same length
-  std::vector<VipId> vipLog_;               // every bumpVip, in order
+  std::vector<VipId> vipLog_;  // bumps since the reader's last take
+  bool vipLogOpen_ = false;
   TransferListener onTransfer_;
   std::map<SwitchId, std::vector<OrphanedVip>> orphans_;
   std::uint64_t transfers_ = 0;

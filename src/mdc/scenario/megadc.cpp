@@ -325,8 +325,7 @@ void MegaDc::deployAllApps() {
     std::uint32_t instances = config_.instancesPerApp;
     if (perServerRps > 0.0) {
       const auto needed = static_cast<std::uint32_t>(
-          std::ceil(a.baseRps * config_.manager.pod.headroom /
-                    (0.5 * perServerRps)));
+          std::ceil(a.baseRps * kSliceHeadroom / (0.5 * perServerRps)));
       instances = std::max(instances, needed);
     }
     deployments.push_back({a.id, instances, a.baseRps / instances});

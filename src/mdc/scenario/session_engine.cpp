@@ -104,6 +104,7 @@ SessionEngine::SessionEngine(Simulation& sim, const AppRegistry& apps,
   MDC_EXPECT(options.tick > 0.0, "tick <= 0");
   MDC_EXPECT(options.wheelSlots > 0, "wheelSlots == 0");
 
+  fleet_.openVipLog();
   shards_.reserve(fleet_.size());
   for (std::uint32_t s = 0; s < fleet_.size(); ++s) {
     shards_.push_back(std::make_unique<ConnectionShard>(options_.wheelSlots));
@@ -117,6 +118,7 @@ SessionEngine::~SessionEngine() {
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     fleet_.at(SwitchId{s}).attachShard(nullptr);
   }
+  fleet_.closeVipLog();
 }
 
 void SessionEngine::start() {
@@ -125,7 +127,8 @@ void SessionEngine::start() {
 
 void SessionEngine::refreshRoutes() {
   // Serial: one pass over the VIPs the fleet logged since the last tick.
-  for (const VipId vip : fleet_.vipMutationsSince(routeCursor_)) {
+  fleet_.takeVipMutations(mutatedVips_);
+  for (const VipId vip : mutatedVips_) {
     if (vip.index() >= routes_.size()) routes_.resize(vip.index() + 1);
     VipRoute& route = routes_[vip.index()];
     route.rips.clear();
@@ -140,7 +143,6 @@ void SessionEngine::refreshRoutes() {
       route.rips.push_back({sum, rip.rip});
     }
   }
-  routeCursor_ = fleet_.vipMutationCursor();
 }
 
 void SessionEngine::cutApps(std::size_t numApps) {

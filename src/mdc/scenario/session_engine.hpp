@@ -16,7 +16,8 @@
 //  * a per-VIP route table, dense by VIP id, holds each VIP's owning
 //    shard and the owner's RIPs with running weight sums.  It is
 //    refreshed serially at the start of a tick for the VIPs the fleet
-//    logged since the last one (SwitchFleet::vipMutationsSince), so an
+//    logged since the last one (the engine holds the fleet's VIP change
+//    log open for its lifetime, SwitchFleet::openVipLog), so an
 //    arrival resolves VIP -> shard -> RIP with one table read and no
 //    fleet or switch lookup;
 //  * the tick is a deterministic pipeline: (P) serial resolver advance
@@ -235,10 +236,10 @@ class SessionEngine {
 
   std::uint64_t epoch_ = 0;  // tick index; expiry wheel key
 
-  // Per-VIP routes, by VIP index, and the consumed prefix of the fleet's
-  // VIP change log.
+  // Per-VIP routes, by VIP index, and the VIPs taken from the fleet's
+  // change log for the current refresh.
   std::vector<VipRoute> routes_;
-  std::uint64_t routeCursor_ = 0;
+  std::vector<VipId> mutatedVips_;
 
   // Per-app persistent state.
   std::vector<std::uint32_t> perAppSeq_;  // session-id sequence numbers

@@ -9,10 +9,7 @@ DurableStateMachine::SnapshotResult DurableStateMachine::takeSnapshot(
   MDC_EXPECT(static_cast<bool>(hooks_.buildDeterministic),
              "state machine hooks not set");
   SnapshotResult out;
-  if (snapshotsTaken_ > 0 &&
-      recordsSinceSnapshot() < options_.minRecordsBetween) {
-    return out;
-  }
+  if (snapshotsTaken_ > 0 && recordsSinceSnapshot() == 0) return out;
 
   ByteWriter det;
   hooks_.buildDeterministic(det);

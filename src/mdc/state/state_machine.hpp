@@ -36,15 +36,6 @@ namespace mdc::state {
 
 class DurableStateMachine {
  public:
-  struct Options {
-    /// Valid snapshots retained.
-    std::uint32_t keepSnapshots = 2;
-    /// takeSnapshot() is a no-op unless at least this many records
-    /// landed since the last snapshot (avoids churning identical
-    /// images on an idle manager).
-    std::uint64_t minRecordsBetween = 1;
-  };
-
   struct Hooks {
     /// Serializes the replayable (hash-covered) state.
     std::function<void(ByteWriter&)> buildDeterministic;
@@ -87,14 +78,15 @@ class DurableStateMachine {
     bool prefixLost = false;
   };
 
-  DurableStateMachine(Changelog& log, Options options)
-      : log_(log), options_(options), store_({options.keepSnapshots}) {}
+  /// Retains the snapshot store's default two valid images.
+  explicit DurableStateMachine(Changelog& log) : log_(log) {}
 
   void setHooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
   /// Serializes the deterministic section and publishes it as a new
   /// snapshot image, then compacts the changelog up to the oldest valid
-  /// retained snapshot.
+  /// retained snapshot.  A no-op unless a record landed since the last
+  /// snapshot (an idle manager does not churn identical images).
   SnapshotResult takeSnapshot(std::uint64_t term, double now);
 
   /// Rebuilds state from the best valid snapshot plus changelog tail
@@ -143,7 +135,6 @@ class DurableStateMachine {
 
  private:
   Changelog& log_;
-  Options options_;
   SnapshotStore store_;
   Hooks hooks_;
 

@@ -61,10 +61,7 @@ struct VipTag {};
 struct RipTag {};
 struct LinkTag {};
 struct AccessRouterTag {};
-struct BorderRouterTag {};
 struct IspTag {};
-struct FlowTag {};
-struct RequestTag {};
 
 using ServerId = StrongId<ServerTag>;
 using VmId = StrongId<VmTag>;
@@ -75,10 +72,7 @@ using VipId = StrongId<VipTag>;
 using RipId = StrongId<RipTag>;
 using LinkId = StrongId<LinkTag>;
 using AccessRouterId = StrongId<AccessRouterTag>;
-using BorderRouterId = StrongId<BorderRouterTag>;
 using IspId = StrongId<IspTag>;
-using FlowId = StrongId<FlowTag>;
-using RequestId = StrongId<RequestTag>;
 
 /// Allocates ids densely from zero; one per entity family.
 template <typename Id>

@@ -63,23 +63,27 @@ VipRipRequest makeReq(VipRipOp op, int priority = 0, std::uint32_t vm = 0) {
   return r;
 }
 
+/// The owner's per-round decision cost handed to every controller here
+/// (VipRipManager's default processSeconds).
+constexpr SimTime kRoundSeconds = 0.05;
+
 AdmissionController::ShedFn nopShed() {
   return [](AdmissionController::Entry&&, SimTime) {};
 }
 
 TEST(AdmissionController, ClassifiesByOpAndPriority) {
-  AdmissionController adm{AdmissionController::Options{}};
+  AdmissionController adm{AdmissionController::Options{}, kRoundSeconds};
   EXPECT_EQ(adm.classify(makeReq(VipRipOp::SetWeight)), AdmissionClass::Bulk);
   EXPECT_EQ(adm.classify(makeReq(VipRipOp::NewVip)), AdmissionClass::Capacity);
   EXPECT_EQ(adm.classify(makeReq(VipRipOp::RestoreVip)),
             AdmissionClass::Critical);
-  // The health monitor's cleanup DeleteRips ride at restore priority.
-  EXPECT_EQ(adm.classify(makeReq(VipRipOp::DeleteRip, 10)),
+  // The health monitor's cleanup DeleteRips ride at critical priority.
+  EXPECT_EQ(adm.classify(makeReq(VipRipOp::DeleteRip, kCriticalPriority)),
             AdmissionClass::Critical);
 }
 
 TEST(AdmissionController, UnboundedQueueNeverSheds) {
-  AdmissionController adm{AdmissionController::Options{}};
+  AdmissionController adm{AdmissionController::Options{}, kRoundSeconds};
   for (int i = 0; i < 100; ++i) {
     const auto res = adm.offer(makeReq(VipRipOp::SetWeight), 0.0, nopShed());
     EXPECT_TRUE(res.accepted);
@@ -92,7 +96,7 @@ TEST(AdmissionController, BulkShedsBeforeCapacity) {
   AdmissionController::Options opt;
   opt.maxQueueDepth = 4;
   opt.bulkShare = 0.5;  // at most 2 bulk entries queued
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
 
   EXPECT_TRUE(adm.offer(makeReq(VipRipOp::SetWeight), 0.0, nopShed()).accepted);
   EXPECT_TRUE(adm.offer(makeReq(VipRipOp::SetWeight, 0, 1), 0.0, nopShed())
@@ -117,7 +121,7 @@ TEST(AdmissionController, CriticalEvictsNewestBulkWhenFull) {
   AdmissionController::Options opt;
   opt.maxQueueDepth = 2;
   opt.bulkShare = 1.0;
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
 
   std::vector<std::uint64_t> evicted;
   auto onShed = [&](AdmissionController::Entry&& e, SimTime) {
@@ -140,7 +144,7 @@ TEST(AdmissionController, CriticalEvictsNewestBulkWhenFull) {
 TEST(AdmissionController, FormRoundAdmitsDisjointDefersConflicting) {
   AdmissionController::Options opt;
   opt.batchSize = 8;
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
   // Three requests: two touch distinct VMs, the third collides with the
   // first.
   (void)adm.offer(makeReq(VipRipOp::SetWeight, 0, 1), 0.0, nopShed());
@@ -165,7 +169,7 @@ TEST(AdmissionController, FormRoundAdmitsDisjointDefersConflicting) {
 TEST(AdmissionController, DeferredFootprintBlocksLaterRequests) {
   // Per-key FIFO: once a request is deferred, later requests touching its
   // keys must not overtake it — even if they would fit the batch.
-  AdmissionController adm{AdmissionController::Options{}};
+  AdmissionController adm{AdmissionController::Options{}, kRoundSeconds};
   (void)adm.offer(makeReq(VipRipOp::SetWeight, 0, 1), 0.0, nopShed());
   (void)adm.offer(makeReq(VipRipOp::DeleteRip, 0, 1), 0.0, nopShed());
   (void)adm.offer(makeReq(VipRipOp::NewRip, 0, 1), 0.0, nopShed());
@@ -188,7 +192,7 @@ TEST(AdmissionController, DeferredFootprintBlocksLaterRequests) {
 TEST(AdmissionController, SerializedModeBatchesOfOne) {
   AdmissionController::Options opt;
   opt.pipelined = false;
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
   (void)adm.offer(makeReq(VipRipOp::SetWeight, 0, 1), 0.0, nopShed());
   (void)adm.offer(makeReq(VipRipOp::SetWeight, 0, 2), 0.0, nopShed());
   auto footprint = [](const VipRipRequest& r, FootprintSet& fp) {
@@ -202,7 +206,7 @@ TEST(AdmissionController, SerializedModeBatchesOfOne) {
 TEST(AdmissionController, DeadlineExpiryRespectsClassBudgets) {
   AdmissionController::Options opt;
   opt.capacityDeadlineSeconds = 0.5;
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
   (void)adm.offer(makeReq(VipRipOp::NewVip), 0.0, nopShed());
   (void)adm.offer(makeReq(VipRipOp::RestoreVip), 0.0, nopShed());
 
@@ -225,7 +229,7 @@ TEST(AdmissionController, BrownoutHalvesBatchWithHysteresis) {
   opt.brownoutWindowSeconds = 10.0;
   opt.brownoutEnterTimeoutRate = 0.25;
   opt.brownoutExitTimeoutRate = 0.05;
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
 
   adm.observeSender(100, 0, 0.0);  // anchors the window
   EXPECT_FALSE(adm.brownoutActive());
@@ -246,7 +250,7 @@ TEST(AdmissionController, BrownoutHalvesBatchWithHysteresis) {
 }
 
 TEST(AdmissionController, CoalescesQueuedSetWeight) {
-  AdmissionController adm{AdmissionController::Options{}};
+  AdmissionController adm{AdmissionController::Options{}, kRoundSeconds};
   (void)adm.offer(makeReq(VipRipOp::SetWeight, 0, 5), 0.0, nopShed());
   EXPECT_TRUE(adm.coalesceSetWeight(VmId{5}, 9.0));
   EXPECT_FALSE(adm.coalesceSetWeight(VmId{6}, 9.0));
@@ -289,8 +293,9 @@ class SortedDequeModel {
     if (bound != 0) {
       const SimTime retryAfter = std::clamp(
           (static_cast<double>(queue_.size()) / static_cast<double>(batch) +
-           1.0) * opt_.roundSeconds,
-          opt_.minRetryAfterSeconds, opt_.maxRetryAfterSeconds);
+           1.0) * kRoundSeconds,
+          AdmissionController::kMinRetryAfterSeconds,
+          AdmissionController::kMaxRetryAfterSeconds);
       const std::size_t bulkCap = std::max<std::size_t>(
           1, static_cast<std::size_t>(opt_.bulkShare *
                                       static_cast<double>(bound)));
@@ -378,7 +383,7 @@ class SortedDequeModel {
 
  private:
   [[nodiscard]] AdmissionClass classify(const VipRipRequest& r) const {
-    if (r.op == VipRipOp::RestoreVip || r.priority >= opt_.criticalPriority) {
+    if (r.op == VipRipOp::RestoreVip || r.priority >= kCriticalPriority) {
       return AdmissionClass::Critical;
     }
     return r.op == VipRipOp::SetWeight ? AdmissionClass::Bulk
@@ -418,7 +423,7 @@ std::vector<std::pair<EntryKey, SimTime>> keysOf(
 /// operation sequence and compares every observable after every step.
 void expectMatchesSortedDeque(AdmissionController::Options opt,
                               std::uint64_t seed, int ops) {
-  AdmissionController adm{opt};
+  AdmissionController adm{opt, kRoundSeconds};
   SortedDequeModel model{opt};
   Rng rng{seed};
   constexpr int kPriorities[] = {0, 1, 5, 10, 12};
@@ -484,7 +489,8 @@ void expectMatchesSortedDeque(AdmissionController::Options opt,
         adm.observeSender(sent, timeouts, now);
       }
       const double scale =
-          adm.brownoutActive() ? opt.brownoutDeadlineFactor : 1.0;
+          adm.brownoutActive() ? AdmissionController::kBrownoutDeadlineFactor
+                               : 1.0;
       const std::size_t cap = adm.effectiveBatchSize();
       const auto got = adm.formRound(now, footprint);
       const auto ref = model.formRound(now, footprint, cap, scale);

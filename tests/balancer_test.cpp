@@ -1,9 +1,13 @@
-// Unit tests for the three balancers: access-link, switch, and inter-pod.
+// Unit tests for the three balancers: access-link, switch, and inter-pod,
+// and for the global manager's report that their rounds read.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <thread>
 
+#include "mdc/core/global_manager.hpp"
 #include "mdc/core/interpod_balancer.hpp"
 #include "mdc/core/link_balancer.hpp"
 #include "mdc/core/switch_balancer.hpp"
@@ -68,6 +72,44 @@ struct Fixture {
   }
 };
 
+/// Fixture's world run by a global manager with no pods: only the link
+/// and switch balancers' rounds (7.5 s and 22.5 s, then every 30 s) and
+/// the lease watch are registered.
+struct ManagerWorld {
+  Simulation sim;
+  Topology topo{Fixture::topoConfig()};
+  SwitchFleet fleet;
+  AuthoritativeDns dns;
+  RouteRegistry routes{1.0};
+  AppRegistry apps;
+  HostFleet hosts{topo, sim, HostCostModel{}};
+  PodRegistry registry{Fixture::topoConfig().numServers};
+  std::unique_ptr<GlobalManager> gm;
+
+  ManagerWorld() {
+    for (int i = 0; i < 3; ++i) fleet.addSwitch(SwitchLimits{});
+    GlobalManager::Options o;
+    o.viprip.processSeconds = 0.01;
+    o.viprip.reconfigSeconds = 0.1;
+    o.enableInterPodBalancer = false;
+    o.enablePodLoops = false;
+    o.enableReconciler = false;
+    o.snapshot.enable = false;
+    gm = std::make_unique<GlobalManager>(
+        sim, topo, hosts, apps, fleet, dns, routes, registry,
+        std::make_shared<PlacementController>(), o);
+  }
+
+  /// An app with `vips` VIPs and no RIPs.
+  AppId makeApp(int vips) {
+    const AppId app = apps.create("a", AppSla{}, 1000.0);
+    for (int v = 0; v < vips; ++v) {
+      EXPECT_TRUE(gm->viprip().createVipNow(app).ok());
+    }
+    return app;
+  }
+};
+
 // --------------------------------------------------- link balancer ----
 
 TEST(AccessLinkBalancerTest, ShiftsExposureTowardSpareLink) {
@@ -80,8 +122,7 @@ TEST(AccessLinkBalancerTest, ShiftsExposureTowardSpareLink) {
   const auto& vips = f.apps.app(app).vips;
   const auto ar0 = f.viprip->routerOf(vips[0]);
   r.accessLinkUtil[ar0.index()] = 0.95;  // vip0's link is hot
-  lb.observe(r);
-  lb.runOnce();
+  lb.runOnce(r);
   EXPECT_GT(lb.weightUpdates(), 0u);
   EXPECT_LT(f.viprip->vipExposureFactor(vips[0]),
             f.viprip->vipExposureFactor(vips[1]));
@@ -101,8 +142,7 @@ TEST(AccessLinkBalancerTest, SingleVipAppsUntouched) {
                         AccessLinkBalancer::Options{}};
   EpochReport r = f.report();
   r.accessLinkUtil[0] = 2.0;
-  lb.observe(r);
-  lb.runOnce();
+  lb.runOnce(r);
   EXPECT_EQ(lb.weightUpdates(), 0u);
   (void)app;
 }
@@ -115,18 +155,19 @@ TEST(AccessLinkBalancerTest, DoesNotReexposeDrainingVip) {
   AccessLinkBalancer lb{f.dns, *f.viprip, f.apps, f.fleet, f.topo,
                         AccessLinkBalancer::Options{}};
   EpochReport r = f.report();
-  lb.observe(r);
-  lb.runOnce();
+  lb.runOnce(r);
   EXPECT_EQ(f.viprip->vipExposureFactor(draining), 0.0);
 }
 
 TEST(AccessLinkBalancerTest, NoReportNoAction) {
-  Fixture f;
-  f.makeAppWithVips(2);
-  AccessLinkBalancer lb{f.dns, *f.viprip, f.apps, f.fleet, f.topo,
-                        AccessLinkBalancer::Options{}};
-  lb.runOnce();
-  EXPECT_EQ(lb.weightUpdates(), 0u);
+  // The manager holds the report the rounds read: until it has observed
+  // one, its link-balancer rounds do nothing (a default report would
+  // reweight both VIPs).
+  ManagerWorld w;
+  w.makeApp(2);
+  w.gm->start();
+  w.sim.runUntil(40.0);  // rounds at 7.5 and 37.5
+  EXPECT_EQ(w.gm->linkBalancer().weightUpdates(), 0u);
 }
 
 TEST(AccessLinkBalancerTest, SkipsVipAdoptedWithoutRouter) {
@@ -177,8 +218,7 @@ TEST(AccessLinkBalancerTest, SkipsVipAdoptedWithoutRouter) {
   r.vipDemandGbps[adopted.value()] = 5.0;
   AccessLinkBalancer exposure{f.dns,  *f.viprip, f.apps,
                               f.fleet, f.topo,   AccessLinkBalancer::Options{}};
-  exposure.observe(r);
-  exposure.runOnce();
+  exposure.runOnce(r);
   EXPECT_EQ(exposure.weightUpdates(), 1u);
   EXPECT_EQ(f.viprip->vipExposureFactor(adopted.value()), 1.0);
 
@@ -186,8 +226,7 @@ TEST(AccessLinkBalancerTest, SkipsVipAdoptedWithoutRouter) {
   opt.policy = LinkBalancePolicy::Readvertisement;
   AccessLinkBalancer readvertise{f.dns,  *f.viprip, f.apps,
                                  f.fleet, f.topo,    opt};
-  readvertise.observe(r);
-  readvertise.runOnce();
+  readvertise.runOnce(r);
   EXPECT_EQ(readvertise.vipMoves(), 1u);
   EXPECT_NE(f.viprip->routerOf(kept.value()), hot);
   EXPECT_FALSE(f.viprip->intent().find(adopted.value())->router.valid());
@@ -209,8 +248,7 @@ TEST(SwitchBalancerTest, DrainsHotSwitchAndTransfers) {
   EpochReport r = f.report();
   r.switchUtil[hotSw.index()] = 1.2;
   r.vipDemandGbps[hotVip] = 1.1;
-  sb.observe(r);
-  sb.runOnce();
+  sb.runOnce(r);
   EXPECT_EQ(sb.drainsInProgress(), 1u);
   // Draining VIP unexposed.
   EXPECT_EQ(f.viprip->vipExposureFactor(hotVip), 0.0);
@@ -218,8 +256,7 @@ TEST(SwitchBalancerTest, DrainsHotSwitchAndTransfers) {
   // Demand subsides below the quiesce fraction -> transfer completes.
   EpochReport r2 = f.report();
   r2.vipDemandGbps[hotVip] = 0.2;
-  sb.observe(r2);
-  sb.runOnce();
+  sb.runOnce(r2);
   EXPECT_EQ(sb.transfersCompleted(), 1u);
   EXPECT_EQ(sb.drainsInProgress(), 0u);
   EXPECT_NE(*f.fleet.ownerOf(hotVip), hotSw);
@@ -233,8 +270,7 @@ TEST(SwitchBalancerTest, NoDrainBelowWatermark) {
   SwitchBalancer sb{f.sim, f.fleet, f.dns, f.apps, *f.viprip,
                     SwitchBalancer::Options{}};
   EpochReport r = f.report();
-  sb.observe(r);
-  sb.runOnce();
+  sb.runOnce(r);
   EXPECT_EQ(sb.drainsInProgress(), 0u);
 }
 
@@ -252,8 +288,7 @@ TEST(SwitchBalancerTest, TimeoutAbandonsWithoutForce) {
   EpochReport r = f.report();
   r.switchUtil[hotSw.index()] = 1.5;
   r.vipDemandGbps[hotVip] = 1.2;
-  sb.observe(r);
-  sb.runOnce();
+  sb.runOnce(r);
   ASSERT_EQ(sb.drainsInProgress(), 1u);
 
   // Demand never subsides; time passes beyond the timeout.
@@ -261,8 +296,7 @@ TEST(SwitchBalancerTest, TimeoutAbandonsWithoutForce) {
   EpochReport r2 = f.report();
   r2.time = f.sim.now();
   r2.vipDemandGbps[hotVip] = 1.2;
-  sb.observe(r2);
-  sb.runOnce();
+  sb.runOnce(r2);
   EXPECT_EQ(sb.transfersAbandoned(), 1u);
   EXPECT_EQ(*f.fleet.ownerOf(hotVip), hotSw);        // unmoved
   EXPECT_GT(f.viprip->vipExposureFactor(hotVip), 0.0);  // re-exposed
@@ -284,11 +318,12 @@ struct PodFixture : Fixture {
   };
   NullSink sink;
 
-  PodManager& makePod(std::vector<ServerId> servers) {
+  PodManager& makePod(std::vector<ServerId> servers,
+                      std::shared_ptr<const PlacementAlgorithm> algorithm =
+                          std::make_shared<PlacementController>()) {
     const PodId id{static_cast<PodId::value_type>(pods.size())};
     pods.push_back(std::make_unique<PodManager>(
-        id, sim, hosts, apps, topo, registry,
-        std::make_shared<PlacementController>(), sink,
+        id, sim, hosts, apps, topo, registry, std::move(algorithm), sink,
         PodManager::Options{}));
     for (ServerId s : servers) pods.back()->adoptServer(s);
     return *pods.back();
@@ -327,14 +362,62 @@ TEST(InterPodBalancerTest, ElephantShedsToSmallestPod) {
   opt.enableRipWeight = opt.enableAppDeploy = opt.enableServerTransfer =
       false;
   f.makeBalancer(opt);
-  f.balancer->observe(EpochReport{});
-  f.balancer->runOnce();
+  f.balancer->runOnce(EpochReport{});
 
   EXPECT_EQ(f.balancer->elephantSheds(), 2u);
   EXPECT_EQ(big.servers().size(), 4u);
   EXPECT_EQ(small.servers().size(), 4u);
   // Shed servers moved with their VMs (no migration happened).
   EXPECT_EQ(f.hosts.migrationsStarted(), 0u);
+}
+
+/// The controller's placement, decided in just over a second of host
+/// time.
+class SlowPlacement final : public PlacementAlgorithm {
+ public:
+  [[nodiscard]] PlacementResult place(
+      const PlacementInput& input) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1050));
+    return PlacementController{}.place(input);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "slow";
+  }
+};
+
+TEST(InterPodBalancerTest, SlowDecisionUnderTheCapsIsNotShed) {
+  // A decision past 1 s of host time is host speed, not pod size: a pod
+  // under both caps keeps its servers, so the simulated outcome does not
+  // depend on the machine running it.
+  PodFixture f;
+  PodManager& slow = f.makePod({ServerId{0}, ServerId{1}, ServerId{2},
+                                ServerId{3}, ServerId{4}, ServerId{5}},
+                               std::make_shared<SlowPlacement>());
+  PodManager& small = f.makePod({ServerId{6}, ServerId{7}});
+  const AppId app = f.apps.create("x", AppSla{}, 100.0);
+  for (std::uint32_t s = 0; s < 6; ++s) {
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(
+          f.hosts.createVm(app, ServerId{s}, CapacityVec{1.0, 2.0, 0.05})
+              .ok());
+    }
+  }
+  slow.setAppDemand(app, 100.0);
+  slow.runControlLoop();
+  ASSERT_GT(slow.stats().decisionSeconds, 1.0);
+  small.setAppDemand(app, 0.0);
+  small.runControlLoop();
+  ASSERT_LT(small.stats().vms, slow.stats().vms);  // somewhere to shed to
+
+  InterPodBalancer::Options opt;  // the paper's caps: 10,000 VMs, 5,000 servers
+  opt.enableRipWeight = opt.enableAppDeploy = opt.enableServerTransfer =
+      false;
+  f.makeBalancer(opt);
+  f.balancer->runOnce(EpochReport{});
+
+  EXPECT_EQ(f.balancer->elephantSheds(), 0u);
+  EXPECT_EQ(slow.servers().size(), 6u);
+  EXPECT_EQ(small.servers().size(), 2u);
 }
 
 TEST(InterPodBalancerTest, ServerTransferFromColdDonor) {
@@ -362,8 +445,7 @@ TEST(InterPodBalancerTest, ServerTransferFromColdDonor) {
   opt.enableRipWeight = opt.enableAppDeploy = false;
   opt.enableElephantAvoidance = false;
   f.makeBalancer(opt);
-  f.balancer->observe(EpochReport{});
-  f.balancer->runOnce();
+  f.balancer->runOnce(EpochReport{});
   f.sim.runUntil(f.sim.now() + 30.0);
 
   EXPECT_EQ(f.balancer->serverTransfers(), 2u);
@@ -396,8 +478,7 @@ TEST(InterPodBalancerTest, DeploymentTargetsUnservedApp) {
   EpochReport r;
   r.appDemandRps[app] = 14'000.0;
   r.appServedRps[app] = 7'000.0;
-  f.balancer->observe(r);
-  f.balancer->runOnce();
+  f.balancer->runOnce(r);
   EXPECT_EQ(f.balancer->deployActions(), 1u);
   // The clone landed in the cold pod.
   bool found = false;
@@ -431,10 +512,44 @@ TEST(InterPodBalancerTest, DeployCooldownLimitsChurn) {
   EpochReport r;
   r.appDemandRps[app] = 14'000.0;
   r.appServedRps[app] = 7'000.0;
-  f.balancer->observe(r);
-  f.balancer->runOnce();
-  f.balancer->runOnce();  // immediately again: cooldown must block
+  f.balancer->runOnce(r);
+  f.balancer->runOnce(r);  // immediately again: cooldown must block
   EXPECT_EQ(f.balancer->deployActions(), 1u);
+}
+
+// ------------------------------------------- the manager's report ----
+
+TEST(GlobalManagerReport, ObservedWhileDownMissesFirstRoundAfterPromotion) {
+  // A dead manager observes nothing: the standby promoted in its place
+  // balances on the report the old leader last saw until the next epoch.
+  ManagerWorld w;
+  const AppId app = w.makeApp(1);
+  const VipId vip = w.apps.app(app).vips[0];
+  const SwitchId owner = *w.fleet.ownerOf(vip);
+  w.gm->start();
+
+  EpochReport cold;
+  cold.accessLinkUtil.assign(w.topo.accessLinkCount(), 0.1);
+  cold.switchUtil.assign(w.topo.switchCount(), 0.1);
+  EpochReport hot = cold;
+  hot.switchUtil[owner.index()] = 1.2;
+  hot.vipDemandGbps[vip] = 1.1;
+
+  w.gm->observe(cold);
+  w.sim.runUntil(1.0);
+  w.gm->crashLeader();
+  w.gm->observe(hot);  // nobody is up to see it
+  w.sim.runUntil(10.0);
+  ASSERT_TRUE(w.gm->leaderUp());  // promoted once the 6-s lease ran out
+  ASSERT_EQ(w.gm->failovers(), 1u);
+
+  w.sim.runUntil(25.0);  // the first switch-balancer round, at 22.5
+  EXPECT_EQ(w.gm->switchBalancer().drainsInProgress(), 0u);
+
+  // The same report, observed by the new leader, starts a drain.
+  w.gm->observe(hot);
+  w.sim.runUntil(55.0);  // the next round, at 52.5
+  EXPECT_EQ(w.gm->switchBalancer().drainsInProgress(), 1u);
 }
 
 }  // namespace

@@ -33,8 +33,8 @@ Status scanDeploy(MegaDc& dc, const std::vector<Deployment>& batch,
       const auto vip = gm.viprip().createVipNow(d.app);
       if (!vip.ok()) return Status::fail(vip.error().code);
     }
-    const CapacityVec slice = dc.apps.app(d.app).sla.sliceFor(
-        d.perInstanceRps, gm.options().pod.headroom);
+    const CapacityVec slice =
+        dc.apps.app(d.app).sla.sliceFor(d.perInstanceRps, kSliceHeadroom);
     for (std::uint32_t i = 0; i < d.instances; ++i) {
       bool placed = false;
       const std::size_t attempts = pinned ? 1 : pods.size();

@@ -8,6 +8,7 @@
 #include "mdc/lb/conn_shard.hpp"
 #include "mdc/lb/lb_switch.hpp"
 #include "mdc/lb/switch_fleet.hpp"
+#include "mdc/util/expect.hpp"
 
 namespace mdc {
 namespace {
@@ -389,6 +390,37 @@ TEST(SwitchFleet, FleetWideAccounting) {
   int visited = 0;
   fleet.forEach([&](const LbSwitch&) { ++visited; });
   EXPECT_EQ(visited, 2);
+}
+
+TEST(SwitchFleet, VipLogHoldsOnlyWhatItsReaderHasNotTaken) {
+  SwitchFleet fleet;
+  const SwitchId a = fleet.addSwitch(tinyLimits());
+  constexpr VipId kOther{3};
+  std::vector<VipId> taken{VipId{99}};  // a take drops what it held
+  // No reader yet: nothing is logged...
+  ASSERT_TRUE(fleet.configureVip(a, kVip, kApp).ok());
+  ASSERT_TRUE(fleet.addRip(kVip, vmRip(0, 0)).ok());
+  ASSERT_TRUE(fleet.configureVip(a, kOther, kApp).ok());
+  // ...but a reader that attaches now starts complete: every VIP mutated
+  // so far, once, in ascending id.
+  fleet.openVipLog();
+  fleet.takeVipMutations(taken);
+  EXPECT_EQ(taken, (std::vector<VipId>{kOther, kVip}));
+  // Then every bump, in bump order, each handed over once.
+  ASSERT_TRUE(fleet.setRipWeight(kVip, RipId{0}, 2.0).ok());
+  ASSERT_TRUE(fleet.removeVip(kOther).ok());
+  ASSERT_TRUE(fleet.setRipWeight(kVip, RipId{0}, 3.0).ok());
+  fleet.takeVipMutations(taken);
+  EXPECT_EQ(taken, (std::vector<VipId>{kVip, kOther, kVip}));
+  fleet.takeVipMutations(taken);
+  EXPECT_TRUE(taken.empty());
+  EXPECT_THROW(fleet.openVipLog(), PreconditionError);  // one reader
+  // Closed, the log takes nothing; the next reader starts complete.
+  fleet.closeVipLog();
+  ASSERT_TRUE(fleet.removeRip(kVip, RipId{0}).ok());
+  fleet.openVipLog();
+  fleet.takeVipMutations(taken);
+  EXPECT_EQ(taken, (std::vector<VipId>{kOther, kVip}));
 }
 
 TEST(SwitchFleet, RipOpsOnUnownedVip) {

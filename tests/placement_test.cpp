@@ -335,7 +335,7 @@ PlacementResult place(const PlacementInput& input,
   }
 
   const auto maxPasses = static_cast<std::uint32_t>(
-      options.maxBalancePassesPerServer *
+      PlacementController::kMaxBalancePassesPerServer *
       static_cast<double>(input.servers.size()));
   std::uint32_t passes = 0;
   for (std::uint32_t pass = 0; pass < maxPasses; ++pass) {

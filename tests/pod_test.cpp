@@ -167,7 +167,7 @@ TEST(PodManager, RetiresSurplusVmOfOneAppOnOneServer) {
   Fixture f;
   PodManager& pod = f.makePod({ServerId{0}});
   const AppId app = f.apps.create("web", AppSla{}, 1000.0);
-  const CapacityVec slice = AppSla{}.sliceFor(500.0, pod.options().headroom);
+  const CapacityVec slice = AppSla{}.sliceFor(500.0, kSliceHeadroom);
   std::vector<VmId> vms;
   for (int i = 0; i < 2; ++i) {
     const auto vm = f.hosts.createVm(app, ServerId{0}, slice);

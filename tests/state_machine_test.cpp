@@ -291,7 +291,7 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
     Rng rng{0xe17c0ffeeull * seed};
 
     Changelog log;
-    DurableStateMachine machine{log, DurableStateMachine::Options{}};
+    DurableStateMachine machine{log};
     ToyAutomaton toy;
     machine.setHooks(toyHooks(toy));
 
