@@ -62,16 +62,20 @@ void AppRegistry::removeVip(AppId app, VipId vip) {
 
 void AppRegistry::addInstance(AppId app, VmId vm) {
   auto& inst = appMutable(app).instances;
-  MDC_EXPECT(std::find(inst.begin(), inst.end(), vm) == inst.end(),
-             "instance already attached to app");
+  MDC_EXPECT(vm.valid(), "invalid vm");
+  if (vm.index() >= owner_.size()) owner_.resize(vm.index() + 1);
+  MDC_EXPECT(!owner_[vm.index()].valid(), "vm already an app's instance");
   inst.push_back(vm);
+  owner_[vm.index()] = app;
 }
 
 void AppRegistry::removeInstance(AppId app, VmId vm) {
+  MDC_EXPECT(isInstance(app, vm), "instance not attached to app");
   auto& inst = appMutable(app).instances;
   const auto it = std::find(inst.begin(), inst.end(), vm);
-  MDC_EXPECT(it != inst.end(), "instance not attached to app");
+  MDC_ENSURE(it != inst.end(), "instance owner table out of sync");
   inst.erase(it);
+  owner_[vm.index()] = AppId{};
 }
 
 }  // namespace mdc

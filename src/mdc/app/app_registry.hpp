@@ -57,8 +57,15 @@ class AppRegistry {
 
   void addVip(AppId app, VipId vip);
   void removeVip(AppId app, VipId vip);
+  /// Precondition of addInstance: `vm` is no app's instance.
   void addInstance(AppId app, VmId vm);
   void removeInstance(AppId app, VmId vm);
+  /// Whether `vm` is listed in `app`'s instances: one read of the owner
+  /// table instead of a walk over the list.
+  [[nodiscard]] bool isInstance(AppId app, VmId vm) const noexcept {
+    return app.valid() && vm.index() < owner_.size() &&
+           owner_[vm.index()] == app;
+  }
 
   [[nodiscard]] const std::vector<Application>& all() const noexcept {
     return apps_;
@@ -66,6 +73,10 @@ class AppRegistry {
 
  private:
   std::vector<Application> apps_;
+  /// Owning app per VmId (invalid: no app's instance), grown on demand.
+  /// addInstance and removeInstance are its only writers, beside each
+  /// app's `instances` list.
+  std::vector<AppId> owner_;
 };
 
 }  // namespace mdc

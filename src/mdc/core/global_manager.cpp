@@ -328,8 +328,11 @@ void GlobalManager::observe(const EpochReport& report) {
   }
   // Each pod's share sums in instance order, and every pod gets its
   // setAppDemand calls in app order, so each pod's demand map (kept in
-  // app order whatever the call order) grows by appending.
+  // app order whatever the call order) grows by appending.  The report's
+  // demand map is in app order too: a cursor reads it in step.
   std::vector<std::pair<PodId, double>>& perPod = podDemand_;
+  auto demandIt = report.appDemandRps.begin();
+  const auto demandEnd = report.appDemandRps.end();
   for (const Application& a : apps_.all()) {
     perPod.clear();
     double routed = 0.0;
@@ -346,8 +349,10 @@ void GlobalManager::observe(const EpochReport& report) {
     }
     // Demand that found no RIP path yet is assigned proportionally (or to
     // the app's first instance's pod) so someone scales it up.
-    const auto it = report.appDemandRps.find(a.id);
-    const double demand = it == report.appDemandRps.end() ? 0.0 : it->second;
+    while (demandIt != demandEnd && demandIt->first < a.id) ++demandIt;
+    const double demand =
+        demandIt != demandEnd && demandIt->first == a.id ? demandIt->second
+                                                         : 0.0;
     const double missing = std::max(0.0, demand - routed);
     if (missing > 0.0 && !perPod.empty()) {
       const double bump = missing / static_cast<double>(perPod.size());
@@ -419,11 +424,7 @@ void GlobalManager::submitNewRip(AppId app, VmId vm, double weight,
     // still a managed instance of the app.
     sim_.after(retryDelayFor(s, attempt), [this, app, vm, weight, attempt] {
       if (!hosts_.vmExists(vm)) return;
-      const auto& instances = apps_.app(app).instances;
-      if (std::find(instances.begin(), instances.end(), vm) ==
-          instances.end()) {
-        return;  // retired meanwhile
-      }
+      if (!apps_.isInstance(app, vm)) return;  // retired meanwhile
       if (!viprip_->ripsOf(vm).empty()) return;  // someone else bound it
       submitNewRip(app, vm, weight, attempt + 1);
     });
@@ -482,11 +483,7 @@ void GlobalManager::requestRipWeight(VmId vm, double weight) {
     // The VM lost (or never got) its RIP — typically a NewRip that died
     // with a crashed manager.  Re-bind it so its capacity serves again.
     const AppId app = hosts_.vm(vm).app;
-    const auto& instances = apps_.app(app).instances;
-    if (std::find(instances.begin(), instances.end(), vm) ==
-        instances.end()) {
-      return;  // being retired; DeleteRip owns it
-    }
+    if (!apps_.isInstance(app, vm)) return;  // being retired; DeleteRip owns it
     submitNewRip(app, vm, weight, 0);
   };
   viprip_->submit(std::move(req));

@@ -259,11 +259,8 @@ void InterPodBalancer::scaleInOverprovisioned(const EpochReport& report) {
         // The RIPs are still in the switch tables (shed, deadline, or
         // cancellation); destroying the VM now would strand live RIPs.
         // Re-register the instance and let a later round retry.
-        if (hosts_.vmExists(doomed)) {
-          const auto& inst = apps_.app(doomedApp).instances;
-          if (std::find(inst.begin(), inst.end(), doomed) == inst.end()) {
-            apps_.addInstance(doomedApp, doomed);
-          }
+        if (hosts_.vmExists(doomed) && !apps_.isInstance(doomedApp, doomed)) {
+          apps_.addInstance(doomedApp, doomed);
         }
         return;
       }
@@ -273,11 +270,8 @@ void InterPodBalancer::scaleInOverprovisioned(const EpochReport& report) {
         // Destroying now would leave intent and actual agreeing on a
         // RIP to a dead VM — reconciler-blind.  Hand the VM back; a
         // later round re-decides whether it still wants it gone.
-        if (hosts_.vmExists(doomed)) {
-          const auto& inst = apps_.app(doomedApp).instances;
-          if (std::find(inst.begin(), inst.end(), doomed) == inst.end()) {
-            apps_.addInstance(doomedApp, doomed);
-          }
+        if (hosts_.vmExists(doomed) && !apps_.isInstance(doomedApp, doomed)) {
+          apps_.addInstance(doomedApp, doomed);
         }
         return;
       }

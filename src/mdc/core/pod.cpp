@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <cmath>
+#include <limits>
 
 #include "mdc/util/expect.hpp"
 #include "mdc/util/stats.hpp"
@@ -196,60 +197,85 @@ void PodManager::runControlLoop() {
   }
   if (serverIds.empty()) return;
 
-  std::unordered_map<AppId, std::uint32_t> appIndex;
-  std::vector<AppId> appIds;
-  auto internApp = [&](AppId app) {
-    const auto [it, inserted] =
-        appIndex.emplace(app, static_cast<std::uint32_t>(appIds.size()));
-    if (inserted) appIds.push_back(app);
-    return it->second;
-  };
-
   PlacementInput input;
   input.servers.reserve(serverIds.size());
   for (ServerId s : serverIds) {
     input.servers.push_back(PlacementServer{topo_.server(s).capacity});
   }
 
-  // Current assignments from live VMs; also interns their apps.  The
-  // (app, server) -> VM map is what applyAssignment diffs against: only
-  // the pure place() call runs in between, so it is still current there.
-  // A pair with several managed VMs keeps the last one listed; the others
-  // are surplus: left out of the problem and retired below.
-  ExistingVms existing;
-  std::vector<std::pair<VmId, Assignment>> resident;
+  // Problem apps are numbered at first sight; `appIndex` maps an AppId to
+  // its number for this round only.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> appIndex(apps_.size(), kNone);
+  std::vector<AppId> appIds;
+  const auto internApp = [&](AppId app) {
+    MDC_EXPECT(app.index() < appIndex.size(), "unknown app");
+    std::uint32_t& ai = appIndex[app.index()];
+    if (ai == kNone) {
+      ai = static_cast<std::uint32_t>(appIds.size());
+      appIds.push_back(app);
+      input.apps.push_back(PlacementApp{apps_.app(app).sla, 0.0});
+    }
+    return ai;
+  };
+
+  // Current assignments from live managed VMs, walked server by server in
+  // pod order; also interns their apps.  A pair with several managed VMs
+  // keeps the last one listed; the others are surplus: left out of the
+  // problem and retired below.  Each app's last (server, position) is
+  // stamped, so the VM it supersedes is known without a lookup.
+  struct Resident {
+    VmId vm;
+    Assignment a;
+    bool surplus = false;
+  };
+  std::vector<Resident> resident;
+  std::vector<std::pair<std::uint32_t, std::size_t>> last;  // by app index
   for (std::uint32_t si = 0; si < serverIds.size(); ++si) {
     for (VmId vm : hosts_.vmsOn(serverIds[si])) {
       if (!hosts_.vmExists(vm)) continue;
       const VmRecord& rec = hosts_.vm(vm);
       if (rec.server != serverIds[si]) continue;  // migration target copy
-      if (!isManagedInstance(rec.app, vm)) continue;  // being retired
+      if (!apps_.isInstance(rec.app, vm)) continue;  // being retired
       const std::uint32_t ai = internApp(rec.app);
-      const double rps = apps_.app(rec.app).sla.servableRps(rec.slice) /
-                         kSliceHeadroom;
-      resident.emplace_back(vm, Assignment{ai, si, rps});
-      existing[{ai, si}] = vm;
-    }
-  }
-  std::vector<VmId> surplus;
-  for (const auto& [vm, a] : resident) {
-    if (existing.at({a.app, a.server}) == vm) {
-      input.current.push_back(a);
-    } else {
-      surplus.push_back(vm);
+      last.resize(appIds.size(), {kNone, 0});
+      auto& [lastServer, lastPos] = last[ai];
+      if (lastServer == si) resident[lastPos].surplus = true;
+      lastServer = si;
+      lastPos = resident.size();
+      const double rps =
+          input.apps[ai].sla.servableRps(rec.slice) / kSliceHeadroom;
+      resident.push_back(Resident{vm, Assignment{ai, si, rps}});
     }
   }
   // Apps with demand but no managed resident VM come next, in ascending
-  // app id (the demand map's order).
+  // app id (the demand map's order); residents take their demand here.
   for (const auto& [app, rps] : demand_) {
-    internApp(app);
+    input.apps[internApp(app)].demandRps = rps;
   }
 
-  input.apps.resize(appIds.size());
-  for (std::uint32_t ai = 0; ai < appIds.size(); ++ai) {
-    const auto it = demand_.find(appIds[ai]);
-    input.apps[ai] = PlacementApp{apps_.app(appIds[ai]).sla,
-                                  it == demand_.end() ? 0.0 : it->second};
+  // input.current keeps the walk order.  The existing placement that
+  // applyAssignment diffs against is bucketed by app: each app's pairs
+  // arrive in ascending server order, so that sorts it by (app, server).
+  // Only the pure place() call runs in between, so it is still current.
+  std::vector<VmId> surplus;
+  std::vector<std::uint32_t> bucket(appIds.size() + 1, 0);
+  for (const Resident& r : resident) {
+    if (r.surplus) {
+      surplus.push_back(r.vm);
+    } else {
+      input.current.push_back(r.a);
+      ++bucket[r.a.app + 1];
+    }
+  }
+  for (std::size_t ai = 1; ai < bucket.size(); ++ai) {
+    bucket[ai] += bucket[ai - 1];
+  }
+  std::vector<ExistingVm> existing(input.current.size());
+  for (const Resident& r : resident) {
+    if (!r.surplus) {
+      existing[bucket[r.a.app]++] = ExistingVm{r.a.app, r.a.server, r.vm};
+    }
   }
 
   // --- decide (measuring real decision time) ----------------------------
@@ -268,17 +294,25 @@ void PodManager::applyAssignment(const PlacementInput& input,
                                  const PlacementResult& result,
                                  const std::vector<AppId>& appIds,
                                  const std::vector<ServerId>& serverIds,
-                                 const ExistingVms& existing) {
-  // Create or resize.  The assignment is unique and in (app, server)
-  // order, so the calls below keep that order.
-  for (const Assignment& a : result.assignment) {
+                                 const std::vector<ExistingVm>& existing) {
+  using Key = std::pair<std::uint32_t, std::uint32_t>;
+  const auto key = [](const auto& x) { return Key{x.app, x.server}; };
+
+  // Create or resize: one merge of the assignment against the existing
+  // placement, both unique and in (app, server) order, so the calls keep
+  // the assignment's order.
+  auto ex = existing.begin();
+  for (std::size_t i = 0; i < result.assignment.size(); ++i) {
+    const Assignment& a = result.assignment[i];
+    MDC_EXPECT(i == 0 || key(result.assignment[i - 1]) < key(a),
+               "placement assignment not unique in (app, server) order");
     if (a.rps <= 1e-9) continue;
+    while (ex != existing.end() && key(*ex) < key(a)) ++ex;
     const AppId app = appIds[a.app];
     const ServerId server = serverIds[a.server];
     const AppSla& sla = input.apps[a.app].sla;
     const CapacityVec slice = sla.sliceFor(a.rps, kSliceHeadroom);
-    const auto ex = existing.find({a.app, a.server});
-    if (ex == existing.end()) {
+    if (ex == existing.end() || key(*ex) != key(a)) {
       const double weight = a.rps;
       auto created = hosts_.createVm(
           app, server, slice, /*clone=*/true,
@@ -292,11 +326,10 @@ void PodManager::applyAssignment(const PlacementInput& input,
       // physical reservations (e.g. in-flight adjustments); skipped this
       // round, retried next.
     } else {
-      const VmId vm = ex->second;
+      const VmId vm = ex->vm;
       const VmRecord& rec = hosts_.vm(vm);
       if (rec.state != VmState::Active) continue;
-      const double curRps = apps_.app(app).sla.servableRps(rec.slice) /
-                            kSliceHeadroom;
+      const double curRps = sla.servableRps(rec.slice) / kSliceHeadroom;
       if (std::abs(curRps - a.rps) > kResizeDeadband * std::max(curRps, 1.0)) {
         (void)hosts_.adjustVmCapacity(vm, slice);
       }
@@ -313,18 +346,14 @@ void PodManager::applyAssignment(const PlacementInput& input,
     }
   }
 
-  // Destroy what placement no longer wants.
-  const auto wanted = [&](std::pair<std::uint32_t, std::uint32_t> key) {
-    const auto it = std::lower_bound(
-        result.assignment.begin(), result.assignment.end(), key,
-        [](const Assignment& a, std::pair<std::uint32_t, std::uint32_t> k) {
-          return std::pair{a.app, a.server} < k;
-        });
-    return it != result.assignment.end() && it->app == key.first &&
-           it->server == key.second && it->rps > 1e-9;
-  };
-  for (const auto& [key, vm] : existing) {
-    if (!wanted(key)) retire(vm);
+  // Destroy what placement no longer wants: a second merge, in the
+  // existing placement's order.
+  auto want = result.assignment.begin();
+  for (const ExistingVm& e : existing) {
+    while (want != result.assignment.end() && key(*want) < key(e)) ++want;
+    const bool wanted = want != result.assignment.end() &&
+                        key(*want) == key(e) && want->rps > 1e-9;
+    if (!wanted) retire(e.vm);
   }
 }
 
@@ -346,19 +375,16 @@ void PodManager::retire(VmId vm) {
   });
 }
 
-bool PodManager::isManagedInstance(AppId app, VmId vm) const {
-  const auto& inst = apps_.app(app).instances;
-  return std::find(inst.begin(), inst.end(), vm) != inst.end();
-}
-
 void PodManager::updateStats(const PlacementResult& result) {
   stats_.servers = servers().size();
   std::vector<double> utils;
   std::size_t vms = 0;
   for (ServerId s : servers()) {
     utils.push_back(hosts_.serverUtilization(s));
+    // A VM migrating inside the pod is attached to both of its servers;
+    // it counts once, on the server it serves from.
     for (VmId vm : hosts_.vmsOn(s)) {
-      if (hosts_.vmExists(vm)) ++vms;
+      if (hosts_.vmExists(vm) && hosts_.vm(vm).server == s) ++vms;
     }
   }
   stats_.vms = vms;
@@ -396,8 +422,7 @@ void PodManager::restart(const std::function<double(VmId)>& intendedWeight) {
   for (ServerId s : servers()) {
     for (VmId vm : hosts_.vmsOn(s)) {
       if (!hosts_.vmExists(vm)) continue;
-      const VmRecord& rec = hosts_.vm(vm);
-      if (!isManagedInstance(rec.app, vm)) continue;
+      if (!apps_.isInstance(hosts_.vm(vm).app, vm)) continue;
       lastWeight_[vm] = intendedWeight ? intendedWeight(vm) : 0.0;
     }
   }

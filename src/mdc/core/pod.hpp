@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -173,21 +172,25 @@ class PodManager {
   [[nodiscard]] std::vector<AppId> coveredApps() const;
 
  private:
-  /// (app index, server index) of the placement problem -> resident VM.
-  using ExistingVms = std::map<std::pair<std::uint32_t, std::uint32_t>, VmId>;
+  /// The resident VM behind one (app index, server index) pair of the
+  /// placement problem.
+  struct ExistingVm {
+    std::uint32_t app = 0;
+    std::uint32_t server = 0;
+    VmId vm;
+  };
 
+  /// Enacts the decision against `existing`, the problem's resident VMs
+  /// in (app, server) order.
   void applyAssignment(const PlacementInput& input,
                        const PlacementResult& result,
                        const std::vector<AppId>& appIds,
                        const std::vector<ServerId>& serverIds,
-                       const ExistingVms& existing);
+                       const std::vector<ExistingVm>& existing);
   /// Tears down a managed instance placement no longer wants, unless it
   /// is migrating or still inside its grace period.
   void retire(VmId vm);
   void updateStats(const PlacementResult& result);
-  /// True when `vm` is still listed as an instance of `app` (VMs pending
-  /// retirement are detached first and must not be re-managed).
-  [[nodiscard]] bool isManagedInstance(AppId app, VmId vm) const;
 
   PodId id_;
   Simulation& sim_;

@@ -180,10 +180,7 @@ void HealthMonitor::cleanupCasualties(ServerId server) {
     // Detach the corpse from its application so control loops provision
     // replacements (an app left with zero live instances is re-seeded by
     // the global manager's demand fan-out).
-    const auto& inst = apps_.app(c.app).instances;
-    if (std::find(inst.begin(), inst.end(), c.vm) != inst.end()) {
-      apps_.removeInstance(c.app, c.vm);
-    }
+    if (apps_.isInstance(c.app, c.vm)) apps_.removeInstance(c.app, c.vm);
     ++pendingVmCleanups_;
     submitCleanup(c, 0);
   }

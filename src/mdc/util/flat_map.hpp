@@ -9,10 +9,12 @@
 // a binary search over contiguous memory, iteration IS the canonical
 // key order, and equality is a memcmp-shaped vector compare.
 //
-// The interface is the subset of std::map the report's consumers use:
-// operator[], at, find, count, contains, empty, size, begin/end,
-// reserve, clear, ==.  Iterators are pairs (first/second), so range-for
-// destructuring over a FlatMap reads identically to a std::map.
+// The interface is the subset of std::map its users need: operator[],
+// at, find, count, contains, erase, empty, size, begin/end, reserve,
+// clear, ==.  Iterators are pairs (first/second), so range-for
+// destructuring over a FlatMap reads identically to a std::map.  The
+// placement working state keeps each app's (server -> rps) instances in
+// one: a handful of entries per app, probed far more often than changed.
 #pragma once
 
 #include <algorithm>
@@ -74,6 +76,8 @@ class FlatMap {
     const const_iterator it = lowerBound(key);
     return it != items_.end() && it->first == key ? it : items_.end();
   }
+
+  iterator erase(const_iterator it) { return items_.erase(it); }
 
   [[nodiscard]] std::size_t count(const K& key) const {
     return find(key) != items_.end() ? 1 : 0;

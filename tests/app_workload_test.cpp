@@ -1,10 +1,12 @@
 // Unit tests for the application model and workload generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
+#include <cstdint>
 #include <memory>
 #include <numeric>
+#include <vector>
 
 #include "mdc/app/app_registry.hpp"
 #include "mdc/workload/demand.hpp"
@@ -64,6 +66,60 @@ TEST(AppRegistry, VipAndInstanceAttachment) {
   reg.removeInstance(id, VmId{7});
   EXPECT_TRUE(reg.app(id).vips.empty());
   EXPECT_THROW(reg.removeInstance(id, VmId{7}), PreconditionError);
+}
+
+TEST(AppRegistry, IsInstanceFollowsAddAndRemove) {
+  AppRegistry reg;
+  const AppId a = reg.create("a", AppSla{}, 1.0);
+  const AppId b = reg.create("b", AppSla{}, 1.0);
+  const auto listed = [&](AppId app, VmId vm) {
+    const auto& inst = reg.app(app).instances;
+    return std::find(inst.begin(), inst.end(), vm) != inst.end();
+  };
+
+  // Ids past the table (nothing added yet, then past the largest added)
+  // and the invalid ids are no app's instances.
+  EXPECT_FALSE(reg.isInstance(a, VmId{0}));
+  reg.addInstance(a, VmId{5});
+  EXPECT_FALSE(reg.isInstance(a, VmId{6}));
+  EXPECT_FALSE(reg.isInstance(a, VmId{1000000}));
+  EXPECT_FALSE(reg.isInstance(a, VmId{}));
+  EXPECT_FALSE(reg.isInstance(AppId{}, VmId{0}));
+
+  // Add: listed and owned by its app only; a lower id inside the table
+  // stays no one's.
+  EXPECT_TRUE(reg.isInstance(a, VmId{5}));
+  EXPECT_FALSE(reg.isInstance(b, VmId{5}));
+  EXPECT_FALSE(reg.isInstance(a, VmId{4}));
+  EXPECT_EQ(listed(a, VmId{5}), reg.isInstance(a, VmId{5}));
+
+  // Another app's VM cannot be added to a second app, nor twice.
+  EXPECT_THROW(reg.addInstance(b, VmId{5}), PreconditionError);
+  EXPECT_THROW(reg.addInstance(a, VmId{5}), PreconditionError);
+  EXPECT_THROW(reg.removeInstance(b, VmId{5}), PreconditionError);
+  EXPECT_EQ(reg.app(a).instances, std::vector<VmId>{VmId{5}});
+  EXPECT_TRUE(reg.app(b).instances.empty());
+
+  // Remove, then re-add to the same app and to another one.
+  reg.addInstance(a, VmId{2});
+  reg.removeInstance(a, VmId{5});
+  EXPECT_FALSE(reg.isInstance(a, VmId{5}));
+  EXPECT_TRUE(reg.isInstance(a, VmId{2}));
+  EXPECT_EQ(reg.app(a).instances, std::vector<VmId>{VmId{2}});
+  reg.addInstance(a, VmId{5});
+  EXPECT_TRUE(reg.isInstance(a, VmId{5}));
+  EXPECT_EQ(reg.app(a).instances, (std::vector<VmId>{VmId{2}, VmId{5}}));
+  reg.removeInstance(a, VmId{5});
+  reg.addInstance(b, VmId{5});
+  EXPECT_TRUE(reg.isInstance(b, VmId{5}));
+  EXPECT_FALSE(reg.isInstance(a, VmId{5}));
+  EXPECT_EQ(reg.app(b).instances, std::vector<VmId>{VmId{5}});
+  for (std::uint32_t v = 0; v < 8; ++v) {
+    for (const AppId app : {a, b}) {
+      EXPECT_EQ(reg.isInstance(app, VmId{v}), listed(app, VmId{v}))
+          << "app " << app << " vm " << v;
+    }
+  }
 }
 
 TEST(StaticDemand, ConstantOverTime) {

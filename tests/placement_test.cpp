@@ -173,8 +173,9 @@ TEST(ValidatePlacement, CatchesDuplicatePairs) {
 //
 // `scan` is the controller as it was before its rebalance read indexes:
 // every pass recomputes each server's utilization and probes every app
-// for the hot server.  It stays here as the reference model the indexed
-// implementation must match bit for bit.
+// for the hot server, and each app's instances are a std::map.  It stays
+// here as the reference model the indexed implementation must match bit
+// for bit; its first-fit is FirstFitPlacement's loop over that state.
 namespace scan {
 
 class WorkingState {
@@ -273,6 +274,34 @@ class WorkingState {
   std::vector<std::map<std::uint32_t, double>> perApp_;
 };
 
+std::vector<std::uint32_t> byDescendingDemand(const PlacementInput& input) {
+  std::vector<std::uint32_t> order(input.apps.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return input.apps[a].demandRps > input.apps[b].demandRps;
+                   });
+  return order;
+}
+
+PlacementResult firstFit(const PlacementInput& input) {
+  WorkingState st{input};
+  std::uint32_t iterations = 0;
+  for (std::uint32_t app : byDescendingDemand(input)) {
+    double residual = input.apps[app].demandRps;
+    for (std::uint32_t s = 0; s < input.servers.size() && residual > 1e-9;
+         ++s) {
+      ++iterations;
+      const double take = std::min(residual, st.growableRps(app, s));
+      if (take > 1e-9) {
+        st.grow(app, s, take);
+        residual -= take;
+      }
+    }
+  }
+  return st.finish(iterations);
+}
+
 PlacementResult place(const PlacementInput& input,
                       const PlacementController::Options& options) {
   WorkingState st{input};
@@ -292,15 +321,9 @@ PlacementResult place(const PlacementInput& input,
     }
   }
 
-  std::vector<std::uint32_t> byDemand(input.apps.size());
-  std::iota(byDemand.begin(), byDemand.end(), 0u);
-  std::stable_sort(byDemand.begin(), byDemand.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return input.apps[a].demandRps > input.apps[b].demandRps;
-                   });
   std::vector<std::uint32_t> byUtil(input.servers.size());
   std::iota(byUtil.begin(), byUtil.end(), 0u);
-  for (std::uint32_t app : byDemand) {
+  for (std::uint32_t app : byDescendingDemand(input)) {
     double residual = input.apps[app].demandRps;
     for (const auto& [server, rps] : st.instances(app)) residual -= rps;
     if (residual <= 1e-9) continue;
@@ -455,6 +478,26 @@ PlacementInput randomPodProblem(Rng& rng) {
   return in;
 }
 
+/// Every field of `got` equals `want`'s, doubles bit for bit.
+void expectBitIdentical(const PlacementResult& got,
+                        const PlacementResult& want) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(got.assignment.size(), want.assignment.size());
+  for (std::size_t i = 0; i < want.assignment.size(); ++i) {
+    ASSERT_EQ(got.assignment[i].app, want.assignment[i].app);
+    ASSERT_EQ(got.assignment[i].server, want.assignment[i].server);
+    ASSERT_EQ(bits(got.assignment[i].rps), bits(want.assignment[i].rps));
+  }
+  ASSERT_EQ(bits(got.satisfiedRps), bits(want.satisfiedRps));
+  ASSERT_EQ(bits(got.demandRps), bits(want.demandRps));
+  ASSERT_EQ(got.instancesStarted, want.instancesStarted);
+  ASSERT_EQ(got.instancesStopped, want.instancesStopped);
+  ASSERT_EQ(got.iterations, want.iterations);
+  ASSERT_EQ(got.rebalancePasses, want.rebalancePasses);
+}
+
+// Both algorithms share the working state, so first-fit is checked
+// against a first-fit over the scan's state on the same problems.
 TEST(PlacementController, IndexedRebalanceMatchesScan) {
   std::vector<PlacementController::Options> optionSets;
   for (const double tolerance : {1.05, 1.1, 1.5}) {
@@ -465,33 +508,28 @@ TEST(PlacementController, IndexedRebalanceMatchesScan) {
       optionSets.push_back(o);
     }
   }
-  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   std::uint64_t passes = 0;
+  std::uint64_t firstFitInstances = 0;
   for (std::uint64_t seed = 1; seed <= 450; ++seed) {
     Rng rng{seed};
     const PlacementInput in = randomPodProblem(rng);
     const PlacementController::Options& options =
         optionSets[seed % optionSets.size()];
-    const PlacementResult want = scan::place(in, options);
-    const PlacementResult got = PlacementController{options}.place(in);
     SCOPED_TRACE("seed " + std::to_string(seed));
+    const PlacementResult got = PlacementController{options}.place(in);
     validatePlacement(in, got);
-    ASSERT_EQ(got.assignment.size(), want.assignment.size());
-    for (std::size_t i = 0; i < want.assignment.size(); ++i) {
-      ASSERT_EQ(got.assignment[i].app, want.assignment[i].app);
-      ASSERT_EQ(got.assignment[i].server, want.assignment[i].server);
-      ASSERT_EQ(bits(got.assignment[i].rps), bits(want.assignment[i].rps));
-    }
-    ASSERT_EQ(bits(got.satisfiedRps), bits(want.satisfiedRps));
-    ASSERT_EQ(bits(got.demandRps), bits(want.demandRps));
-    ASSERT_EQ(got.instancesStarted, want.instancesStarted);
-    ASSERT_EQ(got.instancesStopped, want.instancesStopped);
-    ASSERT_EQ(got.iterations, want.iterations);
-    ASSERT_EQ(got.rebalancePasses, want.rebalancePasses);
+    ASSERT_NO_FATAL_FAILURE(expectBitIdentical(got, scan::place(in, options)));
     passes += got.rebalancePasses;
+
+    const PlacementResult firstFit = FirstFitPlacement{}.place(in);
+    validatePlacement(in, firstFit);
+    ASSERT_NO_FATAL_FAILURE(expectBitIdentical(firstFit, scan::firstFit(in)));
+    firstFitInstances += firstFit.assignment.size();
   }
-  // The inputs must actually exercise the rebalance.
+  // The inputs must actually exercise the rebalance, and first-fit must
+  // place instances.
   EXPECT_GT(passes, 450u * 10u);
+  EXPECT_GT(firstFitInstances, 450u * 10u);
 }
 
 // Property suite over randomized instances: both algorithms must produce

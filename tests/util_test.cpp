@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "mdc/util/expect.hpp"
+#include "mdc/util/flat_map.hpp"
 #include "mdc/util/ids.hpp"
 #include "mdc/util/result.hpp"
 #include "mdc/util/stats.hpp"
@@ -118,6 +120,24 @@ TEST(CapacityVec, IndexByResourceEnum) {
   EXPECT_EQ(c[Resource::Network], 3.0);
   c[Resource::Cpu] = 9.0;
   EXPECT_EQ(c.cpu(), 9.0);
+}
+
+TEST(FlatMap, EraseKeepsTheOthersSortedAndFound) {
+  FlatMap<std::uint32_t, double> m;
+  for (const std::uint32_t k : {5u, 1u, 9u, 3u}) m[k] = 10.0 * k;
+  const auto next = m.erase(m.find(3));
+  ASSERT_NE(next, m.end());
+  EXPECT_EQ(next->first, 5u);
+  m.erase(m.find(9));  // the last entry
+  m.erase(m.find(1));  // the first entry
+  EXPECT_FALSE(m.contains(1) || m.contains(3) || m.contains(9));
+  ASSERT_EQ(m.size(), 1u);
+  EXPECT_DOUBLE_EQ(m.at(5), 50.0);
+  m[2] = 20.0;
+  m[7] = 70.0;
+  std::vector<std::uint32_t> keys;
+  for (const auto& [k, v] : m) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::uint32_t>{2, 5, 7}));
 }
 
 TEST(Result, SuccessAndError) {
