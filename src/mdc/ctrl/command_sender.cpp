@@ -93,7 +93,12 @@ void CommandSender::send(SwitchId sw, SwitchCommand cmd, Completion done) {
   out.done = std::move(done);
   out.vip = cmd.vip;
   l.outstanding.emplace(seq, std::move(out));
-  if (cmd.vip.valid()) ++busyVips_[cmd.vip];
+  if (cmd.vip.valid()) {
+    if (cmd.vip.index() >= busyVips_.size()) {
+      busyVips_.resize(cmd.vip.index() + 1, 0);
+    }
+    ++busyVips_[cmd.vip.index()];
+  }
   ++inflight_;
   ++sent_;
   transmit(sw, seq);
@@ -200,9 +205,8 @@ void CommandSender::complete(SwitchId sw, std::uint64_t seq, Status outcome) {
   l.ackedBelow =
       l.outstanding.empty() ? l.nextSeq : l.outstanding.begin()->first;
   if (vip.valid()) {
-    const auto busy = busyVips_.find(vip);
-    MDC_ENSURE(busy != busyVips_.end(), "busy-vip refcount out of sync");
-    if (--busy->second == 0) busyVips_.erase(busy);
+    MDC_ENSURE(vipBusy(vip), "busy-vip refcount out of sync");
+    --busyVips_[vip.index()];
   }
   --inflight_;
   // Bookkeeping is settled before the callback runs: a completion that

@@ -15,7 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "mdc/ctrl/command.hpp"
 #include "mdc/ctrl/control_channel.hpp"
@@ -79,8 +79,9 @@ class CommandSender {
 
   /// Whether any command touching `vip` is still awaiting its ack.  The
   /// reconciler skips busy VIPs: their state is mid-flight, not drifted.
-  [[nodiscard]] bool vipBusy(VipId vip) const {
-    return busyVips_.contains(vip);
+  [[nodiscard]] bool vipBusy(VipId vip) const noexcept {
+    const std::size_t i = vip.index();
+    return i < busyVips_.size() && busyVips_[i] > 0;
   }
 
   // --- introspection ------------------------------------------------------
@@ -136,7 +137,8 @@ class CommandSender {
   Options options_;
   Tracer* tracer_ = nullptr;
   std::map<SwitchId, Link> links_;
-  std::unordered_map<VipId, std::uint32_t> busyVips_;
+  /// Commands awaiting their ack, per VIP index (VIP ids are dense).
+  std::vector<std::uint32_t> busyVips_;
   std::uint32_t inflight_ = 0;
   std::uint64_t term_ = 1;
   std::uint64_t sent_ = 0;

@@ -7,13 +7,6 @@
 
 namespace mdc {
 
-const RipEntry* VipIntent::findRip(RipId rip) const {
-  for (const RipEntry& r : rips) {
-    if (r.rip == rip) return &r;
-  }
-  return nullptr;
-}
-
 double VipIntent::totalWeight() const {
   double w = 0.0;
   for (const RipEntry& r : rips) w += r.weight;
@@ -85,12 +78,6 @@ T& grown(std::vector<T>& table, Id id) {
 }
 
 }  // namespace
-
-const VipIntent* IntentStore::find(VipId vip) const {
-  if (vip.index() >= vips_.size()) return nullptr;
-  const VipIntent& in = vips_[vip.index()];
-  return in.sw.valid() ? &in : nullptr;
-}
 
 void IntentStore::forEachBound(
     const std::function<void(VmId, std::span<const RipBinding>)>& fn) const {

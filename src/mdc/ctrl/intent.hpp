@@ -47,7 +47,12 @@ struct VipIntent {
   AccessRouterId router;
   std::vector<RipEntry> rips;
 
-  [[nodiscard]] const RipEntry* findRip(RipId rip) const;
+  [[nodiscard]] const RipEntry* findRip(RipId rip) const {
+    for (const RipEntry& r : rips) {
+      if (r.rip == rip) return &r;
+    }
+    return nullptr;
+  }
   [[nodiscard]] double totalWeight() const;
 };
 
@@ -115,7 +120,11 @@ void encodeIntentRecord(const IntentRecord& record, state::ByteWriter& w);
 class IntentStore {
  public:
   /// The VIP's intent, or nullptr; invalidated by the next apply().
-  [[nodiscard]] const VipIntent* find(VipId vip) const;
+  [[nodiscard]] const VipIntent* find(VipId vip) const {
+    if (vip.index() >= vips_.size()) return nullptr;
+    const VipIntent& in = vips_[vip.index()];
+    return in.sw.valid() ? &in : nullptr;
+  }
   [[nodiscard]] std::size_t vipCount() const noexcept { return vipCount_; }
 
   /// Intended occupancy per switch (placement scoring under in-flight

@@ -1,6 +1,7 @@
 #include "mdc/ctrl/reconciler.hpp"
 
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,11 +76,27 @@ void Reconciler::noteAdopt(const char* what, std::uint64_t a, std::uint64_t b) {
 void Reconciler::auditRound() {
   ++rounds_;
   lastRoundDrift_ = 0;
+  acted_ = false;
+  complete_.assign(complete_.size(), false);
   const auto fleetSize = static_cast<std::uint32_t>(fleet_.size());
   for (std::uint32_t i = 0; i < fleetSize; ++i) auditSwitch(SwitchId{i});
   intent_.forEach([&](VipId vip, const VipIntent& intent) {
     if (intent.sw.index() < fleetSize) auditIntent(vip, intent);
   });
+}
+
+const VipEntry* Reconciler::entryOn(const LbSwitch& s, VipId vip) const {
+  // The switch pass's position is only a hint: repairs that ran inline
+  // since then swap-and-pop the table, so the entry there must still be
+  // this VIP's.  A VIP appears at most once per table, so a match is the
+  // entry findVip would return.
+  const std::span<const VipEntry> table = s.vips();
+  const std::size_t i = vip.index();
+  if (i < seenAt_.size() && seenAt_[i] < table.size() &&
+      table[seenAt_[i]].vip == vip) {
+    return &table[seenAt_[i]];
+  }
+  return s.findVip(vip);
 }
 
 void Reconciler::auditSwitch(SwitchId sw) {
@@ -102,7 +119,10 @@ void Reconciler::auditSwitch(SwitchId sw) {
   };
   std::vector<WeightFix> weightFixes;
 
-  for (VipId vip : s.vipIds()) {
+  const std::span<const VipEntry> table = s.vips();
+  for (std::size_t pos = 0; pos < table.size(); ++pos) {
+    const VipEntry& entry = table[pos];
+    const VipId vip = entry.vip;
     if (frozen(vip)) continue;
     const VipIntent* intent = intent_.find(vip);
     if (intent == nullptr) {
@@ -124,19 +144,33 @@ void Reconciler::auditSwitch(SwitchId sw) {
       }
       continue;
     }
-    const VipEntry* entry = s.findVip(vip);
-    MDC_ENSURE(entry != nullptr, "listed vip not found");
-    for (const RipEntry& actual : entry->rips) {
+    // The intent pass re-reads this entry by its position.
+    if (vip.index() >= seenAt_.size()) {
+      seenAt_.resize(vip.index() + 1, 0);
+      complete_.resize(vip.index() + 1, false);
+    }
+    seenAt_[vip.index()] = static_cast<std::uint32_t>(pos);
+    bool orphans = false;
+    for (const RipEntry& actual : entry.rips) {
       const RipEntry* intended = intent->findRip(actual.rip);
       if (intended == nullptr) {
         noteDrift("orphan_rip");
         orphanRips.push_back(RipFix{vip, actual.rip});
+        orphans = true;
       } else if (std::abs(intended->weight - actual.weight) > 1e-9) {
         // Weights are written straight to the fleet by the inter-pod
         // balancer; the journal learns them here instead of undoing them.
         weightFixes.push_back(WeightFix{vip, actual.rip, actual.weight});
       }
     }
+    // RIP ids are unique in a table and in an intent, so every actual RIP
+    // intended and as many actual as intended means none is missing.
+    complete_[vip.index()] =
+        !orphans && entry.rips.size() == intent->rips.size();
+  }
+  if (!weightFixes.empty() || !adoptions.empty() || !strays.empty() ||
+      !orphanRips.empty()) {
+    acted_ = true;
   }
 
   for (const WeightFix& fix : weightFixes) {
@@ -169,15 +203,21 @@ void Reconciler::auditSwitch(SwitchId sw) {
 }
 
 void Reconciler::auditIntent(VipId vip, const VipIntent& intent) {
+  // Until the round sends a repair or calls a hook the world is as the
+  // switch pass saw it, so a VIP it found complete has nothing missing.
+  if (!acted_ && vip.index() < complete_.size() && complete_[vip.index()]) {
+    return;
+  }
   if (frozen(vip)) return;
   const LbSwitch& s = fleet_.at(intent.sw);
   if (!s.up()) return;  // its restore is the health monitor's call
-  const VipEntry* entry = s.findVip(vip);
+  const VipEntry* entry = entryOn(s, vip);
   if (entry == nullptr) {
     // Hosted elsewhere means the stray/adoption pass owns it; hosted
     // nowhere means a lost command — re-issue the whole placement.
     if (!fleet_.hostsOf(vip).empty()) return;
     noteDrift("missing_vip");
+    acted_ = true;
     ++repairsIssued_;
     SwitchCommand cmd;
     cmd.kind = CmdKind::ConfigureVip;
@@ -226,6 +266,7 @@ void Reconciler::issueRemoveVip(SwitchId sw, VipId vip) {
 }
 
 void Reconciler::issueAddRip(SwitchId sw, VipId vip, const RipEntry& rip) {
+  acted_ = true;
   ++repairsIssued_;
   SwitchCommand cmd;
   cmd.kind = CmdKind::AddRip;

@@ -23,13 +23,21 @@
 // health monitor's responsibility, not drift.
 //
 // A round audits every switch in ascending id, then every intended VIP in
-// ascending VIP id.
+// ascending VIP id.  Each VIP is resolved once per round: the switch pass
+// reads every table in place and notes where it found each VIP on its
+// intended switch, and whether that entry holds exactly the intended
+// RIPs.  Until the round sends a repair or calls a hook, the intent pass
+// skips such a complete VIP: nothing can be missing from it.  Otherwise
+// it reads the entry by its noted position, re-checked against the VIP id
+// (inline repairs swap-and-pop a table), and looks up by hash only the
+// VIPs the switch pass did not resolve.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "mdc/ctrl/command_sender.hpp"
 #include "mdc/ctrl/intent.hpp"
@@ -134,6 +142,9 @@ class Reconciler {
  private:
   void auditSwitch(SwitchId sw);
   void auditIntent(VipId vip, const VipIntent& intent);
+  /// `vip`'s entry on `s`, or nullptr: the switch pass's position if the
+  /// entry there is still this VIP's, else a lookup.
+  [[nodiscard]] const VipEntry* entryOn(const LbSwitch& s, VipId vip) const;
   [[nodiscard]] bool frozen(VipId vip) const;
   void noteDrift(const char* kind);
   void issueRemoveVip(SwitchId sw, VipId vip);
@@ -164,6 +175,14 @@ class Reconciler {
   std::uint64_t placementsAdopted_ = 0;
   std::uint64_t weightsAdopted_ = 0;
   std::unordered_map<std::string, std::uint64_t> driftByKind_;
+  /// Table position at which the last switch pass found each VIP on its
+  /// intended switch, by VIP index (a hint; see entryOn).
+  std::vector<std::uint32_t> seenAt_;
+  /// VIPs this round's switch pass found complete on their intended
+  /// switch (every intended RIP present, none unintended), by VIP index.
+  std::vector<bool> complete_;
+  /// Whether this round has sent a repair or called a hook yet.
+  bool acted_ = false;
 };
 
 }  // namespace mdc

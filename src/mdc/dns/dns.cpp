@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 namespace mdc {
 
@@ -110,6 +113,30 @@ ResolverPopulation::ResolverPopulation(const AuthoritativeDns& dns,
   MDC_EXPECT(config.lingerSeconds > 0.0, "lingerSeconds must be positive");
 }
 
+void ResolverPopulation::Pool::track(std::span<const VipId> vips) {
+  // Both element types are trivially copyable and trivially destructible:
+  // they are constructed into the new block, keeping every tracked VIP at
+  // its position, and the old block is freed without destroying them.
+  static_assert(std::is_trivially_copyable_v<VipWeight> &&
+                std::is_trivially_copyable_v<Rates>);
+  static_assert(alignof(VipWeight) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__ &&
+                sizeof(VipWeight) % alignof(Rates) == 0);
+  const std::size_t n = tracked + vips.size();
+  auto next = std::make_unique_for_overwrite<std::byte[]>(
+      n * (sizeof(VipWeight) + sizeof(Rates)));
+  auto* nextShares = reinterpret_cast<VipWeight*>(next.get());
+  auto* nextRates =
+      reinterpret_cast<Rates*>(next.get() + sizeof(VipWeight) * n);
+  std::uninitialized_copy(shares().begin(), shares().end(), nextShares);
+  std::uninitialized_copy(rates().begin(), rates().end(), nextRates);
+  for (std::size_t k = 0; k < vips.size(); ++k) {
+    ::new (nextShares + tracked + k) VipWeight{vips[k], 0.0};
+    ::new (nextRates + tracked + k) Rates{0.0, 0.0, 0.0};
+  }
+  block = std::move(next);
+  tracked = static_cast<std::uint32_t>(n);
+}
+
 void ResolverPopulation::refreshTargets(AppId app, Pool& p) {
   const auto gen = dns_.generation(app);
   if (p.seenGeneration == gen && p.initialised) {
@@ -120,33 +147,32 @@ void ResolverPopulation::refreshTargets(AppId app, Pool& p) {
   // already tracked VIPs never move).
   const auto exposed = dns_.vips(app);
   const auto position = [&p](VipId vip) {
+    const std::span<const VipWeight> tracked = p.shares();
     return static_cast<std::size_t>(
-        std::find_if(p.shares.begin(), p.shares.end(),
+        std::find_if(tracked.begin(), tracked.end(),
                      [vip](const VipWeight& vw) { return vw.vip == vip; }) -
-        p.shares.begin());
+        tracked.begin());
   };
+  std::vector<VipId> added;
   for (const VipWeight& vw : exposed) {
-    if (position(vw.vip) == p.shares.size()) {
-      p.shares.push_back(VipWeight{vw.vip, 0.0});
-      p.fast.push_back(0.0);
-      p.linger.push_back(0.0);
-    }
+    if (position(vw.vip) == p.tracked) added.push_back(vw.vip);
   }
+  if (!added.empty()) p.track(added);
 
   // Recompute normalized targets; VIPs no longer exposed get target 0.
-  p.target.assign(p.shares.size(), 0.0);
+  const std::span<Rates> rates = p.rates();
+  for (Rates& r : rates) r.target = 0.0;
   double total = 0.0;
   for (const VipWeight& vw : exposed) total += vw.weight;
   if (total > 0.0) {
     for (const VipWeight& vw : exposed) {
-      p.target[position(vw.vip)] = vw.weight / total;
+      rates[position(vw.vip)].target = vw.weight / total;
     }
   }
 
   if (!p.initialised) {
     // A new population starts in steady state at the current targets.
-    p.fast = p.target;
-    p.linger = p.target;
+    for (Rates& r : rates) r.fast = r.linger = r.target;
     p.initialised = true;
   } else if (!p.relaxing) {
     // Targets moved away from a settled pool: put it back on the
@@ -160,15 +186,10 @@ void ResolverPopulation::refreshTargets(AppId app, Pool& p) {
 
 void ResolverPopulation::updateShares(Pool& p) const {
   const double lf = config_.lingerFraction;
-  for (std::size_t i = 0; i < p.shares.size(); ++i) {
-    p.shares[i].weight = (1.0 - lf) * p.fast[i] + lf * p.linger[i];
-  }
-}
-
-void ResolverPopulation::relax(std::vector<double>& shares,
-                               std::span<const double> target, double alpha) {
+  const std::span<VipWeight> shares = p.shares();
+  const std::span<const Rates> rates = p.rates();
   for (std::size_t i = 0; i < shares.size(); ++i) {
-    shares[i] += alpha * (target[i] - shares[i]);
+    shares[i].weight = (1.0 - lf) * rates[i].fast + lf * rates[i].linger;
   }
 }
 
@@ -178,14 +199,6 @@ namespace {
 // the pool snaps exactly onto its targets and stops relaxing, so settled
 // apps cost nothing per advance.
 constexpr double kConvergenceEps = 1e-12;
-
-[[nodiscard]] bool withinEps(std::span<const double> a,
-                             std::span<const double> b) noexcept {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) > kConvergenceEps) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -205,36 +218,48 @@ void ResolverPopulation::advance(SimTime now) {
   if (dt <= 0.0 || relaxing_.empty()) return;
   const double alphaFast = 1.0 - std::exp(-dt / config_.ttlSeconds);
   const double alphaLinger = 1.0 - std::exp(-dt / config_.lingerSeconds);
+  const double lf = config_.lingerFraction;
   for (std::size_t i = 0; i < relaxing_.size();) {
     Pool& p = pools_[relaxing_[i].index()];
-    relax(p.fast, p.target, alphaFast);
-    relax(p.linger, p.target, alphaLinger);
-    const bool converged =
-        withinEps(p.fast, p.target) && withinEps(p.linger, p.target);
-    if (converged) {
-      p.fast = p.target;
-      p.linger = p.target;
-      p.relaxing = false;
+    // One pass per pool: each tracked VIP relaxes both populations, tests
+    // convergence and refreshes its share — per VIP the same operations,
+    // in the same order, as relaxing every array before reading any.
+    const std::span<VipWeight> shares = p.shares();
+    const std::span<Rates> rates = p.rates();
+    bool converged = true;
+    for (std::size_t k = 0; k < rates.size(); ++k) {
+      Rates& r = rates[k];
+      r.fast += alphaFast * (r.target - r.fast);
+      r.linger += alphaLinger * (r.target - r.linger);
+      if (std::abs(r.fast - r.target) > kConvergenceEps ||
+          std::abs(r.linger - r.target) > kConvergenceEps) {
+        converged = false;
+      }
+      shares[k].weight = (1.0 - lf) * r.fast + lf * r.linger;
     }
-    updateShares(p);
-    if (converged) {
-      relaxing_[i] = relaxing_.back();
-      relaxing_.pop_back();
-    } else {
+    if (!converged) {
       ++i;
+      continue;
     }
+    for (Rates& r : rates) r.fast = r.linger = r.target;
+    updateShares(p);
+    p.relaxing = false;
+    relaxing_[i] = relaxing_.back();
+    relaxing_.pop_back();
   }
 }
 
 std::vector<VipWeight> ResolverPopulation::shares(AppId app) const {
   if (app.index() >= pools_.size()) return {};
   const Pool& p = pools_[app.index()];
+  const std::span<const VipWeight> tracked = p.shares();
+  const std::span<const Rates> rates = p.rates();
   std::vector<VipWeight> out;
-  out.reserve(p.shares.size());
+  out.reserve(tracked.size());
   const double lf = config_.lingerFraction;
-  for (std::size_t i = 0; i < p.shares.size(); ++i) {
-    const double combined = (1.0 - lf) * p.fast[i] + lf * p.linger[i];
-    out.push_back(VipWeight{p.shares[i].vip, combined});
+  for (std::size_t i = 0; i < tracked.size(); ++i) {
+    const double combined = (1.0 - lf) * rates[i].fast + lf * rates[i].linger;
+    out.push_back(VipWeight{tracked[i].vip, combined});
   }
   return out;
 }

@@ -20,7 +20,10 @@
 // shares when it replays the tree.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -138,8 +141,8 @@ class ResolverPopulation {
   /// pure read: any number of threads may call it while no advance runs.
   [[nodiscard]] std::span<const VipWeight> view(AppId app) const noexcept {
     const std::size_t i = app.index();
-    return i < pools_.size() ? std::span<const VipWeight>(pools_[i].shares)
-                             : std::span<const VipWeight>{};
+    if (i >= pools_.size()) return {};
+    return pools_[i].shares();
   }
 
   /// Effective demand share per VIP for the app at the last advance(),
@@ -157,21 +160,41 @@ class ResolverPopulation {
   }
 
  private:
+  /// What one tracked VIP relaxes: its two client populations' shares
+  /// and the normalised authoritative weight both move toward.
+  struct Rates {
+    double fast;    // TTL-compliant population
+    double linger;  // TTL-violating population
+    double target;
+  };
+  /// One app's pool.  Its tracked VIPs with their effective shares (what
+  /// view() returns) and their Rates share one block: `tracked`
+  /// VipWeights, then `tracked` Rates, each at the VIP's tracked position.
+  /// The block is reallocated only when DNS exposes a new VIP.
   struct Pool {
-    // Parallel arrays keyed by tracked position.
-    std::vector<VipWeight> shares;  // tracked VIPs + effective shares
-    std::vector<double> fast;       // TTL-compliant population
-    std::vector<double> linger;     // TTL-violating population
-    std::vector<double> target;     // normalised authoritative weights
+    std::unique_ptr<std::byte[]> block;
+    std::uint32_t tracked = 0;
     std::uint64_t seenGeneration = ~0ULL;
     bool initialised = false;
     bool relaxing = false;  // on the relaxing_ work list
+
+    [[nodiscard]] std::span<VipWeight> shares() const noexcept {
+      if (tracked == 0) return {};
+      return {std::launder(reinterpret_cast<VipWeight*>(block.get())),
+              tracked};
+    }
+    [[nodiscard]] std::span<Rates> rates() const noexcept {
+      if (tracked == 0) return {};
+      return {std::launder(reinterpret_cast<Rates*>(
+                  block.get() + sizeof(VipWeight) * tracked)),
+              tracked};
+    }
+    /// Appends `vips` at share, rates and target 0.
+    void track(std::span<const VipId> vips);
   };
 
   void refreshTargets(AppId app, Pool& p);
   void updateShares(Pool& p) const;
-  static void relax(std::vector<double>& shares,
-                    std::span<const double> target, double alpha);
 
   const AuthoritativeDns& dns_;
   ResolverConfig config_;

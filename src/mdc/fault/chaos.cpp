@@ -206,9 +206,9 @@ std::vector<std::string> WorldInvariants::checkQuiesced() const {
     }
   });
   fleet_.forEach([&](const LbSwitch& sw) {
-    for (VipId vip : sw.vipIds()) {
-      if (intent.find(vip) == nullptr) {
-        report.add("switch ", sw.id(), " hosts stray vip ", vip,
+    for (const VipEntry& e : sw.vips()) {
+      if (intent.find(e.vip) == nullptr) {
+        report.add("switch ", sw.id(), " hosts stray vip ", e.vip,
                    " with no intent");
       }
     }
@@ -237,16 +237,14 @@ void WorldInvariants::checkStructural(std::vector<std::string>& out,
   const IntentStore& intent = manager_.viprip().intent();
   fleet_.forEach([&](const LbSwitch& sw) {
     if (!sw.up()) return;  // a down switch has no actual table to audit
-    for (VipId vip : sw.vipIds()) {
-      const VipEntry* e = sw.findVip(vip);
-      MDC_ENSURE(e != nullptr, "listed vip not found");
-      const VipIntent* vi = intent.find(vip);
-      for (const RipEntry& r : e->rips) {
+    for (const VipEntry& e : sw.vips()) {
+      const VipIntent* vi = intent.find(e.vip);
+      for (const RipEntry& r : e.rips) {
         if (!r.targetsVm() || hosts_.vmExists(r.vm)) continue;
         const bool reconcilerBlind =
             vi != nullptr && vi->findRip(r.rip) != nullptr;
         if (strict || (reconcilerBlind && !cleanupInFlight)) {
-          report.add("switch ", sw.id(), " vip ", vip, " rip ", r.rip,
+          report.add("switch ", sw.id(), " vip ", e.vip, " rip ", r.rip,
                      " references destroyed vm ", r.vm,
                      reconcilerBlind ? " (reconciler-blind)" : "");
         }
@@ -312,16 +310,17 @@ void WorldInvariants::checkStructural(std::vector<std::string>& out,
 
   // (3) Ownership index agrees with the switch tables.
   fleet_.forEach([&](const LbSwitch& sw) {
-    for (VipId vip : sw.vipIds()) {
-      const auto owner = fleet_.ownerOf(vip);
+    for (const VipEntry& e : sw.vips()) {
+      const auto owner = fleet_.ownerOf(e.vip);
       if (!owner.has_value()) {
-        report.add("vip ", vip, " on switch ", sw.id(), " missing from index");
+        report.add("vip ", e.vip, " on switch ", sw.id(),
+                   " missing from index");
       } else if (*owner != sw.id() &&
                  // Two live copies (a retried command landed twice) keep
                  // one index entry; mid-storm that is the reconciler's
                  // cleanup, not an index bug.
-                 (strict || !fleet_.at(*owner).hasVip(vip))) {
-        report.add("vip ", vip, " on switch ", sw.id(), " indexed to ",
+                 (strict || !fleet_.at(*owner).hasVip(e.vip))) {
+        report.add("vip ", e.vip, " on switch ", sw.id(), " indexed to ",
                    *owner);
       }
     }

@@ -281,11 +281,9 @@ void FaultInjector::commandStorm(SimTime at, std::uint32_t burst,
       const LbSwitch& sw =
           fleet_.at(SwitchId{static_cast<SwitchId::value_type>(i)});
       if (!sw.up()) continue;
-      for (VipId vip : sw.vipIds()) {
-        const VipEntry* e = sw.findVip(vip);
-        if (e == nullptr) continue;
-        for (const RipEntry& r : e->rips) {
-          if (r.targetsVm()) backends.emplace_back(e->app, r.vm);
+      for (const VipEntry& e : sw.vips()) {
+        for (const RipEntry& r : e.rips) {
+          if (r.targetsVm()) backends.emplace_back(e.app, r.vm);
         }
       }
     }

@@ -1,5 +1,7 @@
 #include "mdc/lb/conn_shard.hpp"
 
+#include <algorithm>
+
 #include "mdc/util/expect.hpp"
 
 namespace mdc {
@@ -27,8 +29,27 @@ std::uint64_t roundUpPow2(std::uint64_t n) noexcept {
 ConnectionShard::ConnectionShard(std::uint32_t wheelSlots)
     : wheel_(roundUpPow2(wheelSlots)), mask_(wheel_.size() - 1) {}
 
-void ConnectionShard::open(std::uint64_t sessionId, AppId app, VipId vip,
-                           RipId rip, std::uint64_t expiryTick) {
+std::uint32_t ConnectionShard::findCell(VipId vip) const noexcept {
+  const auto it = std::ranges::lower_bound(cellIndex_, vip, {},
+                                           &CellIndexEntry::first);
+  return it != cellIndex_.end() && it->first == vip ? it->second : kNoCell;
+}
+
+std::uint32_t ConnectionShard::cellOf(VipId vip) {
+  const auto it = std::ranges::lower_bound(cellIndex_, vip, {},
+                                           &CellIndexEntry::first);
+  if (it != cellIndex_.end() && it->first == vip) return it->second;
+  const auto cell = static_cast<std::uint32_t>(cellVip_.size());
+  cellIndex_.insert(it, {vip, cell});
+  cellVip_.push_back(vip);
+  perCell_.push_back(0);
+  return cell;
+}
+
+void ConnectionShard::openInCell(std::uint64_t sessionId, AppId app,
+                                 std::uint32_t cell, RipId rip,
+                                 std::uint64_t expiryTick) {
+  MDC_EXPECT(cell < perCell_.size(), "openInCell: unknown cell");
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -41,22 +62,20 @@ void ConnectionShard::open(std::uint64_t sessionId, AppId app, VipId vip,
   s.id = sessionId;
   s.expiry = expiryTick;
   s.app = app.value();
-  s.vip = vip.value();
+  s.cell = cell;
   s.rip = rip.value();
   ++s.gen;  // odd: live
   wheel_[expiryTick & mask_].push_back(
       (static_cast<std::uint64_t>(slot) << 32) | s.gen);
-  ++perVip_[vip];
+  ++perCell_[cell];
   ++size_;
   ++opened_;
 }
 
 void ConnectionShard::closeSlot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  const auto pv = perVip_.find(VipId{s.vip});
-  MDC_ENSURE(pv != perVip_.end() && pv->second > 0,
-             "shard per-vip count corrupt");
-  --pv->second;
+  MDC_ENSURE(perCell_[s.cell] > 0, "shard per-vip count corrupt");
+  --perCell_[s.cell];
   ++s.gen;  // even: free; wheel entries pointing here are now stale
   free_.push_back(slot);
   --size_;
@@ -85,9 +104,10 @@ std::uint64_t ConnectionShard::expireDue(std::uint64_t tick) {
 
 std::uint64_t ConnectionShard::severVip(VipId vip) {
   if (countForVip(vip) == 0) return 0;
+  const std::uint32_t cell = findCell(vip);
   std::uint64_t severed = 0;
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].live() && slots_[slot].vip == vip.value()) {
+    if (slots_[slot].live() && slots_[slot].cell == cell) {
       closeSlot(slot);
       ++severed;
     }
@@ -101,23 +121,24 @@ std::uint64_t ConnectionShard::severAll() {
   slots_.clear();
   free_.clear();
   for (auto& bucket : wheel_) bucket.clear();
-  perVip_.clear();
+  std::fill(perCell_.begin(), perCell_.end(), 0);
   size_ = 0;
   broken_ += severed;
   return severed;
 }
 
 std::uint64_t ConnectionShard::countForVip(VipId vip) const {
-  const auto it = perVip_.find(vip);
-  return it == perVip_.end() ? 0 : it->second;
+  const std::uint32_t cell = findCell(vip);
+  return cell == kNoCell ? 0 : perCell_[cell];
 }
 
 void ConnectionShard::forEachOfVip(
     VipId vip,
     const std::function<void(std::uint64_t, RipId)>& fn) const {
   if (countForVip(vip) == 0) return;
+  const std::uint32_t cell = findCell(vip);
   for (const Slot& s : slots_) {
-    if (s.live() && s.vip == vip.value()) fn(s.id, RipId{s.rip});
+    if (s.live() && s.cell == cell) fn(s.id, RipId{s.rip});
   }
 }
 
@@ -126,7 +147,7 @@ void ConnectionShard::forEach(
                              std::uint64_t)>& fn) const {
   for (const Slot& s : slots_) {
     if (s.live()) {
-      fn(s.id, AppId{s.app}, VipId{s.vip}, RipId{s.rip}, s.expiry);
+      fn(s.id, AppId{s.app}, cellVip_[s.cell], RipId{s.rip}, s.expiry);
     }
   }
 }
@@ -141,7 +162,7 @@ std::uint64_t ConnectionShard::stateHash() const noexcept {
     if (!s.live()) continue;
     fnvMix(h, s.id);
     fnvMix(h, s.app);
-    fnvMix(h, s.vip);
+    fnvMix(h, cellVip_[s.cell].value());
     fnvMix(h, s.rip);
     fnvMix(h, s.expiry);
   }

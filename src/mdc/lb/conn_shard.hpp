@@ -21,6 +21,12 @@
 //    per-VIP counts keep their storage (a VIP's count stays at 0 rather
 //    than being erased), so opens and closes reuse what earlier sessions
 //    left behind;
+//  * no lookup per session — each VIP the shard has hosted owns a dense
+//    count cell, assigned once (cellOf) and kept for the shard's
+//    lifetime; a slot records its session's cell, so an open or a close
+//    adjusts its VIP's count by index, and only the per-VIP queries
+//    (countForVip, severVip, forEachOfVip) search the sorted VIP -> cell
+//    index.  Memory stays O(VIPs the shard has hosted);
 //  * cheap bulk severs — a switch crash (severAll) or a forced VIP
 //    transfer (severVip) is a control-plane-rate operation, so it may
 //    scan, but it must never leave stale wheel entries behind that a
@@ -34,7 +40,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mdc/util/ids.hpp"
@@ -53,7 +59,16 @@ class ConnectionShard {
   /// than every tick already passed to expireDue().  Capacity is the
   /// caller's job (the engine budgets against the switch's table limit).
   void open(std::uint64_t sessionId, AppId app, VipId vip, RipId rip,
-            std::uint64_t expiryTick);
+            std::uint64_t expiryTick) {
+    openInCell(sessionId, app, cellOf(vip), rip, expiryTick);
+  }
+  /// open() for a VIP whose count cell the caller already holds (the
+  /// session engine keeps it in its route table).
+  void openInCell(std::uint64_t sessionId, AppId app, std::uint32_t cell,
+                  RipId rip, std::uint64_t expiryTick);
+
+  /// The count cell of `vip`, assigned on the VIP's first call.
+  std::uint32_t cellOf(VipId vip);
 
   /// Completes every session whose expiry tick is <= `tick`.  Call with
   /// strictly increasing tick indices, once per tick.  Returns how many
@@ -98,7 +113,7 @@ class ConnectionShard {
     std::uint64_t id;
     std::uint64_t expiry;
     std::uint32_t app;
-    std::uint32_t vip;
+    std::uint32_t cell;  // the session's VIP's count cell
     std::uint32_t rip;
     std::uint32_t gen;
 
@@ -107,6 +122,9 @@ class ConnectionShard {
   static_assert(sizeof(Slot) == 32);
 
   void closeSlot(std::uint32_t slot);
+  static constexpr std::uint32_t kNoCell = 0xffffffffu;
+  /// The cell of `vip`, or kNoCell if the shard never hosted it.
+  [[nodiscard]] std::uint32_t findCell(VipId vip) const noexcept;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // LIFO: deterministic slot reuse
@@ -117,7 +135,12 @@ class ConnectionShard {
   std::vector<std::vector<std::uint64_t>> wheel_;
   std::uint64_t mask_;
 
-  std::unordered_map<VipId, std::uint64_t> perVip_;  // zero counts kept
+  // Per-VIP counts by cell, each cell's VIP, and the (VIP, cell) index
+  // sorted by VIP.
+  using CellIndexEntry = std::pair<VipId, std::uint32_t>;
+  std::vector<std::uint64_t> perCell_;
+  std::vector<VipId> cellVip_;
+  std::vector<CellIndexEntry> cellIndex_;
 
   std::uint64_t size_ = 0;
   std::uint64_t opened_ = 0;

@@ -6,12 +6,6 @@
 
 namespace mdc {
 
-const RipEntry* VipEntry::findRip(RipId r) const {
-  const auto it = std::find_if(rips.begin(), rips.end(),
-                               [r](const RipEntry& e) { return e.rip == r; });
-  return it == rips.end() ? nullptr : &*it;
-}
-
 double VipEntry::totalWeight() const {
   double w = 0.0;
   for (const RipEntry& e : rips) w += e.weight;
@@ -34,13 +28,6 @@ VipEntry* LbSwitch::findVipMutable(VipId vip) {
 const VipEntry* LbSwitch::findVip(VipId vip) const {
   const auto it = vipIndex_.find(vip);
   return it == vipIndex_.end() ? nullptr : &vips_[it->second];
-}
-
-std::vector<VipId> LbSwitch::vipIds() const {
-  std::vector<VipId> out;
-  out.reserve(vips_.size());
-  for (const VipEntry& e : vips_) out.push_back(e.vip);
-  return out;
 }
 
 Status LbSwitch::configureVip(VipId vip, AppId app) {

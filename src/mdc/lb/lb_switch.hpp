@@ -58,7 +58,12 @@ struct VipEntry {
   AppId app;
   std::vector<RipEntry> rips;
 
-  [[nodiscard]] const RipEntry* findRip(RipId rip) const;
+  [[nodiscard]] const RipEntry* findRip(RipId rip) const {
+    for (const RipEntry& r : rips) {
+      if (r.rip == rip) return &r;
+    }
+    return nullptr;
+  }
   [[nodiscard]] double totalWeight() const;
 };
 
@@ -94,7 +99,11 @@ class LbSwitch {
     return static_cast<std::uint32_t>(vips_.size());
   }
   [[nodiscard]] std::uint32_t ripCount() const noexcept { return ripCount_; }
-  [[nodiscard]] std::vector<VipId> vipIds() const;
+  /// The VIP table in place, in table order.  Invalidated by any table
+  /// mutation: removeVip swap-and-pops, so an entry may change position.
+  [[nodiscard]] std::span<const VipEntry> vips() const noexcept {
+    return vips_;
+  }
 
   [[nodiscard]] std::uint32_t spareVips() const noexcept {
     return limits_.maxVips - vipCount();

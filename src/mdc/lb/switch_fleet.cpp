@@ -25,6 +25,7 @@ void SwitchFleet::bumpVip(VipId vip) {
   if (i >= vipVersions_.size()) {
     vipVersions_.resize(i + 1, 0);
     owner_.resize(i + 1);
+    orphanMarks_.resize(i + 1, 0);
   }
   ++vipVersions_[i];
   if (vipLogOpen_) vipLog_.push_back(vip);
@@ -190,16 +191,16 @@ std::size_t SwitchFleet::crashSwitch(SwitchId sw, SimTime now) {
   MDC_EXPECT(victim.up(), "crashSwitch: switch already down");
   auto& stranded = orphans_[sw];
   std::size_t orphaned = 0;
-  for (VipId vip : victim.vipIds()) {
-    const VipEntry* entry = victim.findVip(vip);
-    MDC_ENSURE(entry != nullptr, "vip listed but not found");
+  for (const VipEntry& entry : victim.vips()) {
+    const VipId vip = entry.vip;
     // A duplicate host (control-plane race) keeps the VIP alive: repoint
     // the index there instead of declaring an orphan.
     const auto survivor = otherHostOf(vip, sw);
     bumpVip(vip);
     owner_[vip.index()] = survivor.value_or(SwitchId{});
     if (survivor.has_value()) continue;
-    stranded.push_back(OrphanedVip{vip, entry->app, entry->rips, now});
+    stranded.push_back(OrphanedVip{vip, entry.app, entry.rips, now});
+    ++orphanMarks_[vip.index()];
     ++orphaned;
   }
   if (stranded.empty()) orphans_.erase(sw);
@@ -220,22 +221,15 @@ std::size_t SwitchFleet::upCount() const {
 
 std::vector<OrphanedVip> SwitchFleet::takeOrphans(SwitchId sw) {
   auto batch = orphans_.extract(sw);
-  return batch.empty() ? std::vector<OrphanedVip>{} : std::move(batch.mapped());
+  if (batch.empty()) return {};
+  for (const OrphanedVip& o : batch.mapped()) --orphanMarks_[o.vip.index()];
+  return std::move(batch.mapped());
 }
 
 std::size_t SwitchFleet::pendingOrphans() const {
   std::size_t n = 0;
   for (const auto& [sw, list] : orphans_) n += list.size();
   return n;
-}
-
-bool SwitchFleet::isOrphaned(VipId vip) const {
-  for (const auto& [sw, list] : orphans_) {
-    for (const OrphanedVip& o : list) {
-      if (o.vip == vip) return true;
-    }
-  }
-  return false;
 }
 
 Status SwitchFleet::addRip(VipId vip, RipEntry entry) {

@@ -20,9 +20,10 @@
 // With no reader nothing is logged.
 //
 // VIP ids are dense (the VIP/RIP manager allocates them from 0), so the
-// ownership index and the per-VIP versions are two columns indexed by VIP
-// id, grown together by the first mutation of a VIP; an invalid SwitchId
-// in the owner column means unowned.
+// ownership index, the per-VIP versions and the orphan marks are columns
+// indexed by VIP id, grown together by the first mutation of a VIP; an
+// invalid SwitchId in the owner column means unowned, and a VIP's orphan
+// mark counts the uncollected orphan batches that hold it.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +79,10 @@ class SwitchFleet {
   [[nodiscard]] std::vector<OrphanedVip> takeOrphans(SwitchId sw);
   [[nodiscard]] std::size_t pendingOrphans() const;
   /// Whether an uncollected orphan batch holds `vip`.
-  [[nodiscard]] bool isOrphaned(VipId vip) const;
+  [[nodiscard]] bool isOrphaned(VipId vip) const noexcept {
+    const std::size_t i = vip.index();
+    return i < orphanMarks_.size() && orphanMarks_[i] > 0;
+  }
   /// Uncollected orphan batches in ascending switch id (peek; a detector
   /// uses this to notice crash-reboot blips it never probed).
   [[nodiscard]] const std::map<SwitchId, std::vector<OrphanedVip>>& orphans()
@@ -207,6 +211,7 @@ class SwitchFleet {
   std::vector<LbSwitch> switches_;
   std::vector<std::uint64_t> vipVersions_;  // by VipId index
   std::vector<SwitchId> owner_;             // by VipId index, same length
+  std::vector<std::uint32_t> orphanMarks_;  // by VipId index, same length
   std::vector<VipId> vipLog_;  // bumps since the reader's last take
   bool vipLogOpen_ = false;
   TransferListener onTransfer_;

@@ -371,34 +371,51 @@ EpochReport FluidEngine::step() {
   // An app without demand consults nothing more.  Resolver pools were
   // brought up to date (and new ones created) by the advance above, so
   // this phase only reads them.  Neither demand nor shares can dirty a
-  // tree: the replay applies them.
+  // tree: the replay applies them.  Static contiguous ranges on the pool:
+  // each worker writes only its own apps' cache slots and its slot's
+  // dirty list, and the slot-order concatenation lists the dirty apps in
+  // application order, as a serial walk would.
   const bool incremental = options_.incremental;
+  const std::uint64_t dnsTopology = dns_.topologyVersion();
+  if (validated_.size() < pool_.workers()) validated_.resize(pool_.workers());
+  for (WorkerDirty& wd : validated_) {
+    wd.apps.clear();
+    wd.resolvedNoDns = 0;
+  }
   dirty_.clear();
   std::size_t recomputed = 0;
   {
     const auto prof = profiler_.time(PhaseProfiler::Phase::Validate);
-    for (std::size_t i = 0; i < n; ++i) {
-      const AppId app = appList[i].id;
-      AppCache& c = cache_[app.index()];
-      c.demandRps = demand_.rps(app, now);
-      if (c.demandRps <= kEpsRps) continue;
-      if (!incremental) c.built = false;
-      if (!c.hadDns) {
-        // Apps are never unregistered, so "not in DNS" can only flip
-        // when the registered set grows.
-        if (c.built && dns_.topologyVersion() == c.dnsTopoDep) continue;
-        c.hadDns = dns_.hasApp(app);
+    pool_.parallelRanges(n, [&](unsigned slot, std::size_t lo,
+                                std::size_t hi) {
+      WorkerDirty& mine = validated_[slot];
+      for (std::size_t i = lo; i < hi; ++i) {
+        const AppId app = appList[i].id;
+        AppCache& c = cache_[app.index()];
+        c.demandRps = demand_.rps(app, now);
+        if (c.demandRps <= kEpsRps) continue;
+        if (!incremental) c.built = false;
         if (!c.hadDns) {
-          c.clear();
-          c.built = true;
-          c.dnsTopoDep = dns_.topologyVersion();
-          ++recomputed;
-          continue;
+          // Apps are never unregistered, so "not in DNS" can only flip
+          // when the registered set grows.
+          if (c.built && dnsTopology == c.dnsTopoDep) continue;
+          c.hadDns = dns_.hasApp(app);
+          if (!c.hadDns) {
+            c.clear();
+            c.built = true;
+            c.dnsTopoDep = dnsTopology;
+            ++mine.resolvedNoDns;
+            continue;
+          }
+          c.built = false;  // the no-DNS outcome is stale
         }
-        c.built = false;  // the no-DNS outcome is stale
+        if (c.built && cacheValid(app, c)) continue;
+        mine.apps.push_back(app.index());
       }
-      if (c.built && cacheValid(app, c)) continue;
-      dirty_.push_back(app.index());
+    });
+    for (const WorkerDirty& wd : validated_) {
+      dirty_.insert(dirty_.end(), wd.apps.begin(), wd.apps.end());
+      recomputed += wd.resolvedNoDns;
     }
   }
   recomputed += dirty_.size();

@@ -147,6 +147,13 @@ class FluidEngine {
   struct alignas(64) WorkerTouched {
     std::vector<VmRecord*> vms;
   };
+  /// One validate-phase worker's output: its range's dirty apps, in
+  /// application order, and how many of its apps it resolved to "not in
+  /// DNS".
+  struct alignas(64) WorkerDirty {
+    std::vector<std::size_t> apps;
+    std::size_t resolvedNoDns = 0;
+  };
 
   [[nodiscard]] bool cacheValid(AppId app, const AppCache& c) const;
   void computeApp(AppId app, AppCache& c);
@@ -170,6 +177,7 @@ class FluidEngine {
   ThreadPool pool_;
   std::vector<AppCache> cache_;           // indexed by AppId
   std::vector<std::size_t> dirty_;        // app indices to re-descend
+  std::vector<WorkerDirty> validated_;    // by validate-phase slot
 
   // Flat per-epoch accumulators (reused across steps).  The vm/vip/app
   // arrays are epoch-stamped so only the entries a flow actually touched

@@ -69,6 +69,10 @@ VipId pickVip(std::span<const VipWeight> shares, double total, Rng& rng) {
 constexpr std::uint64_t kAppWork = 5;
 constexpr std::uint64_t kArrivalWork = 2;
 
+/// Dead picks the route table tolerates beyond its live ones before it
+/// compacts: only keeps tiny tables from compacting at every refresh.
+constexpr std::size_t kPickSlack = 16;
+
 }  // namespace
 
 const char* toString(SessionReject reason) noexcept {
@@ -131,18 +135,41 @@ void SessionEngine::refreshRoutes() {
   for (const VipId vip : mutatedVips_) {
     if (vip.index() >= routes_.size()) routes_.resize(vip.index() + 1);
     VipRoute& route = routes_[vip.index()];
-    route.rips.clear();
     const auto owner = fleet_.ownerOf(vip);
-    route.shard = owner.has_value() ? owner->value() : VipRoute::kUnowned;
     const VipEntry* e = owner.has_value() ? fleet_.at(*owner).findVip(vip)
                                           : nullptr;
-    if (e == nullptr) continue;
+    route.shard = owner.has_value() ? owner->value() : VipRoute::kUnowned;
+    if (owner.has_value()) route.cell = shards_[owner->index()]->cellOf(vip);
+    const auto count =
+        static_cast<std::uint32_t>(e != nullptr ? e->rips.size() : 0);
+    livePicks_ = livePicks_ - route.count + count;
+    if (count > route.count) {  // does not fit its range: append
+      route.first = static_cast<std::uint32_t>(picks_.size());
+      picks_.resize(picks_.size() + count);
+    }
+    route.count = count;
     double sum = 0.0;
-    for (const RipEntry& rip : e->rips) {
-      sum += rip.weight;
-      route.rips.push_back({sum, rip.rip});
+    for (std::uint32_t k = 0; k < count; ++k) {
+      sum += e->rips[k].weight;
+      picks_[route.first + k] = {sum, e->rips[k].rip};
     }
   }
+  // Dead ranges (left by appends and shrinks) past the live picks plus a
+  // little slack: rewrite the table in VIP order.
+  if (picks_.size() - livePicks_ > livePicks_ + kPickSlack) compactPicks();
+}
+
+void SessionEngine::compactPicks() {
+  std::vector<RipPick> live;
+  live.reserve(livePicks_);
+  for (VipRoute& route : routes_) {
+    const auto first = static_cast<std::uint32_t>(live.size());
+    live.insert(live.end(), picks_.begin() + route.first,
+                picks_.begin() + route.first + route.count);
+    route.first = first;
+  }
+  picks_ = std::move(live);
+  ++routeCompactions_;
 }
 
 void SessionEngine::cutApps(std::size_t numApps) {
@@ -198,15 +225,17 @@ void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
         ++rejNoOwner_[a];
         continue;
       }
-      if (route->rips.empty() || route->rips.back().sum <= 0.0) {
+      const std::span<const RipPick> rips(picks_.data() + route->first,
+                                          route->count);
+      if (rips.empty() || rips.back().sum <= 0.0) {
         ++rejNoRips_[a];
         continue;
       }
       // Weighted RIP pick: the draw and the comparisons of a running-sum
       // walk over the owner's table.
-      const double r = rng.uniform() * route->rips.back().sum;
-      RipId rip = route->rips.back().rip;
-      for (const RipPick& p : route->rips) {
+      const double r = rng.uniform() * rips.back().sum;
+      RipId rip = rips.back().rip;
+      for (const RipPick& p : rips) {
         if (r < p.sum) {
           rip = p.rip;
           break;
@@ -220,7 +249,7 @@ void SessionEngine::generateApps(unsigned slot, std::size_t lo, std::size_t hi,
                perAppSeq_[a]++;
       rec.app = app.value();
       rec.ordinal = viable_[a]++;
-      rec.vip = vip;
+      rec.cell = route->cell;
       rec.rip = rip;
       rec.expiry = epoch_ + lifeTicks;
       buckets_[static_cast<std::size_t>(slot) * numShards + route->shard]
@@ -285,7 +314,8 @@ void SessionEngine::insertShards(std::size_t lo, std::size_t hi) {
           }
           continue;
         }
-        shard.open(rec.id, AppId{rec.app}, rec.vip, rec.rip, rec.expiry);
+        shard.openInCell(rec.id, AppId{rec.app}, rec.cell, rec.rip,
+                         rec.expiry);
         --room;
       }
     }

@@ -14,12 +14,17 @@
 //    session slot plus a timing wheel, so expiry is O(sessions due this
 //    tick) and an open or a close touches one cache line;
 //  * a per-VIP route table, dense by VIP id, holds each VIP's owning
-//    shard and the owner's RIPs with running weight sums.  It is
-//    refreshed serially at the start of a tick for the VIPs the fleet
-//    logged since the last one (the engine holds the fleet's VIP change
-//    log open for its lifetime, SwitchFleet::openVipLog), so an
-//    arrival resolves VIP -> shard -> RIP with one table read and no
-//    fleet or switch lookup;
+//    shard, its count cell in that shard, and a range of one flat table
+//    of the owner's RIPs with running weight sums.  It is refreshed
+//    serially at the start of a tick for the VIPs the fleet logged since
+//    the last one (the engine holds the fleet's VIP change log open for
+//    its lifetime, SwitchFleet::openVipLog), so an arrival resolves
+//    VIP -> shard -> RIP with two reads of flat tables and no fleet,
+//    switch or heap-allocated route lookup, and its open counts the
+//    session into its VIP's cell by index.  A refreshed route rewrites
+//    its range in place when the new RIPs fit and appends otherwise; the
+//    pick table is compacted in VIP order once its dead ranges outgrow
+//    its live ones, so it stays O(live RIPs);
 //  * the tick is a deterministic pipeline: (P) serial resolver advance
 //    and route refresh (generation then reads shares in place), (S)
 //    per-shard expiry, (G) per-app arrival generation into
@@ -177,6 +182,11 @@ class SessionEngine {
   /// The shard attached to one switch (tests assert RIP stickiness).
   [[nodiscard]] const ConnectionShard& shardOf(SwitchId sw) const;
 
+  /// Compactions of the route table's flat RIP-pick table so far.
+  [[nodiscard]] std::uint64_t routeCompactions() const noexcept {
+    return routeCompactions_;
+  }
+
  private:
   /// One RIP of a route: its id and the running weight sum up to and
   /// including it, in the owner's table order.
@@ -185,19 +195,22 @@ class SessionEngine {
     RipId rip;
   };
   /// How an arrival on one VIP resolves: the owning shard (kUnowned when
-  /// no switch owns the VIP) and the owner entry's RIPs.  The sums are
-  /// the same additions, in the same order, as the owner entry's
-  /// totalWeight(), so the last one is the VIP's total weight.
+  /// no switch owns the VIP), the VIP's count cell there, and the owner
+  /// entry's RIPs as picks_[first, first + count).  The sums are the same
+  /// additions, in the same order, as the owner entry's totalWeight(), so
+  /// the last one is the VIP's total weight.
   struct VipRoute {
     static constexpr std::uint32_t kUnowned = 0xffffffffu;
     std::uint32_t shard = kUnowned;
-    std::vector<RipPick> rips;
+    std::uint32_t cell = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
   };
   struct PendingOpen {
     std::uint64_t id;
     std::uint32_t app;
     std::uint32_t ordinal;  // viable-arrival index within the app's tick
-    VipId vip;
+    std::uint32_t cell;     // the VIP's count cell in the target shard
     RipId rip;
     std::uint64_t expiry;
   };
@@ -213,6 +226,7 @@ class SessionEngine {
   };
 
   void refreshRoutes();
+  void compactPicks();
   void cutApps(std::size_t numApps);
   void generateApps(unsigned slot, std::size_t lo, std::size_t hi,
                     SimTime now);
@@ -236,9 +250,13 @@ class SessionEngine {
 
   std::uint64_t epoch_ = 0;  // tick index; expiry wheel key
 
-  // Per-VIP routes, by VIP index, and the VIPs taken from the fleet's
-  // change log for the current refresh.
+  // Per-VIP routes, by VIP index, their RIP picks, the picks that live
+  // routes cover, and the VIPs taken from the fleet's change log for the
+  // current refresh.
   std::vector<VipRoute> routes_;
+  std::vector<RipPick> picks_;
+  std::size_t livePicks_ = 0;
+  std::uint64_t routeCompactions_ = 0;
   std::vector<VipId> mutatedVips_;
 
   // Per-app persistent state.

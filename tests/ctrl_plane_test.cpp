@@ -364,12 +364,96 @@ TEST(CtrlPlane, ReconcilerRepairsInjectedDrift) {
   ASSERT_TRUE(goneVip.valid());
   ASSERT_TRUE(dc.fleet.applyRemoveVip(goneHome, goneVip, true).ok());
 
-  rec.auditRound();  // detects all four and repairs inline (reliable)
-  EXPECT_GE(rec.driftByKind().at("stray_vip"), 1u);
-  EXPECT_GE(rec.driftByKind().at("duplicate_vip"), 1u);
-  EXPECT_GE(rec.driftByKind().at("missing_rip"), 1u);
-  EXPECT_GE(rec.driftByKind().at("missing_vip"), 1u);
-  EXPECT_GE(rec.repairsSucceeded(), 4u);
+  // 5. An actual RIP nobody intends (a lost RemoveRip).
+  const auto [fatVip, fatHome] =
+      someIntendedVip(intent, {stray, dupVip, thinVip, goneVip}, true);
+  ASSERT_TRUE(fatVip.valid());
+  RipEntry extra = intent.find(fatVip)->rips.front();
+  extra.rip = RipId{900'000};
+  ASSERT_TRUE(dc.fleet.applyAddRip(fatHome, fatVip, extra).ok());
+
+  // 6. A VIP moved by a transfer the journal missed: it lives only on
+  //    another switch, RIPs and all.
+  const auto [movedVip, movedHome] = someIntendedVip(
+      intent, {stray, dupVip, thinVip, goneVip, fatVip}, true);
+  ASSERT_TRUE(movedVip.valid());
+  const SwitchId movedTo{movedHome == SwitchId{2} ? 3u : 2u};
+  const VipEntry movedEntry = *dc.fleet.at(movedHome).findVip(movedVip);
+  ASSERT_TRUE(dc.fleet.applyRemoveVip(movedHome, movedVip, true).ok());
+  ASSERT_TRUE(dc.fleet.applyConfigureVip(movedTo, movedVip, movedEntry.app)
+                  .ok());
+  for (const RipEntry& r : movedEntry.rips) {
+    ASSERT_TRUE(dc.fleet.applyAddRip(movedTo, movedVip, r).ok());
+  }
+
+  // 7. A RIP weight written straight to the fleet (as the inter-pod
+  //    balancer does).
+  const auto [heavyVip, heavyHome] = someIntendedVip(
+      intent, {stray, dupVip, thinVip, goneVip, fatVip, movedVip}, true);
+  ASSERT_TRUE(heavyVip.valid());
+  const RipId heavyRip = intent.find(heavyVip)->rips.front().rip;
+  const double heavyWeight = intent.find(heavyVip)->rips.front().weight + 1.5;
+  ASSERT_TRUE(
+      dc.fleet.applySetRipWeight(heavyHome, heavyVip, heavyRip, heavyWeight)
+          .ok());
+
+  // 8. An intended VIP re-placed at the end of its switch's table, right
+  //    behind a second stray: the switch pass notes the VIP at the last
+  //    position, and removing the stray inline swap-and-pops it off that
+  //    position before the intent pass reads it.
+  const auto [lastVip, lastHome] = someIntendedVip(
+      intent, {stray, dupVip, thinVip, goneVip, fatVip, movedVip, heavyVip},
+      true);
+  ASSERT_TRUE(lastVip.valid());
+  const VipEntry lastEntry = *dc.fleet.at(lastHome).findVip(lastVip);
+  const VipId stray2{4243};
+  ASSERT_TRUE(dc.fleet.applyRemoveVip(lastHome, lastVip, true).ok());
+  ASSERT_TRUE(dc.fleet.applyConfigureVip(lastHome, stray2, anyApp).ok());
+  ASSERT_TRUE(
+      dc.fleet.applyConfigureVip(lastHome, lastVip, lastEntry.app).ok());
+  for (const RipEntry& r : lastEntry.rips) {
+    ASSERT_TRUE(dc.fleet.applyAddRip(lastHome, lastVip, r).ok());
+  }
+  const auto positionOf = [&dc](SwitchId sw, VipId vip) {
+    const auto table = dc.fleet.at(sw).vips();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      if (table[i].vip == vip) return i;
+    }
+    return table.size();
+  };
+  const std::size_t lastAt = positionOf(lastHome, lastVip);
+  ASSERT_EQ(lastAt + 1, dc.fleet.at(lastHome).vipCount());
+  ASSERT_EQ(positionOf(lastHome, stray2) + 1, lastAt);
+
+  const auto before = rec.driftByKind();
+  const auto delta = [&](const char* kind) {
+    const auto now = rec.driftByKind().find(kind);
+    const auto was = before.find(kind);
+    return (now == rec.driftByKind().end() ? 0 : now->second) -
+           (was == before.end() ? 0 : was->second);
+  };
+  const std::uint64_t placements = rec.placementsAdopted();
+  const std::uint64_t weights = rec.weightsAdopted();
+  rec.auditRound();  // detects all six and repairs inline (reliable)
+  EXPECT_EQ(delta("stray_vip"), 2u);
+  EXPECT_GE(delta("duplicate_vip"), 1u);
+  EXPECT_EQ(delta("missing_rip"), 1u);
+  EXPECT_EQ(delta("missing_vip"), 1u);
+  EXPECT_EQ(delta("orphan_rip"), 1u);
+  EXPECT_EQ(delta("wrong_switch"), 1u);
+  EXPECT_GE(rec.repairsSucceeded(), 6u);
+  // Each adoption went through its hook into the intent.
+  EXPECT_EQ(rec.placementsAdopted(), placements + 1);
+  EXPECT_EQ(intent.find(movedVip)->sw, movedTo);
+  EXPECT_EQ(rec.weightsAdopted(), weights + 1);
+  EXPECT_EQ(intent.find(heavyVip)->findRip(heavyRip)->weight, heavyWeight);
+  EXPECT_EQ(dc.fleet.at(fatHome).findVip(fatVip)->findRip(extra.rip), nullptr);
+  // The swap-and-popped VIP was read where it now is: no repair touched
+  // it, and it keeps every intended RIP.
+  EXPECT_TRUE(dc.fleet.hostsOf(stray2).empty());
+  EXPECT_LT(positionOf(lastHome, lastVip), lastAt);
+  EXPECT_EQ(dc.fleet.at(lastHome).findVip(lastVip)->rips.size(),
+            intent.find(lastVip)->rips.size());
 
   EXPECT_TRUE(dc.fleet.hostsOf(stray).empty());
   EXPECT_EQ(dc.fleet.hostsOf(dupVip),

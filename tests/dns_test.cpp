@@ -1,8 +1,10 @@
 // Unit tests for the authoritative DNS and resolver-population model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -321,6 +323,214 @@ TEST(ResolverPopulation, ViewMatchesSharesUnderRandomDnsChurn) {
     if (HasFatalFailure() || HasNonfatalFailure()) break;  // don't spam
   }
   for (std::uint32_t a = 0; a < kApps; ++a) EXPECT_FALSE(tracked[a].empty());
+}
+
+// A test-local copy of the advance ResolverPopulation ran before each
+// pool relaxed in one pass: four parallel arrays per pool, relaxed array
+// by array, tested for convergence array by array, then recombined.
+class FivePassResolvers {
+ public:
+  FivePassResolvers(const AuthoritativeDns& dns, ResolverConfig config)
+      : dns_(dns), config_(config) {}
+
+  void advance(SimTime now) {
+    const SimTime dt = now - lastAdvance_;
+    lastAdvance_ = now;
+    for (const AppId app : dns_.mutationsSince(dnsCursor_)) {
+      if (app.index() >= pools_.size()) pools_.resize(app.index() + 1);
+      refreshTargets(app, pools_[app.index()]);
+    }
+    dnsCursor_ = dns_.mutationCursor();
+    if (dt <= 0.0 || relaxing_.empty()) return;
+    const double alphaFast = 1.0 - std::exp(-dt / config_.ttlSeconds);
+    const double alphaLinger = 1.0 - std::exp(-dt / config_.lingerSeconds);
+    for (std::size_t i = 0; i < relaxing_.size();) {
+      Pool& p = pools_[relaxing_[i].index()];
+      relax(p.fast, p.target, alphaFast);
+      relax(p.linger, p.target, alphaLinger);
+      const bool converged =
+          withinEps(p.fast, p.target) && withinEps(p.linger, p.target);
+      if (converged) {
+        p.fast = p.target;
+        p.linger = p.target;
+        p.relaxing = false;
+        ++settled_;
+      }
+      updateShares(p);
+      if (converged) {
+        relaxing_[i] = relaxing_.back();
+        relaxing_.pop_back();
+      } else {
+        ++i;
+      }
+    }
+  }
+
+  [[nodiscard]] std::span<const VipWeight> view(AppId app) const {
+    return app.index() < pools_.size()
+               ? std::span<const VipWeight>(pools_[app.index()].shares)
+               : std::span<const VipWeight>{};
+  }
+  [[nodiscard]] std::size_t settled() const { return settled_; }
+
+ private:
+  struct Pool {
+    std::vector<VipWeight> shares;
+    std::vector<double> fast;
+    std::vector<double> linger;
+    std::vector<double> target;
+    std::uint64_t seenGeneration = ~0ULL;
+    bool initialised = false;
+    bool relaxing = false;
+  };
+
+  void refreshTargets(AppId app, Pool& p) {
+    const auto gen = dns_.generation(app);
+    if (p.seenGeneration == gen && p.initialised) return;
+    const auto exposed = dns_.vips(app);
+    const auto position = [&p](VipId vip) {
+      return static_cast<std::size_t>(
+          std::find_if(p.shares.begin(), p.shares.end(),
+                       [vip](const VipWeight& vw) { return vw.vip == vip; }) -
+          p.shares.begin());
+    };
+    for (const VipWeight& vw : exposed) {
+      if (position(vw.vip) == p.shares.size()) {
+        p.shares.push_back(VipWeight{vw.vip, 0.0});
+        p.fast.push_back(0.0);
+        p.linger.push_back(0.0);
+      }
+    }
+    p.target.assign(p.shares.size(), 0.0);
+    double total = 0.0;
+    for (const VipWeight& vw : exposed) total += vw.weight;
+    if (total > 0.0) {
+      for (const VipWeight& vw : exposed) {
+        p.target[position(vw.vip)] = vw.weight / total;
+      }
+    }
+    if (!p.initialised) {
+      p.fast = p.target;
+      p.linger = p.target;
+      p.initialised = true;
+    } else if (!p.relaxing) {
+      p.relaxing = true;
+      relaxing_.push_back(app);
+    }
+    p.seenGeneration = gen;
+    updateShares(p);
+  }
+
+  void updateShares(Pool& p) const {
+    const double lf = config_.lingerFraction;
+    for (std::size_t i = 0; i < p.shares.size(); ++i) {
+      p.shares[i].weight = (1.0 - lf) * p.fast[i] + lf * p.linger[i];
+    }
+  }
+  static void relax(std::vector<double>& shares, const std::vector<double>& t,
+                    double alpha) {
+    for (std::size_t i = 0; i < shares.size(); ++i) {
+      shares[i] += alpha * (t[i] - shares[i]);
+    }
+  }
+  static bool withinEps(const std::vector<double>& a,
+                        const std::vector<double>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::abs(a[i] - b[i]) > 1e-12) return false;
+    }
+    return true;
+  }
+
+  const AuthoritativeDns& dns_;
+  ResolverConfig config_;
+  SimTime lastAdvance_ = 0.0;
+  std::uint64_t dnsCursor_ = 0;
+  std::vector<Pool> pools_;
+  std::vector<AppId> relaxing_;
+  std::size_t settled_ = 0;
+};
+
+TEST(ResolverPopulation, FusedPassMatchesFivePassAdvanceBitwise) {
+  // Under random DNS churn and advances of random length, every pool's
+  // view matches the five-pass advance's bit for bit, for the default
+  // population and for one fast enough that pools settle and are
+  // re-dirtied many times.
+  for (const ResolverConfig config :
+       {ResolverConfig{}, ResolverConfig{4.0, 0.3, 20.0}}) {
+    SCOPED_TRACE("linger " + std::to_string(config.lingerSeconds));
+    constexpr std::uint32_t kApps = 6;
+    AuthoritativeDns dns;
+    ResolverPopulation fused{dns, config};
+    FivePassResolvers fivePass{dns, config};
+    std::mt19937 rng(0xF05ED);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const auto weight = [&] {
+      return unit(rng) < 0.2 ? 0.0 : 4.0 * unit(rng);
+    };
+    std::vector<std::vector<VipId>> dropped(kApps);
+    std::uint32_t nextVip = 0;
+    for (std::uint32_t a = 0; a < kApps; ++a) {
+      dns.registerApp(AppId{a});
+      dns.addVip(AppId{a}, VipId{nextVip++}, 1.0);
+    }
+    SimTime now = 0.0;
+    std::size_t advances = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const AppId app{static_cast<std::uint32_t>(rng() % kApps)};
+      const auto exposed = dns.vips(app);
+      switch (rng() % 7) {
+        case 0: {
+          std::vector<VipId>& pool = dropped[app.index()];
+          if (!pool.empty() && rng() % 2 == 0) {
+            dns.addVip(app, pool.back(), weight());
+            pool.pop_back();
+          } else {
+            dns.addVip(app, VipId{nextVip++}, weight());
+          }
+          break;
+        }
+        case 1:
+          if (exposed.size() > 1) {
+            const VipId vip = exposed[rng() % exposed.size()].vip;
+            dns.removeVip(app, vip);
+            dropped[app.index()].push_back(vip);
+          }
+          break;
+        case 2:
+          dns.setWeight(app, exposed[rng() % exposed.size()].vip, weight());
+          break;
+        case 3: {
+          std::vector<VipWeight> all(exposed.begin(), exposed.end());
+          for (VipWeight& vw : all) vw.weight = weight();
+          dns.setWeights(app, all);
+          break;
+        }
+        default: {
+          // Mostly short steps; now and then a long quiet stretch.
+          const double r = unit(rng);
+          now += r < 0.15 ? 0.0 : r < 0.9 ? 5.0 * unit(rng) : 600.0 * unit(rng);
+          fused.advance(now);
+          fivePass.advance(now);
+          ++advances;
+          for (std::uint32_t a = 0; a < kApps; ++a) {
+            const auto got = fused.view(AppId{a});
+            const auto want = fivePass.view(AppId{a});
+            ASSERT_EQ(got.size(), want.size()) << "app " << a;
+            for (std::size_t k = 0; k < got.size(); ++k) {
+              ASSERT_EQ(got[k].vip, want[k].vip);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k].weight),
+                        std::bit_cast<std::uint64_t>(want[k].weight))
+                  << "app " << a << " position " << k << " step " << step;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(advances, 1000u);
+    if (config.lingerSeconds < 100.0) {
+      EXPECT_GT(fivePass.settled(), 50u);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -431,6 +432,121 @@ TEST(SwitchFleet, RipOpsOnUnownedVip) {
   EXPECT_EQ(fleet.setRipWeight(kVip, RipId{0}, 1.0).error().code,
             "vip_unowned");
   EXPECT_EQ(fleet.findVip(kVip), nullptr);
+}
+
+TEST(ConnectionShard, PerVipCountsMatchSlotScanUnderRandomChurn) {
+  // Each VIP's count lives in a cell the shard assigns on first use and
+  // adjusts by index on every open and close.  Under random opens (by VIP
+  // and by cell), expiries, VIP severs and whole-shard severs, every
+  // count equals a scan of the live slots, and a VIP keeps its cell.
+  ConnectionShard shard{8};
+  std::mt19937_64 rng{0xC0C0};
+  constexpr std::uint32_t kVips = 24;
+  constexpr std::uint32_t kUnseen = 0xffffffffu;
+  std::vector<std::uint32_t> cells(kVips, kUnseen);
+  std::uint64_t tick = 0;
+  std::uint64_t nextId = 0;
+  std::uint64_t severs = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const VipId vip{100 + static_cast<std::uint32_t>(rng() % kVips)};
+    switch (rng() % 16) {
+      case 0:
+        shard.expireDue(++tick);
+        break;
+      case 1:
+        severs += shard.severVip(vip);
+        break;
+      case 2:
+        if (rng() % 20 == 0) severs += shard.severAll();
+        break;
+      default: {
+        const std::uint64_t expiry = tick + 1 + rng() % 20;
+        if (rng() % 2 == 0) {
+          shard.open(nextId++, kApp, vip, RipId{1}, expiry);
+        } else {
+          shard.openInCell(nextId++, kApp, shard.cellOf(vip), RipId{2},
+                           expiry);
+        }
+        break;
+      }
+    }
+    std::vector<std::uint64_t> scan(kVips, 0);
+    std::uint64_t live = 0;
+    shard.forEach([&](std::uint64_t, AppId, VipId v, RipId, std::uint64_t) {
+      ++scan[v.value() - 100];
+      ++live;
+    });
+    ASSERT_EQ(shard.size(), live) << "step " << step;
+    for (std::uint32_t v = 0; v < kVips; ++v) {
+      const VipId id{100 + v};
+      ASSERT_EQ(shard.countForVip(id), scan[v]) << "vip " << id << " step "
+                                                << step;
+      std::uint64_t ofVip = 0;
+      shard.forEachOfVip(id, [&](std::uint64_t, RipId) { ++ofVip; });
+      ASSERT_EQ(ofVip, scan[v]);
+    }
+    const std::uint32_t cell = shard.cellOf(vip);
+    std::uint32_t& known = cells[vip.value() - 100];
+    if (known == kUnseen) known = cell;
+    ASSERT_EQ(cell, known) << "a VIP's cell moved";
+  }
+  EXPECT_EQ(shard.opened(), nextId);
+  EXPECT_EQ(shard.broken(), severs);
+  EXPECT_GT(severs, 0u);
+  EXPECT_GT(shard.completed(), 0u);
+}
+
+TEST(SwitchFleet, OrphanMarksMatchPendingBatchesUnderRandomCrashes) {
+  // isOrphaned reads a per-VIP mark that crashes raise and takeOrphans
+  // lowers.  Under random placements (duplicate hosts included), crashes,
+  // recoveries and collections, it answers as a scan of every pending
+  // batch does.
+  SwitchFleet fleet;
+  constexpr std::uint32_t kSwitches = 4;
+  constexpr std::uint32_t kVips = 30;
+  SwitchLimits limits;
+  limits.maxVips = 16;
+  for (std::uint32_t s = 0; s < kSwitches; ++s) fleet.addSwitch(limits);
+  std::mt19937_64 rng{0x0A9A};
+  std::uint64_t crashes = 0;
+  std::uint64_t collected = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const SwitchId sw{static_cast<std::uint32_t>(rng() % kSwitches)};
+    const VipId vip{static_cast<std::uint32_t>(rng() % kVips)};
+    switch (rng() % 8) {
+      case 0:
+        if (fleet.isUp(sw)) {
+          fleet.crashSwitch(sw, static_cast<double>(step));
+          ++crashes;
+        }
+        break;
+      case 1:
+        if (!fleet.isUp(sw)) fleet.recoverSwitch(sw);
+        break;
+      case 2:
+        collected += fleet.takeOrphans(sw).size();
+        break;
+      case 3:
+        (void)fleet.applyRemoveVip(sw, vip, true);
+        break;
+      case 4:  // a second host of an owned VIP
+        (void)fleet.applyConfigureVip(sw, vip, kApp);
+        break;
+      default:
+        (void)fleet.configureVip(sw, vip, kApp);
+        break;
+    }
+    std::vector<bool> pending(kVips, false);
+    for (const auto& [s, batch] : fleet.orphans()) {
+      for (const OrphanedVip& o : batch) pending[o.vip.index()] = true;
+    }
+    for (std::uint32_t v = 0; v < kVips; ++v) {
+      ASSERT_EQ(fleet.isOrphaned(VipId{v}), pending[v])
+          << "vip " << v << " step " << step;
+    }
+  }
+  EXPECT_GT(crashes, 100u);
+  EXPECT_GT(collected, 100u);
 }
 
 }  // namespace

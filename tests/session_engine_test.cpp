@@ -884,6 +884,10 @@ TEST(SessionEngineRouteOracle, ChurnedFleetMatchesDirectResolution) {
   EXPECT_GT(applied[Churn::ForceTransfer] + applied[Churn::RemoveVip] +
                 applied[Churn::Crash],
             0u);
+  // Routes that outgrew their ranges were appended and the flat pick
+  // table compacted, at the same refreshes in every world.
+  EXPECT_GE(ref.routeCompactions(), 2u);
+  EXPECT_EQ(worlds[1]->engine->routeCompactions(), ref.routeCompactions());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,13 +15,11 @@ namespace {
 void checkWorldInvariants(MegaDc& dc) {
   // (1) Every RIP on every switch references a live VM or an m-VIP.
   dc.fleet.forEach([&](const LbSwitch& sw) {
-    for (VipId vip : sw.vipIds()) {
-      const VipEntry* e = sw.findVip(vip);
-      ASSERT_NE(e, nullptr);
-      for (const RipEntry& r : e->rips) {
+    for (const VipEntry& e : sw.vips()) {
+      for (const RipEntry& r : e.rips) {
         if (r.targetsVm()) {
           EXPECT_TRUE(dc.hosts.vmExists(r.vm))
-              << "switch " << sw.id() << " vip " << vip
+              << "switch " << sw.id() << " vip " << e.vip
               << " references destroyed vm " << r.vm;
         }
       }
@@ -44,8 +42,8 @@ void checkWorldInvariants(MegaDc& dc) {
 
   // (3) Ownership index agrees with switch tables.
   dc.fleet.forEach([&](const LbSwitch& sw) {
-    for (VipId vip : sw.vipIds()) {
-      const auto owner = dc.fleet.ownerOf(vip);
+    for (const VipEntry& e : sw.vips()) {
+      const auto owner = dc.fleet.ownerOf(e.vip);
       ASSERT_TRUE(owner.has_value());
       EXPECT_EQ(*owner, sw.id());
     }
