@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -224,12 +223,14 @@ void GlobalManager::start() {
 }
 
 void GlobalManager::buildPodAdvisory(state::ByteWriter& w) const {
+  std::size_t entries = 0;
+  for (const auto& pod : pods_) entries += pod->weightCheckpoint().size();
+  w.reserve(w.size() + 8 + 8 * pods_.size() + 12 * entries);
   w.u64(pods_.size());
   for (const auto& pod : pods_) {
-    const std::map<VmId, double> sorted(pod->weightCheckpoint().begin(),
-                                        pod->weightCheckpoint().end());
-    w.u64(sorted.size());
-    for (const auto& [vm, weight] : sorted) {
+    const auto checkpoint = pod->weightCheckpoint().sorted();
+    w.u64(checkpoint.size());
+    for (const auto& [vm, weight] : checkpoint) {
       w.id(vm);
       w.f64(weight);
     }

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -43,6 +42,38 @@ class PodRegistry {
   std::vector<PodId> podOf_;
   std::vector<std::vector<ServerId>> pods_;
   static const std::vector<ServerId> kEmpty;
+};
+
+/// A pod's last-applied RIP weight per VM: an open-addressing table keyed
+/// by VM id (linear probing, at most half full).  A lookup is a probe or
+/// two into one flat array, the table grows with the VMs the pod weights
+/// (never with the world's VM id space), and a walk is one scan of it.
+class VmWeightTable {
+ public:
+  /// The VM's weight, or nullptr; invalidated by the next set().
+  [[nodiscard]] const double* find(VmId vm) const noexcept;
+  /// Sets (or adds) the VM's weight.
+  void set(VmId vm, double weight);
+  /// Removes the VM's entry if present.
+  void erase(VmId vm) noexcept;
+  /// Removes every entry; keeps the storage.
+  void clear() noexcept;
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Every entry, in ascending VM id.
+  [[nodiscard]] std::vector<std::pair<VmId, double>> sorted() const;
+
+ private:
+  struct Slot {
+    VmId vm;  // invalid = empty
+    double weight = 0.0;
+  };
+
+  [[nodiscard]] std::size_t home(VmId vm) const noexcept;
+  /// The slot holding `vm`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(VmId vm) const noexcept;
+
+  std::vector<Slot> slots_;  // power-of-two size, or empty
+  std::size_t size_ = 0;
 };
 
 /// What a pod reports to the global manager every control period.
@@ -161,8 +192,7 @@ class PodManager {
   /// whole-DC snapshots (E17).  Losing it costs one cold first control
   /// round after restart, not correctness, so it is snapshot-only state
   /// excluded from the deterministic hash.
-  [[nodiscard]] const std::unordered_map<VmId, double>& weightCheckpoint()
-      const noexcept {
+  [[nodiscard]] const VmWeightTable& weightCheckpoint() const noexcept {
     return lastWeight_;
   }
 
@@ -203,7 +233,7 @@ class PodManager {
   Options options_;
 
   FlatMap<AppId, double> demand_;
-  std::unordered_map<VmId, double> lastWeight_;
+  VmWeightTable lastWeight_;
   std::unordered_set<ServerId> vacating_;
   bool online_ = true;
   std::uint64_t crashes_ = 0;

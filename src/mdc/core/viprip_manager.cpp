@@ -1007,6 +1007,10 @@ void VipRipManager::setupStateMachine() {
 }
 
 void VipRipManager::serializeDurable(state::ByteWriter& w) const {
+  // The section's size follows from the counts (64 bytes of scalars, 24
+  // per VIP, 20 per RIP): one reservation, no regrowth.
+  w.reserve(w.size() + 64 + 24 * intent_.vipCount() +
+            20 * intent_.ripCount());
   w.u64(durableTerm_);
   // Admission history is part of the deterministic section: the same
   // submission sequence must recover to the same totals bit-for-bit.

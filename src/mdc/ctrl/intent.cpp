@@ -178,13 +178,6 @@ void IntentStore::apply(const IntentRecord& record) {
   }
 }
 
-void IntentStore::forEach(
-    const std::function<void(VipId, const VipIntent&)>& fn) const {
-  for (std::uint32_t i = 0; i < vips_.size(); ++i) {
-    if (vips_[i].sw.valid()) fn(VipId{i}, vips_[i]);
-  }
-}
-
 void IntentJournal::append(const IntentRecord& record) {
   state::ByteWriter w;
   encodeIntentRecord(record, w);

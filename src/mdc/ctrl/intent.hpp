@@ -126,6 +126,12 @@ class IntentStore {
     return in.sw.valid() ? &in : nullptr;
   }
   [[nodiscard]] std::size_t vipCount() const noexcept { return vipCount_; }
+  /// Intended RIPs over all VIPs.
+  [[nodiscard]] std::size_t ripCount() const noexcept {
+    std::size_t n = 0;
+    for (const Occupancy& on : onSwitch_) n += on.rips;
+    return n;
+  }
 
   /// Intended occupancy per switch (placement scoring under in-flight
   /// commands, where actual tables lag intent).
@@ -163,9 +169,14 @@ class IntentStore {
   /// so none of them can diverge.
   void apply(const IntentRecord& record);
 
-  /// Every intended VIP, in ascending VIP id.
-  void forEach(
-      const std::function<void(VipId, const VipIntent&)>& fn) const;
+  /// Every intended VIP, in ascending VIP id: a walk of the table, with
+  /// `fn` called inline.
+  template <typename Fn>
+  void forEach(Fn&& fn) const {
+    for (std::uint32_t i = 0; i < vips_.size(); ++i) {
+      if (vips_[i].sw.valid()) fn(VipId{i}, vips_[i]);
+    }
+  }
 
  private:
   struct Occupancy {

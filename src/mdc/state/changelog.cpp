@@ -4,39 +4,20 @@
 
 namespace mdc::state {
 
-namespace {
-
-std::uint32_t readU32(const std::vector<std::uint8_t>& b,
-                      std::size_t pos) noexcept {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(b[pos + i]) << (8 * i);
-  }
-  return v;
-}
-
-void writeU32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-}  // namespace
-
 std::uint64_t Changelog::append(std::span<const std::uint8_t> payload) {
   MDC_EXPECT(payload.size() <= kMaxRecordBytes, "changelog record too large");
-  writeU32(bytes_, static_cast<std::uint32_t>(payload.size()));
-  writeU32(bytes_, crc32(payload));
+  appendLe(bytes_, static_cast<std::uint32_t>(payload.size()));
+  appendLe(bytes_, crc32(payload));
   bytes_.insert(bytes_.end(), payload.begin(), payload.end());
   return endIndex_++;
 }
 
 std::int64_t Changelog::parseFrameAt(std::size_t pos) const noexcept {
   if (bytes_.size() - pos < kFrameHeaderBytes) return -1;
-  const std::uint32_t len = readU32(bytes_, pos);
+  const auto len = loadLe<std::uint32_t>(bytes_.data() + pos);
   if (len > kMaxRecordBytes) return -1;
   if (bytes_.size() - pos - kFrameHeaderBytes < len) return -1;
-  const std::uint32_t want = readU32(bytes_, pos + 4);
+  const auto want = loadLe<std::uint32_t>(bytes_.data() + pos + 4);
   const std::span<const std::uint8_t> payload(
       bytes_.data() + pos + kFrameHeaderBytes, len);
   if (crc32(payload) != want) return -1;

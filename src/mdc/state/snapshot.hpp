@@ -24,9 +24,18 @@
 // the torn image fails validation on load and recovery falls back to the
 // previous snapshot, which retention rules below guarantee still exists.
 //
+// An image costs its bytes once: the owner's writers serialize both
+// sections straight into the staging buffer, the header is filled in
+// place, and FNV-1a (over the deterministic section) and the CRC (over
+// the body) each run once.  Validation checks magic, version, frame and
+// CRC and reads the sections in place, copying nothing.
+//
 // Retention: prune oldest-first, but only while more than `keep` VALID
 // images remain — invalid/torn images never count toward `keep`, so
-// arming faults cannot prune away the last good fallback.
+// arming faults cannot prune away the last good fallback.  An install
+// validates each older retained image once (the new one is valid unless
+// torn, by construction), and the prune and the compaction bound it
+// reports both come from that one pass.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +43,7 @@
 #include <vector>
 
 #include "mdc/state/codec.hpp"
+#include "mdc/util/function_ref.hpp"
 
 namespace mdc::state {
 
@@ -48,10 +58,13 @@ struct SnapshotMeta {
   std::uint64_t stateHash = 0;
 };
 
-struct SnapshotImage {
+/// A retained image that passed validation, read in place: the section
+/// spans alias the store's buffer and are invalidated by the next
+/// install() or corruptLatest().
+struct SnapshotView {
   SnapshotMeta meta;
-  std::vector<std::uint8_t> deterministic;
-  std::vector<std::uint8_t> advisory;
+  std::span<const std::uint8_t> deterministic;
+  std::span<const std::uint8_t> advisory;
 };
 
 class SnapshotStore {
@@ -64,15 +77,31 @@ class SnapshotStore {
     std::uint32_t keep = 2;
   };
 
+  /// Appends one section of an image to the staging buffer.
+  using SectionWriter = FunctionRef<void(ByteWriter&)>;
+
+  /// What install() published, and what its prune retained.
+  struct Installed {
+    /// The new image's header; stateHash is fnv1a64 of its
+    /// deterministic section.
+    SnapshotMeta meta;
+    /// Valid images retained after the prune.
+    std::size_t validRetained = 0;
+    /// Changelog index of the oldest of them: the furthest the log may
+    /// compact while every retained fallback keeps its tail.
+    std::uint64_t oldestValidIndex = 0;
+  };
+
   SnapshotStore() = default;
   explicit SnapshotStore(Options options) : options_(options) {}
 
-  /// Encodes and atomically publishes a new snapshot image, then prunes
-  /// per the retention rule.  With a torn write armed, publishes a
-  /// truncated staging buffer instead (and disarms).
-  void install(const SnapshotMeta& meta,
-               std::span<const std::uint8_t> deterministic,
-               std::span<const std::uint8_t> advisory);
+  /// Serializes a new image for changelog `index` — `deterministic`, then
+  /// `advisory`, each appending its section to the staging buffer —
+  /// publishes it atomically, and prunes per the retention rule.  With a
+  /// torn write armed, publishes a truncated staging buffer instead (and
+  /// disarms).
+  Installed install(std::uint64_t index, std::uint64_t term, double takenAt,
+                    SectionWriter deterministic, SectionWriter advisory);
 
   /// The next install() publishes a torn (half-written) image.
   void armTornWrite() noexcept { tornArmed_ = true; }
@@ -82,23 +111,28 @@ class SnapshotStore {
   /// Returns false when the store is empty.
   bool corruptLatest(std::uint64_t entropy);
 
-  /// Decodes all retained images newest-first, dropping any that fail
-  /// validation (magic/version/frame/CRC).  Increments *rejected once
-  /// per invalid image when non-null.
-  [[nodiscard]] std::vector<SnapshotImage> loadAllValid(
+  /// Validates all retained images newest-first, dropping any that fail
+  /// (magic/version/frame/CRC).  Increments *rejected once per invalid
+  /// image when non-null.
+  [[nodiscard]] std::vector<SnapshotView> loadAllValid(
       std::uint64_t* rejected = nullptr) const;
 
   /// Raw images retained (valid or not).
   [[nodiscard]] std::size_t count() const noexcept { return images_.size(); }
+  /// The retained images' bytes, oldest .. newest, valid or not.
+  [[nodiscard]] const std::vector<std::vector<std::uint8_t>>& images()
+      const noexcept {
+    return images_;
+  }
   /// Total successful install() calls (torn installs included).
   [[nodiscard]] std::uint64_t installed() const noexcept {
     return installed_;
   }
 
  private:
-  [[nodiscard]] static bool decode(const std::vector<std::uint8_t>& raw,
-                                   SnapshotImage& out);
-  void prune();
+  /// Validates one image; on success `out` views its sections in place.
+  [[nodiscard]] static bool decode(std::span<const std::uint8_t> raw,
+                                   SnapshotView& out);
 
   Options options_;
   std::vector<std::vector<std::uint8_t>> images_;  // oldest .. newest

@@ -11,19 +11,13 @@ DurableStateMachine::SnapshotResult DurableStateMachine::takeSnapshot(
   SnapshotResult out;
   if (snapshotsTaken_ > 0 && recordsSinceSnapshot() == 0) return out;
 
-  ByteWriter det;
-  hooks_.buildDeterministic(det);
-  ByteWriter adv;
-  if (hooks_.buildAdvisory) hooks_.buildAdvisory(adv);
-
-  SnapshotMeta meta;
-  meta.index = log_.endIndex();
-  meta.term = term;
-  meta.takenAt = now;
-  meta.stateHash = fnv1a64(det.bytes());
-  store_.install(meta, det.bytes(), adv.bytes());
+  const SnapshotStore::Installed img = store_.install(
+      log_.endIndex(), term, now, hooks_.buildDeterministic,
+      [this](ByteWriter& w) {
+        if (hooks_.buildAdvisory) hooks_.buildAdvisory(w);
+      });
   ++snapshotsTaken_;
-  lastSnapshotIndex_ = meta.index;
+  lastSnapshotIndex_ = img.meta.index;
   lastSnapshotAt_ = now;
 
   // Compact only records every retained valid fallback has covered: a
@@ -31,14 +25,13 @@ DurableStateMachine::SnapshotResult DurableStateMachine::takeSnapshot(
   // With a single valid image nothing compacts — otherwise one bit of
   // rot in that image would lose the whole prefix; the tail stays until
   // a second image exists to fall back on.
-  const std::vector<SnapshotImage> valid = store_.loadAllValid();
-  if (valid.size() >= 2) {
-    out.compactedRecords = log_.compactTo(valid.back().meta.index);
+  if (img.validRetained >= 2) {
+    out.compactedRecords = log_.compactTo(img.oldestValidIndex);
   }
 
   out.taken = true;
-  out.index = meta.index;
-  out.stateHash = meta.stateHash;
+  out.index = img.meta.index;
+  out.stateHash = img.meta.stateHash;
   return out;
 }
 
@@ -49,16 +42,17 @@ DurableStateMachine::RecoveryStats DurableStateMachine::recover(double now) {
              "state machine hooks not set");
   RecoveryStats stats;
 
-  // Candidate snapshots, newest first.  An image whose index predates
-  // the compaction point lost the tail it would need and cannot seed
-  // replay.  Compaction itself never outruns the oldest valid image,
-  // but a fast-forward (snapshot outran a torn tail, below) can leave
-  // older images permanently stale — they get rejected here.
-  const std::vector<SnapshotImage> candidates =
+  // Candidate snapshots, newest first, each validated in place.  An
+  // image whose index predates the compaction point lost the tail it
+  // would need and cannot seed replay.  Compaction never outruns the
+  // oldest valid image, and a fast-forward (snapshot outran a torn tail,
+  // below) republishes the image it accepts, but images older than the
+  // new base are stale for good — they get rejected here.
+  const std::vector<SnapshotView> candidates =
       store_.loadAllValid(&stats.snapshotsRejected);
 
-  const SnapshotImage* accepted = nullptr;
-  for (const SnapshotImage& img : candidates) {
+  const SnapshotView* accepted = nullptr;
+  for (const SnapshotView& img : candidates) {
     if (img.meta.index < log_.baseIndex()) {
       // Tail records before the compaction point are gone: this image
       // cannot legally seed replay.
@@ -81,18 +75,26 @@ DurableStateMachine::RecoveryStats DurableStateMachine::recover(double now) {
     break;
   }
 
+  // Only the accepted image's sections are copied: the fast-forward
+  // below republishes it, and a publish may prune the buffer they alias.
+  SnapshotMeta meta;
+  std::vector<std::uint8_t> det;
+  std::vector<std::uint8_t> adv;
   if (accepted == nullptr) {
     hooks_.reset();
     stats.prefixLost = log_.baseIndex() > 0;
   } else {
+    meta = accepted->meta;
+    det.assign(accepted->deterministic.begin(), accepted->deterministic.end());
+    adv.assign(accepted->advisory.begin(), accepted->advisory.end());
     stats.usedSnapshot = true;
-    stats.snapshotIndex = accepted->meta.index;
-    stats.snapshotTerm = accepted->meta.term;
-    stats.snapshotAge = now - accepted->meta.takenAt;
+    stats.snapshotIndex = meta.index;
+    stats.snapshotTerm = meta.term;
+    stats.snapshotAge = now - meta.takenAt;
   }
 
   const std::uint64_t startIndex =
-      accepted != nullptr ? accepted->meta.index : log_.baseIndex();
+      stats.usedSnapshot ? meta.index : log_.baseIndex();
 
   const Changelog::Replay tail = log_.replay();
   std::uint64_t applied = tail.records.size();
@@ -112,24 +114,32 @@ DurableStateMachine::RecoveryStats DurableStateMachine::recover(double now) {
   // appends land after the good prefix.
   stats.truncatedBytes =
       log_.truncateToValidPrefix(/*maxRecords=*/applied);
-  if (accepted != nullptr && accepted->meta.index > log_.endIndex()) {
+  if (stats.usedSnapshot && meta.index > log_.endIndex()) {
     // The crash damaged records the snapshot already covers (no appends
     // since it).  The snapshot made them durable: fast-forward the log
     // instead of rolling the index space back behind the installed state.
-    log_.resetTo(accepted->meta.index);
+    log_.resetTo(meta.index);
+    // A fast-forward is a compaction, so it keeps takeSnapshot's rule:
+    // two valid images cover the new base.  Republish the accepted
+    // image, once more if an armed torn write tears the first copy.
+    bool torn = false;
+    do {
+      torn = store_.tornWriteArmed();
+      store_.install(meta.index, meta.term, meta.takenAt,
+                     [&det](ByteWriter& w) { w.raw(det); },
+                     [&adv](ByteWriter& w) { w.raw(adv); });
+    } while (torn);
   }
   stats.recoveredIndex = log_.endIndex();
 
-  if (accepted != nullptr && hooks_.installAdvisory &&
-      !accepted->advisory.empty()) {
-    ByteReader adv(accepted->advisory);
-    hooks_.installAdvisory(adv);
+  if (stats.usedSnapshot && hooks_.installAdvisory && !adv.empty()) {
+    ByteReader r(adv);
+    hooks_.installAdvisory(r);
   }
 
   stats.stateHash = stateHash();
-  lastSnapshotIndex_ =
-      accepted != nullptr ? accepted->meta.index : log_.baseIndex();
-  lastSnapshotAt_ = accepted != nullptr ? accepted->meta.takenAt : 0.0;
+  lastSnapshotIndex_ = stats.usedSnapshot ? meta.index : log_.baseIndex();
+  lastSnapshotAt_ = stats.usedSnapshot ? meta.takenAt : 0.0;
 
   ++recoveries_;
   replayedRecordsTotal_ += stats.replayedRecords;

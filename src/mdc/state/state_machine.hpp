@@ -22,7 +22,9 @@
 // takeSnapshot() compacts the changelog only up to the OLDEST valid
 // retained snapshot, so every retained fallback image still has the tail
 // it needs.  A torn snapshot write therefore costs retention space, not
-// recoverability.
+// recoverability.  A recovery that fast-forwards the log past a torn
+// tail is a compaction too: it republishes the image it accepted, so two
+// valid images cover the new base.
 #pragma once
 
 #include <cstdint>

@@ -114,6 +114,51 @@ TEST(PodRegistry, UnknownServerThrows) {
   EXPECT_THROW((void)reg.podOf(ServerId{9}), PreconditionError);
 }
 
+// The pod's weight checkpoint table against a std::map under random
+// churn: sets, overwrites, erases of present and absent VMs, clears and
+// regrowth.  The narrow id ranges keep the table small and crowded, so
+// probe runs collide and wrap, and every erase shifts them back.
+TEST(VmWeightTable, MatchesMapUnderRandomChurn) {
+  for (const std::uint64_t idRange : {40u, 700u, 1u << 30}) {
+    SCOPED_TRACE("id range " + std::to_string(idRange));
+    Rng rng{0x7ab1e5u + idRange};
+    VmWeightTable table;
+    std::map<VmId, double> want;
+    std::vector<VmId> setIds;
+    for (int step = 0; step < 20000; ++step) {
+      VmId vm{static_cast<VmId::value_type>(rng.uniformInt(idRange))};
+      const std::uint64_t action = rng.uniformInt(100);
+      if (action < 50) {
+        const double w = rng.uniform(0.0, 10.0);
+        table.set(vm, w);
+        want[vm] = w;
+        setIds.push_back(vm);
+      } else if (action < 95) {
+        if (action < 85 && !setIds.empty()) {
+          vm = setIds[rng.uniformInt(setIds.size())];
+        }
+        table.erase(vm);
+        want.erase(vm);
+      } else if (action == 95) {
+        table.clear();
+        want.clear();
+      }
+      const double* got = table.find(vm);
+      const auto it = want.find(vm);
+      ASSERT_EQ(got != nullptr, it != want.end()) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second);
+      }
+      ASSERT_EQ(table.size(), want.size());
+      if (step % 997 == 0 || step == 19999) {
+        const std::vector<std::pair<VmId, double>> all(want.begin(),
+                                                       want.end());
+        ASSERT_EQ(table.sorted(), all) << "step " << step;
+      }
+    }
+  }
+}
+
 TEST(PodManager, ControlLoopCreatesVmsForDemand) {
   Fixture f;
   PodManager& pod = f.makePod({ServerId{0}, ServerId{1}, ServerId{2}});

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,9 +31,9 @@ using state::ByteReader;
 using state::ByteWriter;
 using state::Changelog;
 using state::DurableStateMachine;
-using state::SnapshotImage;
 using state::SnapshotMeta;
 using state::SnapshotStore;
+using state::SnapshotView;
 
 // --- codec ----------------------------------------------------------------
 
@@ -72,11 +75,101 @@ TEST(StateCodec, ReaderFailsSoftPastEnd) {
   EXPECT_FALSE(r.exhausted());
 }
 
+std::vector<std::uint8_t> bytesOf(const std::string& s) {
+  return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
 TEST(StateCodec, Crc32MatchesKnownVector) {
+  EXPECT_EQ(state::crc32({}), 0u);
   // CRC-32("123456789") is the classic check value.
-  const std::string s = "123456789";
-  std::vector<std::uint8_t> bytes(s.begin(), s.end());
-  EXPECT_EQ(state::crc32(bytes), 0xcbf43926u);
+  EXPECT_EQ(state::crc32(bytesOf("123456789")), 0xcbf43926u);
+}
+
+/// CRC-32 one byte at a time (the reflected polynomial's 256-entry table):
+/// the definition the word-at-a-time kernel must reproduce.
+std::uint32_t referenceCrc32Step(std::uint32_t c, std::uint8_t byte) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t v = i;
+      for (int k = 0; k < 8; ++k) {
+        v = (v & 1u) ? (0xedb88320u ^ (v >> 1)) : (v >> 1);
+      }
+      t[i] = v;
+    }
+    return t;
+  }();
+  return table[(c ^ byte) & 0xffu] ^ (c >> 8);
+}
+
+std::uint32_t referenceCrc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t byte : bytes) c = referenceCrc32Step(c, byte);
+  return c ^ 0xffffffffu;
+}
+
+TEST(StateCodec, Crc32KernelMatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng{0xc3c32u};
+  std::vector<std::uint8_t> buf(4100 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.nextU64());
+  // Every start offset mod 8 and every length up to 4,100 bytes: all
+  // head/word/tail splits of the 8-byte loop, on unaligned data too.  The
+  // reference runs along the buffer once per offset: its state after
+  // `len` bytes is the CRC of that prefix.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t len = 0; len <= 4100; ++len) {
+      const std::span<const std::uint8_t> bytes(buf.data() + offset, len);
+      ASSERT_EQ(state::crc32(bytes), c ^ 0xffffffffu)
+          << "offset " << offset << " length " << len;
+      if (len < 4100) c = referenceCrc32Step(c, buf[offset + len]);
+    }
+  }
+}
+
+TEST(StateCodec, Fnv1aMatchesKnownVectors) {
+  EXPECT_EQ(state::fnv1a64({}), 0xcbf29ce484222325ull);
+  EXPECT_EQ(state::fnv1a64(bytesOf("a")), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(state::fnv1a64(bytesOf("foobar")), 0x85944171f73967e8ull);
+}
+
+TEST(StateCodec, WordAppendsWriteLittleEndianBytesAndReadBack) {
+  // Doubles travel as their bit patterns: a quiet NaN with a payload, a
+  // signalling NaN, a negative NaN and -0.0 must survive bit for bit.
+  const std::vector<std::uint64_t> doubleBits = {
+      0x7ff8dead'beef0001ull, 0x7ff0000000000001ull, 0xfff8000000000123ull,
+      0x8000000000000000ull, 0x400921fb54442d18ull};
+  ByteWriter w;
+  std::vector<std::uint8_t> want;
+  const auto le = [&want](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      want.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  w.u8(0xab);
+  le(0xab, 1);
+  w.u32(0x01020304u);
+  le(0x01020304u, 4);
+  w.u64(0x0102030405060708ull);
+  le(0x0102030405060708ull, 8);
+  w.u32(0xffffffffu);
+  le(0xffffffffu, 4);
+  for (const std::uint64_t bits : doubleBits) {
+    w.f64(std::bit_cast<double>(bits));
+    le(bits, 8);
+  }
+  EXPECT_EQ(std::vector<std::uint8_t>(w.bytes().begin(), w.bytes().end()),
+            want);
+
+  ByteReader r{w.bytes()};
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.u32(), 0xffffffffu);
+  for (const std::uint64_t bits : doubleBits) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), bits);
+  }
+  EXPECT_TRUE(r.exhausted());
 }
 
 // --- changelog ------------------------------------------------------------
@@ -160,16 +253,29 @@ TEST(StateChangelog, CompactionPreservesGlobalIndices) {
 
 // --- snapshot store -------------------------------------------------------
 
-SnapshotMeta meta(std::uint64_t index, std::uint64_t term, double at,
-                  std::span<const std::uint8_t> det) {
-  return SnapshotMeta{index, term, at, state::fnv1a64(det)};
+/// Installs an image whose sections are the given bytes.
+SnapshotStore::Installed install(SnapshotStore& store, std::uint64_t index,
+                                 std::uint64_t term, double at,
+                                 std::span<const std::uint8_t> det,
+                                 std::span<const std::uint8_t> adv) {
+  return store.install(
+      index, term, at, [&](ByteWriter& w) { w.raw(det); },
+      [&](ByteWriter& w) { w.raw(adv); });
+}
+
+bool sameBytes(std::span<const std::uint8_t> a,
+               std::span<const std::uint8_t> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 TEST(StateSnapshot, InstallLoadRoundtripsSections) {
   SnapshotStore store{SnapshotStore::Options{2}};
   const auto det = payload(7);
   const auto adv = payload(8);
-  store.install(meta(12, 3, 36.0, det), det, adv);
+  const auto installed = install(store, 12, 3, 36.0, det, adv);
+  EXPECT_EQ(installed.meta.stateHash, state::fnv1a64(det));
+  EXPECT_EQ(installed.validRetained, 1u);
+  EXPECT_EQ(installed.oldestValidIndex, 12u);
 
   std::uint64_t rejected = 0;
   const auto images = store.loadAllValid(&rejected);
@@ -178,20 +284,21 @@ TEST(StateSnapshot, InstallLoadRoundtripsSections) {
   EXPECT_EQ(images[0].meta.index, 12u);
   EXPECT_EQ(images[0].meta.term, 3u);
   EXPECT_EQ(images[0].meta.takenAt, 36.0);
-  EXPECT_EQ(images[0].deterministic, det);
-  EXPECT_EQ(images[0].advisory, adv);
+  EXPECT_EQ(images[0].meta.stateHash, state::fnv1a64(det));
+  EXPECT_TRUE(sameBytes(images[0].deterministic, det));
+  EXPECT_TRUE(sameBytes(images[0].advisory, adv));
 }
 
 TEST(StateSnapshot, TornWritePublishesInvalidImageAndOlderSurvives) {
   SnapshotStore store{SnapshotStore::Options{2}};
-  const auto det1 = payload(1);
-  store.install(meta(5, 1, 10.0, det1), det1, {});
+  install(store, 5, 1, 10.0, payload(1), {});
 
   store.armTornWrite();
-  const auto det2 = payload(2);
-  store.install(meta(9, 1, 20.0, det2), det2, {});
+  const auto torn = install(store, 9, 1, 20.0, payload(2), {});
   EXPECT_FALSE(store.tornWriteArmed());  // one-shot
   EXPECT_EQ(store.count(), 2u);
+  EXPECT_EQ(torn.validRetained, 1u);
+  EXPECT_EQ(torn.oldestValidIndex, 5u);
 
   std::uint64_t rejected = 0;
   const auto images = store.loadAllValid(&rejected);
@@ -202,8 +309,7 @@ TEST(StateSnapshot, TornWritePublishesInvalidImageAndOlderSurvives) {
 
 TEST(StateSnapshot, CorruptionIsRejectedOnLoad) {
   SnapshotStore store{SnapshotStore::Options{2}};
-  const auto det = payload(1);
-  store.install(meta(5, 1, 10.0, det), det, {});
+  install(store, 5, 1, 10.0, payload(1), {});
   ASSERT_TRUE(store.corruptLatest(/*entropy=*/0xf00du));
 
   std::uint64_t rejected = 0;
@@ -213,24 +319,22 @@ TEST(StateSnapshot, CorruptionIsRejectedOnLoad) {
 
 TEST(StateSnapshot, RetentionNeverPrunesLastValidFallback) {
   SnapshotStore store{SnapshotStore::Options{1}};
-  const auto det1 = payload(1);
-  store.install(meta(1, 1, 1.0, det1), det1, {});
+  install(store, 1, 1, 1.0, payload(1), {});
   // Two consecutive torn installs: with keep=1, naive pruning would
   // rotate the only valid image out.  Retention counts valid images.
   store.armTornWrite();
-  const auto det2 = payload(2);
-  store.install(meta(2, 1, 2.0, det2), det2, {});
+  install(store, 2, 1, 2.0, payload(2), {});
   store.armTornWrite();
-  const auto det3 = payload(3);
-  store.install(meta(3, 1, 3.0, det3), det3, {});
+  install(store, 3, 1, 3.0, payload(3), {});
 
   const auto images = store.loadAllValid();
   ASSERT_EQ(images.size(), 1u);
   EXPECT_EQ(images[0].meta.index, 1u);
 
   // A new valid install finally displaces the old fallback.
-  const auto det4 = payload(4);
-  store.install(meta(4, 1, 4.0, det4), det4, {});
+  const auto fourth = install(store, 4, 1, 4.0, payload(4), {});
+  EXPECT_EQ(fourth.validRetained, 1u);
+  EXPECT_EQ(fourth.oldestValidIndex, 4u);
   const auto after = store.loadAllValid();
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].meta.index, 4u);
@@ -286,6 +390,7 @@ DurableStateMachine::Hooks toyHooks(ToyAutomaton& toy) {
 // bit-identical (by hash) to a clean run over the surviving history
 // prefix, and the replay tail stays bounded by the snapshot cadence.
 TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
+  std::uint64_t fastForwards = 0;
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng{0xe17c0ffeeull * seed};
@@ -295,27 +400,30 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
     ToyAutomaton toy;
     machine.setHooks(toyHooks(toy));
 
-    // history holds the records with global indices
-    // [historyBase, historyBase + history.size()).  historyBase only
-    // moves when a recovery provably loses the compacted prefix: every
-    // snapshot damaged AND the changelog already compacted past zero —
-    // the one case where durable state legitimately cannot reach back
-    // to index 0.
+    // history holds every record with a global index below the log's
+    // end.  No recovery may lose a prefix: compaction and fast-forwards
+    // both leave two valid images over the log's base, and rot reaches
+    // only the newest image.
     std::vector<std::uint64_t> history;
-    std::uint64_t historyBase = 0;
     // Shadow of the store's VALID images (indexes, oldest..newest),
     // mirroring the retention rule, so the test states the replay bound
     // independently: recovery replays at most the records after the
     // newest valid snapshot.
     constexpr std::size_t kKeep = 2;  // SnapshotStore::Options default
     std::vector<std::uint64_t> validSnaps;
+    const auto retainValid = [&](std::uint64_t index) {
+      validSnaps.push_back(index);
+      // Mirror retention: oldest valid images beyond `keep` go.
+      while (validSnaps.size() > kKeep) validSnaps.erase(validSnaps.begin());
+    };
     bool newestRawValid = false;
     double now = 0.0;
     std::uint64_t recoveriesWithSnapshot = 0;
 
     const auto recoverAndCheck = [&] {
+      const std::uint64_t baseBefore = log.baseIndex();
       const auto stats = machine.recover(now);
-      const std::uint64_t totalEnd = historyBase + history.size();
+      const std::uint64_t totalEnd = history.size();
       if (!validSnaps.empty()) {
         EXPECT_TRUE(stats.usedSnapshot);
         EXPECT_EQ(stats.snapshotIndex, validSnaps.back());
@@ -324,19 +432,10 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
       } else {
         EXPECT_FALSE(stats.usedSnapshot);
       }
+      EXPECT_FALSE(stats.prefixLost);
       // The crash may have cost the torn/corrupt suffix, never more.
       ASSERT_LE(stats.recoveredIndex, totalEnd);
-      ASSERT_GE(stats.recoveredIndex, historyBase);
-      history.resize(stats.recoveredIndex - historyBase);
-      if (!stats.usedSnapshot && log.baseIndex() > historyBase) {
-        // No snapshot survived and the log was compacted: the prefix is
-        // genuinely unrecoverable, and the machine restarts the stream
-        // at the compaction point.
-        history.erase(history.begin(),
-                      history.begin() + static_cast<std::ptrdiff_t>(
-                                            log.baseIndex() - historyBase));
-        historyBase = log.baseIndex();
-      }
+      history.resize(stats.recoveredIndex);
 
       // Determinism: recovered state == clean run over the surviving
       // stream, asserted by hash.
@@ -345,10 +444,18 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
       EXPECT_EQ(machine.stateHash(), clean.hash());
       EXPECT_EQ(toy.hash(), clean.hash());
       if (stats.usedSnapshot) ++recoveriesWithSnapshot;
-      // A fast-forward (snapshot outran a torn tail) strands images
-      // older than the new base: mirror their rejection.
-      while (!validSnaps.empty() && validSnaps.front() < log.baseIndex()) {
-        validSnaps.erase(validSnaps.begin());
+      if (log.baseIndex() != baseBefore) {
+        // A fast-forward (snapshot outran a torn tail) republishes the
+        // accepted image, so two valid images cover the new base, and
+        // strands the images older than it: mirror both.
+        ++fastForwards;
+        EXPECT_EQ(log.baseIndex(), stats.snapshotIndex);
+        retainValid(stats.snapshotIndex);
+        newestRawValid = true;
+        while (validSnaps.front() < log.baseIndex()) {
+          validSnaps.erase(validSnaps.begin());
+        }
+        EXPECT_EQ(validSnaps.size(), 2u);
       }
     };
 
@@ -366,13 +473,7 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
         const auto res = machine.takeSnapshot(/*term=*/1, now);
         if (res.taken) {
           newestRawValid = !willTear;
-          if (!willTear) {
-            validSnaps.push_back(res.index);
-            // Mirror retention: oldest valid images beyond `keep` go.
-            while (validSnaps.size() > kKeep) {
-              validSnaps.erase(validSnaps.begin());
-            }
-          }
+          if (!willTear) retainValid(res.index);
         }
       } else if (action < 86) {
         log.tearTail(rng.nextU64());  // crash mid-append
@@ -398,6 +499,310 @@ TEST(StateMachineKillPoint, RecoveryMatchesCleanRunHashAcrossSeeds) {
     EXPECT_GT(machine.recoveries(), 0u);
     EXPECT_GT(machine.compactedRecordsTotal(), 0u);
   }
+  EXPECT_GT(fastForwards, 0u);
+}
+
+// The chain that cost `failover` its whole intent: a crash tears the
+// record before the newest snapshot, recovery accepts the snapshot past
+// the torn tail and fast-forwards the log, latent rot then hits the
+// newest image, and the leader crashes again.  The fast-forward is a
+// compaction, so two valid images must cover the new base — also when a
+// torn write is armed as recovery republishes — and the second recovery
+// still starts from a snapshot and loses nothing.
+TEST(StateMachineKillPoint, FastForwardThenNewestImageRotKeepsThePrefix) {
+  for (const bool tornArmed : {false, true}) {
+    SCOPED_TRACE(tornArmed ? "torn write armed" : "no armed write");
+    Changelog log;
+    DurableStateMachine machine{log};
+    ToyAutomaton toy;
+    machine.setHooks(toyHooks(toy));
+    std::vector<std::uint64_t> history;
+    const auto append = [&](std::uint64_t v) {
+      log.append(payload(v));
+      toy.apply(v);
+      history.push_back(v);
+    };
+
+    for (std::uint64_t v = 0; v < 10; ++v) append(v);
+    ASSERT_TRUE(machine.takeSnapshot(/*term=*/1, 1.0).taken);
+    for (std::uint64_t v = 10; v < 20; ++v) append(v);
+    // Two valid images: the log compacts to the older one.
+    ASSERT_EQ(machine.takeSnapshot(/*term=*/1, 2.0).compactedRecords, 10u);
+    if (tornArmed) machine.snapshots().armTornWrite();
+
+    // Crash mid-append of a record the newest snapshot already covers.
+    ASSERT_TRUE(log.tearTail(/*entropy=*/3));
+    const auto first = machine.recover(3.0);
+    ASSERT_TRUE(first.usedSnapshot);
+    EXPECT_EQ(first.snapshotIndex, 20u);
+    EXPECT_EQ(first.recoveredIndex, 20u);
+    EXPECT_EQ(log.baseIndex(), 20u);  // fast-forwarded past the torn record
+    EXPECT_FALSE(machine.snapshots().tornWriteArmed());
+    std::size_t covering = 0;
+    for (const SnapshotView& img : machine.snapshots().loadAllValid()) {
+      if (img.meta.index >= log.baseIndex()) ++covering;
+    }
+    EXPECT_EQ(covering, 2u);
+
+    // Latent rot in the newest image, then the next leader crashes too.
+    ASSERT_TRUE(machine.snapshots().corruptLatest(/*entropy=*/0x5eedu));
+    const auto second = machine.recover(4.0);
+    EXPECT_TRUE(second.usedSnapshot);
+    EXPECT_FALSE(second.prefixLost);
+    EXPECT_EQ(second.snapshotIndex, 20u);
+    EXPECT_EQ(second.recoveredIndex, 20u);
+    ToyAutomaton clean;
+    for (const std::uint64_t v : history) clean.apply(v);
+    EXPECT_EQ(second.stateHash, clean.hash());
+    EXPECT_EQ(toy.hash(), clean.hash());
+  }
+}
+
+// --- the snapshot store against its byte-at-a-time predecessor ------------
+
+/// The snapshot store as it was before images were serialized, checksummed
+/// and validated once: each install encodes three byte-by-byte copies
+/// (payload, body, image), each prune step decodes every retained image
+/// (payload copies included), and loadAllValid copies every payload.  Its
+/// encoder, reader, CRC and FNV are test-local, so the oracle shares no
+/// code with the store it checks.
+class CopyingSnapshotStore {
+ public:
+  struct Image {
+    SnapshotMeta meta;
+    std::vector<std::uint8_t> deterministic;
+    std::vector<std::uint8_t> advisory;
+  };
+
+  void install(const SnapshotMeta& meta,
+               std::span<const std::uint8_t> deterministic,
+               std::span<const std::uint8_t> advisory) {
+    std::vector<std::uint8_t> payload;
+    put(payload, deterministic.size(), 4);
+    for (const std::uint8_t b : deterministic) payload.push_back(b);
+    for (const std::uint8_t b : advisory) payload.push_back(b);
+    std::vector<std::uint8_t> body;
+    put(body, meta.index, 8);
+    put(body, meta.term, 8);
+    put(body, std::bit_cast<std::uint64_t>(meta.takenAt), 8);
+    put(body, meta.stateHash, 8);
+    put(body, payload.size(), 4);
+    for (const std::uint8_t b : payload) body.push_back(b);
+    std::vector<std::uint8_t> image;
+    put(image, SnapshotStore::kMagic, 4);
+    put(image, SnapshotStore::kVersion, 4);
+    put(image, referenceCrc32(body), 4);
+    for (const std::uint8_t b : body) image.push_back(b);
+    if (tornArmed_) {
+      image.resize(image.size() / 2);
+      tornArmed_ = false;
+    }
+    images_.push_back(std::move(image));
+    while (!images_.empty() && validCount() > kKeep) {
+      images_.erase(images_.begin());
+    }
+  }
+
+  void armTornWrite() { tornArmed_ = true; }
+
+  bool corruptLatest(std::uint64_t entropy) {
+    if (images_.empty() || images_.back().empty()) return false;
+    std::vector<std::uint8_t>& raw = images_.back();
+    const std::size_t lo = raw.size() > 8 ? 8 : 0;
+    raw[lo + entropy % (raw.size() - lo)] ^=
+        static_cast<std::uint8_t>(1u << ((entropy >> 32) % 8));
+    return true;
+  }
+
+  [[nodiscard]] std::vector<Image> loadAllValid(
+      std::uint64_t* rejected = nullptr) const {
+    std::vector<Image> out;
+    for (auto it = images_.rbegin(); it != images_.rend(); ++it) {
+      Image img;
+      if (decode(*it, img)) {
+        out.push_back(std::move(img));
+      } else if (rejected != nullptr) {
+        ++*rejected;
+      }
+    }
+    return out;
+  }
+
+  /// takeSnapshot's compaction rule: once two valid images exist, the log
+  /// compacts up to the oldest one.
+  [[nodiscard]] std::uint64_t compactionIndex(std::uint64_t base) const {
+    const std::vector<Image> valid = loadAllValid();
+    return valid.size() >= 2 ? std::max(base, valid.back().meta.index)
+                             : base;
+  }
+
+  [[nodiscard]] const std::vector<std::vector<std::uint8_t>>& images()
+      const {
+    return images_;
+  }
+
+ private:
+  static constexpr std::size_t kKeep = 2;
+
+  static void put(std::vector<std::uint8_t>& out, std::uint64_t v,
+                  int width) {
+    for (int i = 0; i < width; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  static std::uint64_t get(const std::vector<std::uint8_t>& raw,
+                           std::size_t& pos, int width, bool& ok) {
+    if (!ok || raw.size() - pos < static_cast<std::size_t>(width)) {
+      ok = false;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(width); ++i) {
+      v |= static_cast<std::uint64_t>(raw[pos + i]) << (8 * i);
+    }
+    pos += static_cast<std::size_t>(width);
+    return v;
+  }
+
+  static bool decode(const std::vector<std::uint8_t>& raw, Image& out) {
+    bool ok = true;
+    std::size_t pos = 0;
+    if (get(raw, pos, 4, ok) != SnapshotStore::kMagic) return false;
+    if (get(raw, pos, 4, ok) != SnapshotStore::kVersion) return false;
+    const std::uint64_t want = get(raw, pos, 4, ok);
+    if (!ok) return false;
+    const std::span<const std::uint8_t> body(raw.data() + 12,
+                                             raw.size() - 12);
+    if (referenceCrc32(body) != want) return false;
+    out.meta.index = get(raw, pos, 8, ok);
+    out.meta.term = get(raw, pos, 8, ok);
+    out.meta.takenAt = std::bit_cast<double>(get(raw, pos, 8, ok));
+    out.meta.stateHash = get(raw, pos, 8, ok);
+    const std::uint64_t payloadLen = get(raw, pos, 4, ok);
+    if (!ok || raw.size() - pos != payloadLen) return false;
+    const std::uint64_t detLen = get(raw, pos, 4, ok);
+    if (!ok || detLen > raw.size() - pos) return false;
+    const auto det = raw.begin() + static_cast<std::ptrdiff_t>(pos);
+    out.deterministic.assign(det, det + static_cast<std::ptrdiff_t>(detLen));
+    out.advisory.assign(det + static_cast<std::ptrdiff_t>(detLen), raw.end());
+    return true;
+  }
+
+  std::size_t validCount() const {
+    std::size_t n = 0;
+    for (const auto& raw : images_) {
+      Image img;
+      if (decode(raw, img)) ++n;
+    }
+    return n;
+  }
+
+  std::vector<std::vector<std::uint8_t>> images_;
+  bool tornArmed_ = false;
+};
+
+std::uint64_t referenceFnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+std::uint64_t oracleSeed() {
+  if (const char* s = std::getenv("MDC_CHAOS_SEED")) {
+    return std::strtoull(s, nullptr, 10);
+  }
+  return 1009;
+}
+
+// A random script of snapshots (0-64 KiB images), armed torn writes and
+// newest-image rot, run through DurableStateMachine::takeSnapshot and
+// through the copying store with takeSnapshot's compaction rule beside
+// it.  After every step the retained bytes, every valid image's meta and
+// sections, the rejected count and the log's base must agree.  The script
+// draws from MDC_CHAOS_SEED (default 1009), so the chaos soak runs a
+// different one per seed.
+TEST(SnapshotStoreOracle, OnePassStoreMatchesCopyingStoreUnderRandomScript) {
+  const std::uint64_t seed = oracleSeed();
+  SCOPED_TRACE("MDC_CHAOS_SEED=" + std::to_string(seed));
+  Rng rng{seed * 0x9e3779b97f4a7c15ull + 0x5a57u};
+
+  std::vector<std::uint8_t> det;
+  std::vector<std::uint8_t> adv;
+  Changelog log;
+  DurableStateMachine machine{log};
+  DurableStateMachine::Hooks hooks;
+  hooks.buildDeterministic = [&det](ByteWriter& w) { w.raw(det); };
+  hooks.buildAdvisory = [&adv](ByteWriter& w) { w.raw(adv); };
+  machine.setHooks(std::move(hooks));
+  CopyingSnapshotStore oracle;
+  std::uint64_t oracleBase = 0;
+
+  const auto randomBytes = [&rng](std::vector<std::uint8_t>& out,
+                                  std::size_t maxLen) {
+    out.resize(rng.uniformInt(4) == 0 ? 0 : rng.uniformInt(maxLen + 1));
+    for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.nextU64());
+  };
+
+  std::uint64_t installs = 0;
+  std::uint64_t rejectedSeen = 0;
+  std::uint64_t compactions = 0;
+  for (std::uint64_t step = 0; step < 240; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::uint64_t action = rng.uniformInt(100);
+    if (action < 55) {
+      // A snapshot needs a record since the last one.
+      const std::uint64_t records = 1 + rng.uniformInt(3);
+      for (std::uint64_t i = 0; i < records; ++i) {
+        log.append(payload(rng.nextU64()));
+      }
+      randomBytes(det, 48u << 10);
+      randomBytes(adv, 16u << 10);
+      const double now = static_cast<double>(step);
+      const std::uint64_t term = 1 + step / 50;
+      const auto res = machine.takeSnapshot(term, now);
+      ASSERT_TRUE(res.taken);
+      ++installs;
+      const SnapshotMeta meta{log.endIndex(), term, now,
+                              referenceFnv1a64(det)};
+      EXPECT_EQ(res.index, meta.index);
+      EXPECT_EQ(res.stateHash, meta.stateHash);
+      oracle.install(meta, det, adv);
+      const std::uint64_t base = oracle.compactionIndex(oracleBase);
+      if (base > oracleBase) ++compactions;
+      oracleBase = base;
+    } else if (action < 70) {
+      machine.snapshots().armTornWrite();
+      oracle.armTornWrite();
+    } else if (action < 90) {
+      const std::uint64_t entropy = rng.nextU64();
+      EXPECT_EQ(machine.snapshots().corruptLatest(entropy),
+                oracle.corruptLatest(entropy));
+    } else {
+      log.append(payload(rng.nextU64()));
+    }
+
+    ASSERT_EQ(machine.snapshots().images(), oracle.images());
+    EXPECT_EQ(log.baseIndex(), oracleBase);
+    std::uint64_t rejected = 0;
+    std::uint64_t oracleRejected = 0;
+    const auto views = machine.snapshots().loadAllValid(&rejected);
+    const auto want = oracle.loadAllValid(&oracleRejected);
+    EXPECT_EQ(rejected, oracleRejected);
+    rejectedSeen += rejected;
+    ASSERT_EQ(views.size(), want.size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      EXPECT_EQ(views[i].meta.index, want[i].meta.index);
+      EXPECT_EQ(views[i].meta.term, want[i].meta.term);
+      EXPECT_EQ(views[i].meta.takenAt, want[i].meta.takenAt);
+      EXPECT_EQ(views[i].meta.stateHash, want[i].meta.stateHash);
+      EXPECT_TRUE(sameBytes(views[i].deterministic, want[i].deterministic));
+      EXPECT_TRUE(sameBytes(views[i].advisory, want[i].advisory));
+    }
+  }
+  // The script reached the cases the retention rule is about.
+  EXPECT_GT(installs, 60u);
+  EXPECT_GT(rejectedSeen, 0u);
+  EXPECT_GT(compactions, 0u);
 }
 
 // --- whole-DC snapshot + recovery through the manager ---------------------
