@@ -150,14 +150,21 @@ struct BenchWorld {
 
   /// Touches `fraction * numApps` apps (rotating window) the way control
   /// loops do: a RIP weight update, which bumps the VIP config version.
+  /// Each write flips the weight between 1 and 2: rewriting the weight a
+  /// RIP already has bumps nothing, and would leave its app cached.
   void dirtyApps(double fraction, std::uint64_t epochIdx) {
     const auto count =
         static_cast<std::uint64_t>(fraction * numApps + 0.5);
     for (std::uint64_t j = 0; j < count; ++j) {
       const auto a =
           static_cast<std::uint32_t>((epochIdx * count + j) % numApps);
-      const double w = (epochIdx % 2 == 0) ? 2.0 : 1.0;
-      (void)fleet.setRipWeight(VipId{a}, RipId{a * 32}, w);
+      const VipId vip{a};
+      const RipId rip{a * 32};
+      const VipEntry* entry = fleet.findVip(vip);
+      const RipEntry* current =
+          entry != nullptr ? entry->findRip(rip) : nullptr;
+      if (current == nullptr) continue;
+      (void)fleet.setRipWeight(vip, rip, current->weight == 1.0 ? 2.0 : 1.0);
     }
   }
 };

@@ -12,6 +12,73 @@ namespace mdc {
 
 namespace {
 
+/// The fixed-point unit of UtilizationSum, and the utilizations it takes:
+/// 2^21 servers below 2 sum to less than 2^21 * 2^41 = 2^62.
+constexpr double kFixedScale = 0x1p40;
+constexpr double kFixedLimit = 2.0;
+constexpr std::size_t kMaxFixedCount = std::size_t{1} << 21;
+
+[[nodiscard]] bool fixable(double u) noexcept {
+  return u >= 0.0 && u < kFixedLimit;  // false for NaN
+}
+
+[[nodiscard]] std::int64_t toFixed(double u) noexcept {
+  return static_cast<std::int64_t>(u * kFixedScale);  // exact, then floor
+}
+
+}  // namespace
+
+bool rebalanceStops(std::span<const double> utils, double hot,
+                    double tolerance) {
+  double sum = 0.0;
+  for (const double u : utils) sum += u;
+  const double mean = sum / static_cast<double>(utils.size());
+  return mean <= 0.0 || hot <= tolerance * mean;
+}
+
+void UtilizationSum::add(double u) noexcept {
+  ++count_;
+  if (fixable(u)) {
+    fixed_ += toFixed(u);
+  } else {
+    ++outOfRange_;
+  }
+}
+
+void UtilizationSum::replace(double before, double after) noexcept {
+  if (fixable(before)) {
+    fixed_ -= toFixed(before);
+  } else {
+    --outOfRange_;
+  }
+  if (fixable(after)) {
+    fixed_ += toFixed(after);
+  } else {
+    ++outOfRange_;
+  }
+}
+
+std::optional<bool> UtilizationSum::certifiedStop(
+    double hot, double tolerance) const noexcept {
+  if (outOfRange_ != 0 || fixed_ == 0 || count_ > kMaxFixedCount) {
+    return std::nullopt;
+  }
+  // With F > 0, s >= 2^-40 and the server-order mean is positive, so the
+  // test is hot <= tolerance * mean alone, and the threshold it compares
+  // lies in [lo * (1 - rel), hi * (1 + rel)].
+  const double n = static_cast<double>(count_);
+  const double rel = (n + 8.0) * 0x1p-53;
+  const auto end = fixed_ + static_cast<std::int64_t>(count_);
+  const double lo =
+      tolerance * (static_cast<double>(fixed_) / kFixedScale) / n;
+  const double hi = tolerance * (static_cast<double>(end) / kFixedScale) / n;
+  if (hot <= lo * (1.0 - rel)) return true;
+  if (hot > hi * (1.0 + rel)) return false;
+  return std::nullopt;
+}
+
+namespace {
+
 /// Mutable working state shared by both algorithms.
 ///
 /// Each app's instances are a FlatMap of server -> rps (a sorted vector,
@@ -20,14 +87,16 @@ namespace {
 /// cached utilization is recomputed from `used_` after every change, so
 /// it is always the exact double a fresh maxRatio() would return.
 ///
-/// The rebalance asks per pass for the hottest server, the coldest one
-/// that can take an app, and the apps on a server.  indexForRebalance()
-/// builds the two indexes that answer those without rescanning — the
-/// servers ordered by (utilization, index) and the apps resident on each
-/// server in ascending index — from the current state, and from then on
-/// grow() and shrink() keep them current.  Nothing before the rebalance
-/// reads them, and they hold only current values, so building them late
-/// yields what maintaining them all along would have.
+/// The rebalance asks per pass whether the servers are balanced, for the
+/// hottest server, the coldest one that can take an app, and the apps on
+/// a server.  indexForRebalance() builds what answers those without
+/// rescanning — the exact utilization sum, the servers ordered by
+/// (utilization, index) and the apps resident on each server in
+/// ascending index — from the current state, and from then on grow() and
+/// shrink() keep them current.  Nothing before the rebalance reads them,
+/// and they hold only current values (the sum is exact, so its update
+/// order cannot matter), so building them late yields what maintaining
+/// them all along would have.
 class WorkingState {
  public:
   explicit WorkingState(const PlacementInput& input) : input_(input) {
@@ -58,17 +127,13 @@ class WorkingState {
     return util_[server];
   }
 
-  /// Every server's utilization, in server order.
-  [[nodiscard]] const std::vector<double>& utilizations() const {
-    return util_;
-  }
-
   /// Builds the rebalance indexes; see the class comment.
   void indexForRebalance() {
     std::vector<std::pair<double, std::uint32_t>> keys;
     keys.reserve(util_.size());
     for (std::uint32_t s = 0; s < util_.size(); ++s) {
       keys.emplace_back(util_[s], s);
+      utilSum_.add(util_[s]);
     }
     std::sort(keys.begin(), keys.end());
     byUtil_ = std::set<std::pair<double, std::uint32_t>>(keys.begin(),
@@ -80,6 +145,14 @@ class WorkingState {
       }
     }
     indexed_ = true;
+  }
+
+  /// rebalanceStops() over every server's utilization, from the running
+  /// sum where it certifies the answer.  Precondition: at least one
+  /// server, and indexForRebalance() ran.
+  [[nodiscard]] bool balanced(double hot, double tolerance) const {
+    const std::optional<bool> certain = utilSum_.certifiedStop(hot, tolerance);
+    return certain ? *certain : rebalanceStops(util_, hot, tolerance);
   }
 
   /// Apps with an instance on `server`, in ascending index.
@@ -249,6 +322,7 @@ class WorkingState {
       MDC_ENSURE(!node.empty(), "utilization index out of sync");
       node.value().first = util;
       byUtil_.insert(std::move(node));
+      utilSum_.replace(util_[server], util);
     }
     util_[server] = util;
   }
@@ -260,6 +334,7 @@ class WorkingState {
   std::vector<FlatMap<std::uint32_t, double>> perApp_;
   // The rebalance indexes, empty until indexForRebalance().
   bool indexed_ = false;
+  UtilizationSum utilSum_;
   std::set<std::pair<double, std::uint32_t>> byUtil_;
   std::vector<std::vector<std::uint32_t>> residents_;
 };
@@ -380,15 +455,8 @@ PlacementResult PlacementController::place(const PlacementInput& input) const {
   while (passes < maxPasses) {
     ++passes;
     ++iterations;
-    // The mean is summed in server order every pass: a running sum would
-    // round differently and could flip the tolerance test.
-    double sum = 0.0;
-    for (const double u : st.utilizations()) sum += u;
     const auto [hot, hotUtil] = st.hottest();
-    const double meanUtil = sum / static_cast<double>(input.servers.size());
-    if (meanUtil <= 0.0 || hotUtil <= options_.balanceTolerance * meanUtil) {
-      break;
-    }
+    if (st.balanced(hotUtil, options_.balanceTolerance)) break;
 
     // Choose the app with the largest allocation on the hot server and
     // try to move a slice of it to the coldest feasible server.

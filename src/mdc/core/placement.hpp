@@ -21,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -90,6 +92,46 @@ class FirstFitPlacement final : public PlacementAlgorithm {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "first-fit";
   }
+};
+
+/// The rebalance's stop test from the server-order double sum of `utils`:
+/// `mean <= 0 || hot <= tolerance * mean`, mean = sum / utils.size(), the
+/// sum taken in index order.  Precondition: `utils` is not empty.
+[[nodiscard]] bool rebalanceStops(std::span<const double> utils, double hot,
+                                  double tolerance);
+
+/// An exact running sum of server utilizations that decides the
+/// rebalance's stop test without re-adding every server each pass.
+///
+/// Each utilization u in [0, 2) enters as floor(u * 2^40) in an int64
+/// sum F, so the sum is exact whatever order the updates came in, and the
+/// real sum s of n servers lies in [F, F + n) * 2^-40.  The server-order
+/// double sum rebalanceStops() takes lies within
+/// (n - 1) * 2^-53 / (1 - (n - 1) * 2^-53) * s <= n * 2^-53 * s of s, and
+/// its mean and tolerance product round once each.  certifiedStop()
+/// answers only when `hot` lies outside that whole band, widened by eight
+/// roundings (those two and the five the estimate itself takes), so every
+/// answer it gives is rebalanceStops()'s; otherwise the caller sums in
+/// server order.
+class UtilizationSum {
+ public:
+  /// Adds one server at utilization `u`.
+  void add(double u) noexcept;
+  /// One server's utilization moved from `before` (the value it was
+  /// added or last replaced with) to `after`.
+  void replace(double before, double after) noexcept;
+
+  /// rebalanceStops() over the servers summed here, or nullopt when the
+  /// error bound cannot rule out another answer: near the threshold, with
+  /// a utilization outside [0, 2), with F = 0 (the mean may be 0), or
+  /// past 2^21 servers.
+  [[nodiscard]] std::optional<bool> certifiedStop(
+      double hot, double tolerance) const noexcept;
+
+ private:
+  std::int64_t fixed_ = 0;      // F: the sum of floor(u * 2^40), u in range
+  std::size_t count_ = 0;       // n: servers added
+  std::size_t outOfRange_ = 0;  // servers whose u is outside [0, 2)
 };
 
 /// Tang-style controller: grow in place, then place, then rebalance.

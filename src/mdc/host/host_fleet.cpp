@@ -37,10 +37,14 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
     return Error{"insufficient_capacity", ""};
   }
 
-  const VmId id{static_cast<VmId::value_type>(vms_.size())};
+  const VmId id{static_cast<VmId::value_type>(vmCount_)};
   st.used += slice;
   st.vms.push_back(id);
-  VmRecord& rec = vms_.emplace_back();
+  if ((vmCount_ & kVmChunkMask) == 0) {
+    vmChunks_.push_back(
+        std::make_unique<VmRecord[]>(std::size_t{1} << kVmChunkBits));
+  }
+  VmRecord& rec = record(vmCount_++);
   rec.id = id;
   rec.app = app;
   rec.server = server;
@@ -207,7 +211,7 @@ std::vector<CrashedVm> HostFleet::takeCrashCasualties(ServerId server) {
 void HostFleet::bumpVm(VmId id) { ++vmVersions_[id.index()]; }
 
 VmRecord* HostFleet::liveVm(VmId id) noexcept {
-  VmRecord& rec = vms_[id.index()];
+  VmRecord& rec = record(id.index());
   return rec.state == VmState::Destroyed ? nullptr : &rec;
 }
 
@@ -216,16 +220,6 @@ void HostFleet::detachFromServer(VmId vmId, ServerId server) {
   const auto pos = std::find(vms.begin(), vms.end(), vmId);
   MDC_ENSURE(pos != vms.end(), "vm not attached to its server");
   vms.erase(pos);
-}
-
-const VmRecord& HostFleet::vm(VmId id) const {
-  MDC_EXPECT(id.index() < vms_.size(), "unknown vm");
-  return vms_[id.index()];
-}
-
-VmRecord& HostFleet::vmMutable(VmId id) {
-  MDC_EXPECT(id.index() < vms_.size(), "unknown vm");
-  return vms_[id.index()];
 }
 
 const std::vector<VmId>& HostFleet::vmsOn(ServerId server) const {

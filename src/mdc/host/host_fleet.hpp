@@ -11,25 +11,29 @@
 // operation start so concurrent decisions never oversubscribe a server.
 //
 // VM ids are dense from 0 and never reused, and a destroyed VM keeps its
-// record (state Destroyed), so the VM table is a deque indexed by id: the
-// next id is the table's size.  A deque, not a vector, because the epoch
-// engine caches `VmRecord*` in its flow trees and `push_back` on a deque
-// never moves an existing element.  The per-VM version sits apart in its
-// own dense column because the engine's validate phase reads every cached
-// VM's version each epoch: with the version inside VmRecord that phase
-// took about 1.6x as long (traced e2ebench runs, seed 1, 4-vCPU VM, six
-// alternating pairs per workload; run totals, medians, 12.2 -> 20.1 ms on
-// `paper` and 80.6 -> 129.1 ms on `dataplane`, slower in every pair).
+// record (state Destroyed), so the VM table is indexed by id and the next
+// id is its size.  It is a list of fixed chunks of 2^kVmChunkBits records:
+// not a vector, because the epoch engine caches `VmRecord*` in its flow
+// trees and a new chunk never moves an existing one; and not a deque,
+// whose 512-byte blocks hold four records each, so that a lookup is a
+// shift and a mask and a walk by id reads contiguous memory.  The per-VM
+// version sits apart in its own dense column because the engine's
+// validate phase reads every cached VM's version each epoch: with the
+// version inside VmRecord that phase took about 1.6x as long (traced
+// e2ebench runs, seed 1, 4-vCPU VM, six alternating pairs per workload;
+// run totals, medians, 12.2 -> 20.1 ms on `paper` and 80.6 -> 129.1 ms on
+// `dataplane`, slower in every pair).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "mdc/sim/simulation.hpp"
 #include "mdc/topo/topology.hpp"
+#include "mdc/util/expect.hpp"
 #include "mdc/util/ids.hpp"
 #include "mdc/util/result.hpp"
 #include "mdc/util/units.hpp"
@@ -75,6 +79,10 @@ struct CrashedVm {
 class HostFleet {
  public:
   using VmCallback = std::function<void(VmId)>;
+
+  /// log2 of the records per chunk of the VM table: 1,024 records
+  /// (104 KiB) a chunk, which bounds the table's unused tail.
+  static constexpr std::size_t kVmChunkBits = 10;
 
   HostFleet(const Topology& topo, Simulation& sim, HostCostModel costs);
 
@@ -142,12 +150,18 @@ class HostFleet {
   /// The VM's record, destroyed or not.  A reference stays valid (same
   /// address) for the fleet's lifetime.  Precondition: `id` was created
   /// by this fleet.
-  [[nodiscard]] const VmRecord& vm(VmId id) const;
-  [[nodiscard]] VmRecord& vmMutable(VmId id);
+  [[nodiscard]] const VmRecord& vm(VmId id) const {
+    MDC_EXPECT(id.index() < vmCount_, "unknown vm");
+    return record(id.index());
+  }
+  [[nodiscard]] VmRecord& vmMutable(VmId id) {
+    MDC_EXPECT(id.index() < vmCount_, "unknown vm");
+    return record(id.index());
+  }
   /// Created by this fleet and not destroyed.
   [[nodiscard]] bool vmExists(VmId id) const noexcept {
-    return id.index() < vms_.size() &&
-           vms_[id.index()].state != VmState::Destroyed;
+    return id.index() < vmCount_ &&
+           record(id.index()).state != VmState::Destroyed;
   }
 
   /// Monotonic per-VM version covering the facts the epoch descent
@@ -164,7 +178,7 @@ class HostFleet {
   /// How many VMs were ever created: one past the largest VM index, and
   /// the bound for VmId-indexed gauge arrays.
   [[nodiscard]] std::size_t vmIndexBound() const noexcept {
-    return vms_.size();
+    return vmCount_;
   }
 
   [[nodiscard]] const std::vector<VmId>& vmsOn(ServerId server) const;
@@ -184,7 +198,7 @@ class HostFleet {
   // --- operation counters (disruption accounting for E6) -----------------
 
   [[nodiscard]] std::uint64_t vmsCreated() const noexcept {
-    return vms_.size();
+    return vmCount_;
   }
   [[nodiscard]] std::uint64_t migrationsStarted() const noexcept {
     return migrations_;
@@ -203,6 +217,14 @@ class HostFleet {
     bool up = true;
   };
 
+  static constexpr std::size_t kVmChunkMask =
+      (std::size_t{1} << kVmChunkBits) - 1;
+
+  /// The record at index `i`.  Precondition: i < vmCount_.
+  [[nodiscard]] VmRecord& record(std::size_t i) const noexcept {
+    return vmChunks_[i >> kVmChunkBits][i & kVmChunkMask];
+  }
+
   ServerState& serverState(ServerId id);
   const ServerState& serverState(ServerId id) const;
   void detachFromServer(VmId vm, ServerId server);
@@ -215,8 +237,9 @@ class HostFleet {
   Simulation& sim_;
   HostCostModel costs_;
   std::vector<ServerState> servers_;
-  std::deque<VmRecord> vms_;                // by VmId index
-  std::vector<std::uint64_t> vmVersions_;  // by VmId index, same length
+  std::vector<std::unique_ptr<VmRecord[]>> vmChunks_;  // by VmId index
+  std::size_t vmCount_ = 0;
+  std::vector<std::uint64_t> vmVersions_;  // by VmId index, vmCount_ long
   std::size_t liveVms_ = 0;
   std::uint64_t migrations_ = 0;
   std::uint64_t adjustments_ = 0;

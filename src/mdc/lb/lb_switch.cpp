@@ -97,20 +97,19 @@ Status LbSwitch::removeRip(VipId vip, RipId rip) {
   return Status::okStatus();
 }
 
-Status LbSwitch::setRipWeight(VipId vip, RipId rip, double weight) {
-  if (!up_) return Status::fail("switch_down");
+Result<bool> LbSwitch::setRipWeight(VipId vip, RipId rip, double weight) {
+  if (!up_) return Error{"switch_down", ""};
   VipEntry* e = findVipMutable(vip);
-  if (e == nullptr) return Status::fail("vip_unknown");
-  if (weight < 0.0) return Status::fail("bad_weight");
+  if (e == nullptr) return Error{"vip_unknown", ""};
+  if (weight < 0.0) return Error{"bad_weight", ""};
   const auto it =
       std::find_if(e->rips.begin(), e->rips.end(),
                    [rip](const RipEntry& r) { return r.rip == rip; });
-  if (it == e->rips.end()) return Status::fail("rip_unknown");
-  if (it->weight != weight) {
-    it->weight = weight;
-    ++reconfigOps_;
-  }
-  return Status::okStatus();
+  if (it == e->rips.end()) return Error{"rip_unknown", ""};
+  if (it->weight == weight) return false;
+  it->weight = weight;
+  ++reconfigOps_;
+  return true;
 }
 
 void LbSwitch::attachShard(ConnectionShard* shard) {

@@ -90,8 +90,10 @@ class LbSwitch {
   /// Errors: "vip_unknown", "rip_unknown".
   Status removeRip(VipId vip, RipId rip);
 
+  /// Whether the weight changed: writing the current weight again is a
+  /// success that reconfigures nothing.
   /// Errors: "vip_unknown", "rip_unknown", "bad_weight".
-  Status setRipWeight(VipId vip, RipId rip, double weight);
+  Result<bool> setRipWeight(VipId vip, RipId rip, double weight);
 
   [[nodiscard]] const VipEntry* findVip(VipId vip) const;
   [[nodiscard]] bool hasVip(VipId vip) const { return findVip(vip) != nullptr; }

@@ -173,9 +173,10 @@ Status SwitchFleet::applyRemoveRip(SwitchId sw, VipId vip, RipId rip) {
 
 Status SwitchFleet::applySetRipWeight(SwitchId sw, VipId vip, RipId rip,
                                       double weight) {
-  const Status s = at(sw).setRipWeight(vip, rip, weight);
-  if (s.ok()) bumpVip(vip);
-  return s;
+  const Result<bool> changed = at(sw).setRipWeight(vip, rip, weight);
+  if (!changed.ok()) return changed.error();
+  if (changed.value()) bumpVip(vip);
+  return Status::okStatus();
 }
 
 std::vector<SwitchId> SwitchFleet::hostsOf(VipId vip) const {
@@ -251,9 +252,7 @@ Status SwitchFleet::removeRip(VipId vip, RipId rip) {
 Status SwitchFleet::setRipWeight(VipId vip, RipId rip, double weight) {
   const SwitchId sw = owner(vip);
   if (!sw.valid()) return Status::fail("vip_unowned");
-  const Status s = at(sw).setRipWeight(vip, rip, weight);
-  if (s.ok()) bumpVip(vip);
-  return s;
+  return applySetRipWeight(sw, vip, rip, weight);
 }
 
 const VipEntry* SwitchFleet::findVip(VipId vip) const {

@@ -154,7 +154,8 @@ class SwitchFleet {
 
   /// Monotonic per-VIP version, bumped by every mutation that can change
   /// what the epoch engine resolves through this VIP: configure/remove,
-  /// transfer (ownership move), RIP add/remove/reweight, the control-plane
+  /// transfer (ownership move), RIP add/remove, a RIP weight change (a
+  /// write of the weight the RIP already has is none), the control-plane
   /// apply* variants, and a hosting switch's crash.  Never-configured VIPs
   /// read as version 0.  The incremental engine caches a flow tree against
   /// the versions it read and re-descends when any of them moved.

@@ -76,7 +76,6 @@ SnapshotStore::Installed SnapshotStore::install(std::uint64_t index,
   }
   images_.push_back(std::move(staged));
   checked.push_back(Checked{!torn, index});
-  ++installed_;
 
   // Drop oldest-first while strictly more than `keep` valid images
   // remain; torn/corrupt images in front of them go too (they are older

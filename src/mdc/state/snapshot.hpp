@@ -124,10 +124,6 @@ class SnapshotStore {
       const noexcept {
     return images_;
   }
-  /// Total successful install() calls (torn installs included).
-  [[nodiscard]] std::uint64_t installed() const noexcept {
-    return installed_;
-  }
 
  private:
   /// Validates one image; on success `out` views its sections in place.
@@ -136,7 +132,6 @@ class SnapshotStore {
 
   Options options_;
   std::vector<std::vector<std::uint8_t>> images_;  // oldest .. newest
-  std::uint64_t installed_ = 0;
   bool tornArmed_ = false;
 };
 

@@ -821,6 +821,17 @@ TEST(EpochCache, RipWeightChangeInvalidates) {
   EXPECT_EQ(r.engineAppsRecomputed, 1u);
 }
 
+TEST(EpochCache, UnchangedRipWeightKeepsAppCached) {
+  SmallWorld w;
+  (void)w.stepAt(1.0);
+  const double weight =
+      w.fleet.findVip(VipId{0})->findRip(RipId{0})->weight;
+  ASSERT_TRUE(w.fleet.setRipWeight(VipId{0}, RipId{0}, weight).ok());
+  const EpochReport r = w.stepAt(1.0);
+  EXPECT_EQ(r.engineAppsRecomputed, 0u);
+  EXPECT_EQ(r.engineAppsCached, 1u);
+}
+
 TEST(EpochCache, DnsWeightShiftReplaysCachedTree) {
   SmallWorld w;
   auto full = w.fullRecomputeEngine();

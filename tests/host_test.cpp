@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "mdc/host/host_fleet.hpp"
 #include "mdc/topo/topology.hpp"
@@ -253,6 +254,64 @@ TEST(HostFleet, VmRecordReferencesSurviveLaterCreates) {
   EXPECT_EQ(before->server, ServerId{1});
   EXPECT_EQ(before->slice, slice());
   EXPECT_EQ(before->offeredRps, 42.0);
+}
+
+// The VM table is chunked: ids at both ends of each chunk resolve to
+// their own records, and a reference taken in one chunk keeps its address
+// while later creates fill it and allocate the next two.
+TEST(HostFleet, VmRecordsResolveAcrossChunkBoundaries) {
+  Fixture f;
+  constexpr std::size_t kChunk = std::size_t{1} << HostFleet::kVmChunkBits;
+  std::vector<const VmRecord*> addresses;
+  const auto create = [&](std::size_t upTo) {
+    while (f.fleet.vmIndexBound() < upTo) {
+      const std::size_t i = f.fleet.vmIndexBound();
+      const VmId id =
+          f.fleet.createVm(AppId{static_cast<AppId::value_type>(i)},
+                           ServerId{0}, CapacityVec{})
+              .value();
+      ASSERT_EQ(id.index(), i);
+      addresses.push_back(&f.fleet.vm(id));
+    }
+  };
+  create(kChunk);  // exactly one full chunk
+  const VmId last{static_cast<VmId::value_type>(kChunk - 1)};
+  const VmId next{static_cast<VmId::value_type>(kChunk)};
+  EXPECT_TRUE(f.fleet.vmExists(last));
+  EXPECT_FALSE(f.fleet.vmExists(next));  // its chunk is not allocated
+  EXPECT_THROW((void)f.fleet.vm(next), PreconditionError);
+  VmRecord& edge = f.fleet.vmMutable(last);
+  edge.servedRps = 7.0;
+
+  create(3 * kChunk + 1);  // two more boundaries, one id into a fourth
+  EXPECT_EQ(&f.fleet.vmMutable(last), &edge);
+  EXPECT_EQ(edge.servedRps, 7.0);
+  for (std::size_t c = 0; c <= 3; ++c) {
+    for (const std::size_t i : {c * kChunk, c * kChunk + kChunk - 1}) {
+      if (i >= f.fleet.vmIndexBound()) continue;
+      const VmId id{static_cast<VmId::value_type>(i)};
+      EXPECT_EQ(f.fleet.vm(id).id, id) << i;
+      EXPECT_EQ(f.fleet.vm(id).app.index(), i) << i;
+    }
+  }
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    ASSERT_EQ(&f.fleet.vm(VmId{static_cast<VmId::value_type>(i)}),
+              addresses[i])
+        << i;
+  }
+  const std::size_t bound = f.fleet.vmIndexBound();
+  for (const std::size_t i : {bound, bound + 1, 4 * kChunk - 1, 4 * kChunk,
+                              std::size_t{VmId::kInvalidValue}}) {
+    const VmId id{static_cast<VmId::value_type>(i)};
+    EXPECT_FALSE(f.fleet.vmExists(id)) << i;
+    EXPECT_THROW((void)f.fleet.vm(id), PreconditionError) << i;
+    EXPECT_THROW((void)f.fleet.vmMutable(id), PreconditionError) << i;
+  }
+  // A destroyed record keeps its slot and reads as absent.
+  f.fleet.destroyVm(next);
+  EXPECT_FALSE(f.fleet.vmExists(next));
+  EXPECT_EQ(&f.fleet.vm(next), addresses[kChunk]);
+  EXPECT_EQ(f.fleet.vm(next).state, VmState::Destroyed);
 }
 
 TEST(HostFleet, UnknownVmIdsReadAsAbsent) {

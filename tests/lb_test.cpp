@@ -96,8 +96,9 @@ TEST(LbSwitch, RipOperations) {
   ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
   ASSERT_TRUE(sw.addRip(kVip, vmRip(0, 0, 2.0)).ok());
   EXPECT_EQ(sw.addRip(kVip, vmRip(0, 1)).error().code, "rip_exists");
-  EXPECT_TRUE(sw.setRipWeight(kVip, RipId{0}, 5.0).ok());
+  EXPECT_TRUE(sw.setRipWeight(kVip, RipId{0}, 5.0).value());  // changed
   EXPECT_DOUBLE_EQ(sw.findVip(kVip)->findRip(RipId{0})->weight, 5.0);
+  EXPECT_FALSE(sw.setRipWeight(kVip, RipId{0}, 5.0).value());  // same
   EXPECT_EQ(sw.setRipWeight(kVip, RipId{9}, 1.0).error().code, "rip_unknown");
   EXPECT_EQ(sw.setRipWeight(kVip, RipId{0}, -1.0).error().code, "bad_weight");
   EXPECT_TRUE(sw.removeRip(kVip, RipId{0}).ok());
@@ -175,6 +176,7 @@ TEST(LbSwitch, ReconfigOpsCounted) {
   ASSERT_TRUE(sw.configureVip(kVip, kApp).ok());
   ASSERT_TRUE(sw.addRip(kVip, vmRip(0, 0)).ok());
   ASSERT_TRUE(sw.setRipWeight(kVip, RipId{0}, 2.0).ok());
+  ASSERT_TRUE(sw.setRipWeight(kVip, RipId{0}, 2.0).ok());  // no change
   ASSERT_TRUE(sw.removeRip(kVip, RipId{0}).ok());
   ASSERT_TRUE(sw.removeVip(kVip).ok());
   EXPECT_EQ(sw.reconfigOps(), 5u);
@@ -422,6 +424,45 @@ TEST(SwitchFleet, VipLogHoldsOnlyWhatItsReaderHasNotTaken) {
   fleet.openVipLog();
   fleet.takeVipMutations(taken);
   EXPECT_EQ(taken, (std::vector<VipId>{kOther, kVip}));
+}
+
+// A write of the weight a RIP already has changes nothing the epoch
+// engine or a session route resolves, so it bumps neither the VIP's
+// version nor its change log; a new weight bumps both.  Through the owner
+// index and through a per-switch apply alike.
+TEST(SwitchFleet, UnchangedRipWeightBumpsNothing) {
+  SwitchFleet fleet;
+  const SwitchId a = fleet.addSwitch(tinyLimits());
+  ASSERT_TRUE(fleet.configureVip(a, kVip, kApp).ok());
+  ASSERT_TRUE(fleet.addRip(kVip, vmRip(0, 0, 2.0)).ok());
+  fleet.openVipLog();
+  std::vector<VipId> taken;
+  fleet.takeVipMutations(taken);
+  const std::uint64_t v0 = fleet.vipConfigVersion(kVip);
+
+  ASSERT_TRUE(fleet.setRipWeight(kVip, RipId{0}, 2.0).ok());
+  ASSERT_TRUE(fleet.applySetRipWeight(a, kVip, RipId{0}, 2.0).ok());
+  EXPECT_EQ(fleet.vipConfigVersion(kVip), v0);
+  fleet.takeVipMutations(taken);
+  EXPECT_TRUE(taken.empty());
+
+  ASSERT_TRUE(fleet.setRipWeight(kVip, RipId{0}, 3.0).ok());
+  EXPECT_EQ(fleet.vipConfigVersion(kVip), v0 + 1);
+  ASSERT_TRUE(fleet.applySetRipWeight(a, kVip, RipId{0}, 4.0).ok());
+  EXPECT_EQ(fleet.vipConfigVersion(kVip), v0 + 2);
+  fleet.takeVipMutations(taken);
+  EXPECT_EQ(taken, (std::vector<VipId>{kVip, kVip}));
+  EXPECT_DOUBLE_EQ(fleet.findVip(kVip)->findRip(RipId{0})->weight, 4.0);
+
+  // A failed write bumps nothing either.
+  EXPECT_EQ(fleet.setRipWeight(kVip, RipId{7}, 1.0).error().code,
+            "rip_unknown");
+  EXPECT_EQ(fleet.applySetRipWeight(a, kVip, RipId{0}, -1.0).error().code,
+            "bad_weight");
+  EXPECT_EQ(fleet.vipConfigVersion(kVip), v0 + 2);
+  fleet.takeVipMutations(taken);
+  EXPECT_TRUE(taken.empty());
+  fleet.closeVipLog();
 }
 
 TEST(SwitchFleet, RipOpsOnUnownedVip) {

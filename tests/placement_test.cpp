@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -530,6 +533,177 @@ TEST(PlacementController, IndexedRebalanceMatchesScan) {
   // place instances.
   EXPECT_GT(passes, 450u * 10u);
   EXPECT_GT(firstFitInstances, 450u * 10u);
+}
+
+// --- The rebalance's certified stop test ---------------------------------
+//
+// UtilizationSum answers the stop test from its exact fixed-point sum
+// only when its error bound rules out another answer, and defers to the
+// server-order sum otherwise.  Every answer it gives must be
+// rebalanceStops()'s.  The vectors (1-10,000 servers) include ones whose
+// server-order sum rounds far below or above the exact sum while the
+// fixed-point sum is exact, ones whose fixed-point sum truncates far
+// below it while the server-order sum is exact, ties, zeros, and
+// utilizations outside the fixed-point range; the hot values include
+// the threshold the server-order sum computes, the ulps around it, and
+// points between it and the exact sum's threshold, where a bound that
+// is too small answers wrongly.
+
+enum class UtilShape {
+  Uniform,       // random doubles in [0, 1)
+  Ties,          // one or two distinct values
+  RoundsFar,     // each ordered add past 2^14 loses or gains 2^-40
+  TruncatesLow,  // each value 2^-50 below a multiple of 2^-40
+  Sparse,        // mostly zero, maybe all zero, maybe only below 2^-40
+  OutOfRange,    // some at 2 or more, or infinite
+};
+constexpr int kUtilShapes = 6;
+
+std::vector<double> randomUtilizations(Rng& rng, UtilShape shape) {
+  // Log-uniform server counts in [1, 10'000]; RoundsFar needs its sum
+  // past 2^14 with every value below 2.
+  std::size_t n = static_cast<std::size_t>(
+      std::exp(rng.uniform(0.0, std::log(10'000.0))));
+  n = std::clamp<std::size_t>(n, 1, 10'000);
+  std::vector<double> u(n);
+  switch (shape) {
+    case UtilShape::Uniform:
+      for (double& x : u) x = rng.uniform();
+      break;
+    case UtilShape::Ties: {
+      const double a = rng.uniform();
+      const double b = rng.bernoulli(0.5) ? a : rng.uniform();
+      for (double& x : u) x = rng.bernoulli(0.7) ? a : b;
+      break;
+    }
+    case UtilShape::RoundsFar: {
+      // Values (4k + r) * 2^-40 near 1.99: exact in fixed point, and once
+      // the ordered sum passes 2^14 (ulp 2^-38) each add rounds off a
+      // quarter ulp, always down for r = 1 and always up for r = 3.
+      u.resize(8'400 + rng.uniformInt(1'601));
+      const double r = rng.bernoulli(0.5) ? 1.0 : 3.0;
+      for (double& x : u) {
+        const double k = std::floor(rng.uniform(1.98, 1.999) * 0x1p38);
+        x = (4.0 * k + r) * 0x1p-40;
+      }
+      break;
+    }
+    case UtilShape::TruncatesLow:
+      for (double& x : u) {
+        const double k = std::floor(rng.uniform(0.0, 0.5) * 0x1p40);
+        x = (k + 1.0) * 0x1p-40 - 0x1p-50;
+      }
+      break;
+    case UtilShape::Sparse: {
+      const double p = rng.bernoulli(0.3) ? 0.0 : 0.01;
+      const bool tiny = rng.bernoulli(0.3);
+      for (double& x : u) {
+        x = rng.bernoulli(p) ? (tiny ? rng.uniform() * 0x1p-41
+                                     : rng.uniform())
+                             : 0.0;
+      }
+      break;
+    }
+    case UtilShape::OutOfRange:
+      for (double& x : u) x = rng.uniform();
+      for (int i = 0; i < 3; ++i) {
+        u[rng.uniformInt(n)] =
+            rng.bernoulli(0.5) ? 2.0 + rng.uniform()
+                               : std::numeric_limits<double>::infinity();
+      }
+      break;
+  }
+  return u;
+}
+
+/// A compensated (Neumaier) sum: within a few ulps of the exact one.
+double compensatedSum(const std::vector<double>& u) {
+  double sum = 0.0;
+  double carry = 0.0;
+  for (const double x : u) {
+    const double t = sum + x;
+    carry += std::abs(sum) >= std::abs(x) ? (sum - t) + x : (x - t) + sum;
+    sum = t;
+  }
+  return sum + carry;
+}
+
+TEST(UtilizationSum, CertifiedStopMatchesOrderedSum) {
+  // Counts by kind of hot value: far from the threshold, on a ladder of
+  // relative offsets 2^-52 .. 2^-20 from it (which straddles the bound),
+  // and inside the band between the ordered and the exact threshold.
+  enum Kind { kFar, kLadder, kBand, kKinds };
+  std::array<std::uint64_t, kKinds> certified{};
+  std::array<std::uint64_t, kKinds> deferred{};
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    Rng rng{seed};
+    const auto shape = static_cast<UtilShape>(seed % kUtilShapes);
+    const std::vector<double> u = randomUtilizations(rng, shape);
+    const std::size_t n = u.size();
+
+    // Added as stale values in server order, then moved to the real ones
+    // in a random order: the exact sum cannot depend on update order.
+    UtilizationSum sum;
+    std::vector<double> stale(n);
+    for (double& x : stale) x = rng.bernoulli(0.1) ? 3.0 : rng.uniform();
+    for (const double x : stale) sum.add(x);
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.uniformInt(i)]);
+    }
+    for (const std::size_t i : order) sum.replace(stale[i], u[i]);
+
+    double ordered = 0.0;
+    for (const double x : u) ordered += x;
+    const double exact = compensatedSum(u);
+    for (const double tolerance : {1.0, 1.1, rng.uniform(1.0, 2.0)}) {
+      const double threshold =
+          tolerance * (ordered / static_cast<double>(n));
+      const double exactThreshold =
+          tolerance * (exact / static_cast<double>(n));
+      std::vector<std::pair<Kind, double>> hots{
+          {kFar, *std::max_element(u.begin(), u.end())},
+          {kFar, rng.uniform(0.0, 2.0 * threshold)},
+          {kBand, threshold}};
+      double below = threshold;
+      double above = threshold;
+      for (int k = 0; k < 3; ++k) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, 4.0);
+        hots.emplace_back(kBand, below);
+        hots.emplace_back(kBand, above);
+      }
+      for (int j = 1; j <= 8; ++j) {
+        hots.emplace_back(
+            kBand, threshold + (exactThreshold - threshold) * j / 8.0);
+      }
+      for (int e = -52; e <= -20; e += 2) {
+        hots.emplace_back(kLadder, threshold * (1.0 + std::ldexp(1.0, e)));
+        hots.emplace_back(kLadder, threshold * (1.0 - std::ldexp(1.0, e)));
+      }
+      for (const auto& [kind, hot] : hots) {
+        const bool want = rebalanceStops(u, hot, tolerance);
+        const std::optional<bool> got = sum.certifiedStop(hot, tolerance);
+        if (!got.has_value()) {
+          ++deferred[kind];
+          continue;
+        }
+        ASSERT_EQ(*got, want)
+            << "seed " << seed << " n " << n << " tolerance " << tolerance
+            << " hot " << hot << " ordered threshold " << threshold
+            << " exact threshold " << exactThreshold;
+        ++certified[kind];
+      }
+    }
+  }
+  // Both branches ran, on both sides of the bound: far questions are
+  // certified unless the vector rules the sum out, the ladder straddles
+  // the bound, and the band between the two thresholds is deferred.
+  EXPECT_GT(certified[kFar], 2 * deferred[kFar]);
+  EXPECT_GT(certified[kLadder], 1'000u);
+  EXPECT_GT(deferred[kLadder], 1'000u);
+  EXPECT_GT(deferred[kBand], 10 * certified[kBand]);
 }
 
 // Property suite over randomized instances: both algorithms must produce
